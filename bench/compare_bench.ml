@@ -1,8 +1,6 @@
 (* Throughput-regression comparator for bench_json artifacts.
 
      compare_bench OLD.json NEW.json [--threshold PCT]
-     compare_bench --scaling BASELINE.json NEW.json [--threshold PCT]
-                   [--min-speedup X]
      compare_bench --profile BASELINE.json NEW.json
 
    Default mode matches cells by (workload, algo) and compares
@@ -13,22 +11,9 @@
    stay useful against historical files.
 
    --profile diffs two profile_json artifacts (bench perf --profile):
-   per-phase share-of-round-wall deltas in percentage points plus the
-   speculation rates (stamp hit rate, wave imbalance).  Purely
-   advisory — phase shares shift with machine load and domain count,
-   so the step reports trends and exits 0 unless an input is
-   unreadable (exit 2).
-
-   --scaling compares two scaling_json curves (bench perf-scaling)
-   instead: rows match by (workload, domains), and each file's
-   host_cores decides which checks are meaningful on the machines
-   involved.  A per-row rounds/sec drop beyond the threshold is
-   blocking only when BOTH hosts had at least that row's domain count
-   in cores (a 4-domain point measured on a 1-core box is
-   oversubscription noise, not a regression); the curve-shape gate —
-   4-domain rounds/sec must reach min-speedup (default 1.5) x the
-   1-domain figure — is blocking only when the NEW host has >= 4
-   cores.  Everything else prints as "warn" and does not fail CI.
+   per-phase share-of-round-wall deltas in percentage points.  Purely
+   advisory — phase shares shift with machine load — so the step
+   reports trends and exits 0 unless an input is unreadable (exit 2).
 
    --serve diffs two serve_json artifacts (bench serve-smoke): rows
    match by shape label, and the report shows sustained rounds/sec,
@@ -39,11 +24,13 @@
    is unreadable (exit 2).
 
    --forest compares two forest_json artifacts (bench forest-smoke /
-   forest-scaling) the same way: rows match by (workload, n, shards,
-   domains), a rounds/sec drop beyond the threshold is blocking only
-   when both hosts had at least that row's domain count in cores,
-   and there is no speedup floor — shard decomposition changes the
-   algorithm's work, so only like-for-like cells are compared.
+   forest-scaling): rows match by (workload, n, shards, domains), and
+   each file's host_cores decides which checks are meaningful.  A
+   rounds/sec drop beyond the threshold is blocking only when both
+   hosts had at least that row's domain count in cores (a 4-domain
+   point measured on a 1-core box is oversubscription noise, not a
+   regression).  Shard decomposition changes the algorithm's work, so
+   only like-for-like cells are compared.
 
    The repository deliberately has no JSON dependency; this is a
    minimal recursive-descent parser for the subset bench_json emits
@@ -219,112 +206,6 @@ let cells_of_file path =
         cs
   | _ -> raise (Parse_error "no \"cells\" array")
 
-(* One perf-scaling curve point (Runtime.Export.scaling_json). *)
-type point = { workload : string; domains : int; rps : float option }
-
-let scaling_of_file path =
-  let root = read_json path in
-  let host_cores =
-    match num_field root "host_cores" with
-    | Some c -> int_of_float c
-    | None -> raise (Parse_error "no \"host_cores\" field")
-  in
-  match field root "rows" with
-  | Some (List rs) ->
-      let points =
-        List.filter_map
-          (fun r ->
-            match (str_field r "workload", num_field r "domains") with
-            | Some workload, Some d ->
-                Some
-                  {
-                    workload;
-                    domains = int_of_float d;
-                    rps = num_field r "rounds_per_sec";
-                  }
-            | _ -> None)
-          rs
-      in
-      (host_cores, points)
-  | _ -> raise (Parse_error "no \"rows\" array")
-
-(* The --scaling gate: per-point regressions plus the curve-shape
-   (speedup) floor, each blocking only where the hosts' core counts
-   make the measurement meaningful.  Returns the failure count. *)
-let compare_scaling ~threshold ~min_speedup old_path new_path =
-  let old_cores, old_points = scaling_of_file old_path in
-  let new_cores, new_points = scaling_of_file new_path in
-  Printf.printf "scaling: baseline host_cores=%d, current host_cores=%d\n"
-    old_cores new_cores;
-  let failures = ref 0 and compared = ref 0 in
-  List.iter
-    (fun (o : point) ->
-      match
-        List.find_opt
-          (fun (p : point) ->
-            p.workload = o.workload && p.domains = o.domains)
-          new_points
-      with
-      | None ->
-          Printf.printf "SKIP  %-14s domains=%d only in %s\n" o.workload
-            o.domains old_path
-      | Some nw -> (
-          match (o.rps, nw.rps) with
-          | Some orps, Some nrps when orps > 0.0 ->
-              incr compared;
-              let change = (nrps -. orps) /. orps *. 100.0 in
-              let meaningful =
-                old_cores >= o.domains && new_cores >= o.domains
-              in
-              let bad = change < -.threshold && meaningful in
-              if bad then incr failures;
-              Printf.printf "%s  %-14s domains=%d %12.0f -> %12.0f  %+6.1f%%%s\n"
-                (if bad then "FAIL"
-                 else if change < -.threshold then "warn"
-                 else "ok  ")
-                o.workload o.domains orps nrps change
-                (if meaningful then ""
-                 else " (advisory: fewer cores than domains)")
-          | _ ->
-              Printf.printf "SKIP  %-14s domains=%d rounds_per_sec missing\n"
-                o.workload o.domains))
-    old_points;
-  let workloads =
-    List.sort_uniq compare
-      (List.map (fun (p : point) -> p.workload) new_points)
-  in
-  List.iter
-    (fun workload ->
-      let rps_at d =
-        match
-          List.find_opt
-            (fun (p : point) -> p.workload = workload && p.domains = d)
-            new_points
-        with
-        | Some { rps = Some r; _ } when r > 0.0 -> Some r
-        | _ -> None
-      in
-      match (rps_at 1, rps_at 4) with
-      | Some r1, Some r4 ->
-          let speedup = r4 /. r1 in
-          let meaningful = new_cores >= 4 in
-          let bad = speedup < min_speedup && meaningful in
-          if bad then incr failures;
-          Printf.printf "%s  %-14s speedup(4/1)=%.2fx (floor %.2fx)%s\n"
-            (if bad then "FAIL"
-             else if speedup < min_speedup then "warn"
-             else "ok  ")
-            workload speedup min_speedup
-            (if meaningful then ""
-             else " (advisory: host has < 4 cores)")
-      | _ ->
-          Printf.printf "SKIP  %-14s speedup: 1- or 4-domain point missing\n"
-            workload)
-    workloads;
-  Printf.printf "compared %d scaling points, %d failure(s)\n" !compared
-    !failures;
-  !failures
-
 (* One forest_json row (Runtime.Export.forest_json). *)
 type frow = {
   fworkload : string;
@@ -494,11 +375,8 @@ let compare_serve old_path new_path =
 (* One profile_json artifact (Runtime.Export.profile_json), reduced
    to what the advisory diff needs. *)
 type prof = {
-  domains : int;
   rounds : int;
   shares : (string * float) list;  (** phase -> share of round wall. *)
-  stamp_hit_rate : float option;
-  avg_imbalance : float option;
 }
 
 let profile_of_file path =
@@ -514,22 +392,12 @@ let profile_of_file path =
           ps
     | _ -> raise (Parse_error "no \"phases\" array")
   in
-  let spec = field root "speculation" in
-  let spec_field k =
-    match spec with Some s -> num_field s k | None -> None
-  in
   {
-    domains =
-      (match num_field root "domains" with
-      | Some d -> int_of_float d
-      | None -> 0);
     rounds =
       (match num_field root "rounds" with
       | Some r -> int_of_float r
       | None -> 0);
     shares;
-    stamp_hit_rate = spec_field "stamp_hit_rate";
-    avg_imbalance = spec_field "avg_wave_imbalance";
   }
 
 (* The --profile advisory report: never blocking, always exit 0 on
@@ -537,12 +405,8 @@ let profile_of_file path =
 let compare_profile old_path new_path =
   let o = profile_of_file old_path in
   let nw = profile_of_file new_path in
-  Printf.printf
-    "profile: baseline domains=%d rounds=%d, current domains=%d rounds=%d\n"
-    o.domains o.rounds nw.domains nw.rounds;
-  if o.domains <> nw.domains then
-    Printf.printf
-      "note  domain counts differ; phase shares are not comparable 1:1\n";
+  Printf.printf "profile: baseline rounds=%d, current rounds=%d\n" o.rounds
+    nw.rounds;
   List.iter
     (fun (phase, nshare) ->
       match List.assoc_opt phase o.shares with
@@ -552,23 +416,56 @@ let compare_profile old_path new_path =
             (100.0 *. (nshare -. oshare))
       | None -> Printf.printf "NEW   %-16s share %5.1f%%\n" phase (100.0 *. nshare))
     nw.shares;
-  (match (o.stamp_hit_rate, nw.stamp_hit_rate) with
-  | Some a, Some b ->
-      Printf.printf "info  stamp_hit_rate   %5.3f -> %5.3f  (%+.3f)\n" a b
-        (b -. a)
-  | _ -> ());
-  (match (o.avg_imbalance, nw.avg_imbalance) with
-  | Some a, Some b ->
-      Printf.printf "info  avg_imbalance    %5.2f -> %5.2f  (%+.2f)\n" a b
-        (b -. a)
-  | _ -> ());
   Printf.printf "profile diff is advisory; not gating\n"
+
+(* The default mode: rounds/sec per (workload, algo) cell.  Returns the
+   regression count. *)
+let compare_cells ~threshold old_path new_path =
+  let old_cells = cells_of_file old_path in
+  let new_cells = cells_of_file new_path in
+  let regressions = ref 0 and compared = ref 0 in
+  List.iter
+    (fun (o : cell) ->
+      match
+        List.find_opt
+          (fun (c : cell) -> c.workload = o.workload && c.algo = o.algo)
+          new_cells
+      with
+      | None ->
+          Printf.printf "SKIP  %-14s %-8s only in %s\n" o.workload o.algo
+            old_path
+      | Some nw -> (
+          match (o.rps, nw.rps) with
+          | Some orps, Some nrps when orps > 0.0 ->
+              incr compared;
+              let change = (nrps -. orps) /. orps *. 100.0 in
+              let bad = change < -.threshold in
+              if bad then incr regressions;
+              Printf.printf "%s  %-14s %-8s %12.0f -> %12.0f  %+6.1f%%\n"
+                (if bad then "FAIL" else "ok  ")
+                o.workload o.algo orps nrps change
+          | _ ->
+              Printf.printf "SKIP  %-14s %-8s rounds_per_sec missing\n"
+                o.workload o.algo))
+    old_cells;
+  List.iter
+    (fun (c : cell) ->
+      if
+        not
+          (List.exists
+             (fun (o : cell) -> o.workload = c.workload && o.algo = c.algo)
+             old_cells)
+      then
+        Printf.printf "NEW   %-14s %-8s only in %s\n" c.workload c.algo
+          new_path)
+    new_cells;
+  Printf.printf "compared %d cells, %d regression(s) beyond %.0f%%\n"
+    !compared !regressions threshold;
+  !regressions
 
 let () =
   let args = Array.to_list Sys.argv in
   let threshold = ref 20.0 in
-  let min_speedup = ref 1.5 in
-  let scaling = ref false in
   let forest = ref false in
   let profile = ref false in
   let serve = ref false in
@@ -585,12 +482,6 @@ let () =
     | "--threshold" :: v :: rest ->
         threshold := positive_float "--threshold" v;
         parse_args rest
-    | "--min-speedup" :: v :: rest ->
-        min_speedup := positive_float "--min-speedup" v;
-        parse_args rest
-    | "--scaling" :: rest ->
-        scaling := true;
-        parse_args rest
     | "--forest" :: rest ->
         forest := true;
         parse_args rest
@@ -605,112 +496,33 @@ let () =
         parse_args rest
   in
   parse_args (List.tl args);
+  (* Each mode returns its failure count; unreadable input exits 2. *)
+  let run f =
+    match f () with
+    | failures -> exit (if failures > 0 then 1 else 0)
+    | exception Parse_error msg ->
+        Printf.eprintf "compare_bench: parse error: %s\n" msg;
+        exit 2
+    | exception Sys_error msg ->
+        Printf.eprintf "compare_bench: %s\n" msg;
+        exit 2
+  in
   match List.rev !files with
-  | [ old_path; new_path ] when !profile -> (
-      try
-        compare_profile old_path new_path;
-        exit 0
-      with
-      | Parse_error msg ->
-          Printf.eprintf "compare_bench: parse error: %s\n" msg;
-          exit 2
-      | Sys_error msg ->
-          Printf.eprintf "compare_bench: %s\n" msg;
-          exit 2)
-  | [ old_path; new_path ] when !serve -> (
-      try
-        compare_serve old_path new_path;
-        exit 0
-      with
-      | Parse_error msg ->
-          Printf.eprintf "compare_bench: parse error: %s\n" msg;
-          exit 2
-      | Sys_error msg ->
-          Printf.eprintf "compare_bench: %s\n" msg;
-          exit 2)
-  | [ old_path; new_path ] when !forest -> (
-      try
-        let failures = compare_forest ~threshold:!threshold old_path new_path in
-        exit (if failures > 0 then 1 else 0)
-      with
-      | Parse_error msg ->
-          Printf.eprintf "compare_bench: parse error: %s\n" msg;
-          exit 2
-      | Sys_error msg ->
-          Printf.eprintf "compare_bench: %s\n" msg;
-          exit 2)
-  | [ old_path; new_path ] when !scaling -> (
-      try
-        let failures =
-          compare_scaling ~threshold:!threshold ~min_speedup:!min_speedup
-            old_path new_path
-        in
-        exit (if failures > 0 then 1 else 0)
-      with
-      | Parse_error msg ->
-          Printf.eprintf "compare_bench: parse error: %s\n" msg;
-          exit 2
-      | Sys_error msg ->
-          Printf.eprintf "compare_bench: %s\n" msg;
-          exit 2)
-  | [ old_path; new_path ] -> (
-      try
-        let old_cells = cells_of_file old_path in
-        let new_cells = cells_of_file new_path in
-        let regressions = ref 0 and compared = ref 0 in
-        List.iter
-          (fun (o : cell) ->
-            match
-              List.find_opt
-                (fun (c : cell) ->
-                  c.workload = o.workload && c.algo = o.algo)
-                new_cells
-            with
-            | None ->
-                Printf.printf "SKIP  %-14s %-8s only in %s\n" o.workload
-                  o.algo old_path
-            | Some nw -> (
-                match (o.rps, nw.rps) with
-                | Some orps, Some nrps when orps > 0.0 ->
-                    incr compared;
-                    let change = (nrps -. orps) /. orps *. 100.0 in
-                    let bad = change < -.(!threshold) in
-                    if bad then incr regressions;
-                    Printf.printf "%s  %-14s %-8s %12.0f -> %12.0f  %+6.1f%%\n"
-                      (if bad then "FAIL" else "ok  ")
-                      o.workload o.algo orps nrps change
-                | _ ->
-                    Printf.printf
-                      "SKIP  %-14s %-8s rounds_per_sec missing\n" o.workload
-                      o.algo))
-          old_cells;
-        List.iter
-          (fun (c : cell) ->
-            if
-              not
-                (List.exists
-                   (fun (o : cell) ->
-                     o.workload = c.workload && o.algo = c.algo)
-                   old_cells)
-            then
-              Printf.printf "NEW   %-14s %-8s only in %s\n" c.workload c.algo
-                new_path)
-          new_cells;
-        Printf.printf "compared %d cells, %d regression(s) beyond %.0f%%\n"
-          !compared !regressions !threshold;
-        exit (if !regressions > 0 then 1 else 0)
-      with
-      | Parse_error msg ->
-          Printf.eprintf "compare_bench: parse error: %s\n" msg;
-          exit 2
-      | Sys_error msg ->
-          Printf.eprintf "compare_bench: %s\n" msg;
-          exit 2)
+  | [ old_path; new_path ] when !profile ->
+      run (fun () ->
+          compare_profile old_path new_path;
+          0)
+  | [ old_path; new_path ] when !serve ->
+      run (fun () ->
+          compare_serve old_path new_path;
+          0)
+  | [ old_path; new_path ] when !forest ->
+      run (fun () -> compare_forest ~threshold:!threshold old_path new_path)
+  | [ old_path; new_path ] ->
+      run (fun () -> compare_cells ~threshold:!threshold old_path new_path)
   | _ ->
       prerr_endline
         "usage: compare_bench OLD.json NEW.json [--threshold PCT]\n\
-        \       compare_bench --scaling BASELINE.json NEW.json [--threshold \
-         PCT] [--min-speedup X]\n\
         \       compare_bench --forest BASELINE.json NEW.json [--threshold \
          PCT]\n\
         \       compare_bench --profile BASELINE.json NEW.json\n\

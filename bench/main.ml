@@ -28,11 +28,6 @@
    (and, in chaos runs, after every repair).  Set once at startup. *)
 let check_invariants_flag = ref false
 
-(* --domains: parallelize each CBN execution's round loop (the plan
-   wave of Cbnet.Concurrent); orthogonal to --jobs, which parallelizes
-   across seeds.  Results are bit-identical at every setting. *)
-let domains_flag = ref 1
-
 (* --profile FILE: phase-level self-profiling of the CBN executor
    (Profkit).  perf runs a dedicated profiled pass, prints the phase
    attribution table and writes the machine-readable profile JSON. *)
@@ -115,9 +110,8 @@ let micro fmt =
 (* Run the full (workload x algorithm) matrix cell by cell, timing
    each cell's wall clock.  Seeds fan out across the pool inside each
    cell; the measurements are bit-identical to a sequential run. *)
-let timed_matrix ?(sink = Obskit.Sink.null) ?profile ?domains
+let timed_matrix ?(sink = Obskit.Sink.null) ?profile
     (options : Runtime.Figures.options) =
-  let domains = match domains with Some d -> d | None -> !domains_flag in
   let run pool =
     List.concat_map
       (fun workload ->
@@ -129,8 +123,7 @@ let timed_matrix ?(sink = Obskit.Sink.null) ?profile ?domains
                 ~seeds:options.Runtime.Figures.seeds
                 ~lambda:options.Runtime.Figures.lambda
                 ~base_seed:options.Runtime.Figures.base_seed ~sink ?profile
-                ~check_invariants:!check_invariants_flag
-                ~domains ~workload ~algo ()
+                ~check_invariants:!check_invariants_flag ~workload ~algo ()
             in
             (c, Unix.gettimeofday () -. t0))
           Runtime.Algo.all)
@@ -195,7 +188,7 @@ let export_csv ?(sink = Obskit.Sink.null) dir
           ~seeds:options.Runtime.Figures.seeds
           ~lambda:options.Runtime.Figures.lambda
           ~base_seed:options.Runtime.Figures.base_seed ~sink
-          ~check_invariants:!check_invariants_flag ~domains:!domains_flag
+          ~check_invariants:!check_invariants_flag
           ~workloads:Workloads.Catalog.paper_six ~algos:Runtime.Algo.all ())
   in
   let path = Filename.concat dir "measurements.csv" in
@@ -212,17 +205,11 @@ let export_csv ?(sink = Obskit.Sink.null) dir
              means an instrumentation site stopped guarding with
              [Sink.enabled])
      prof1 — profile-on (null prof_sink): the Profkit contract
-     base2 / prof2 — the same pair at [--domains 2], so the profiling
-             budget is enforced on the parallel round loop too (the
-             wave itself pays for team spawn/join — that is
-             parallelism cost, not observability cost, so dom2 walls
-             gate against the dom2 untraced baseline, not base1)
 
-   null and prof1 are gated at base1 + 2%, prof2 at base2 + 2% (each
-   plus an absolute slack for sub-second smoke runs); a ring-sink run
-   is also timed (reported, not gated).  Every leg must produce
-   bit-identical measurements — telemetry, profiling and the plan wave
-   are all purely observational or speculative-with-serial-commit. *)
+   null and prof1 are gated at base1 + 2% (plus an absolute slack for
+   sub-second smoke runs); a ring-sink run is also timed (reported,
+   not gated).  Every leg must produce bit-identical measurements —
+   telemetry and profiling are purely observational. *)
 let overhead_check options =
   (* Serial execution for every gated leg: identical code path, no
      pool scheduling noise, and run_cell forbids ?profile with ?pool. *)
@@ -243,20 +230,11 @@ let overhead_check options =
   let prof1_wall, prof1_cells, prof1_run =
     leg (fun () -> timed_matrix ~profile:(Profkit.Profile.create ()) options)
   in
-  let base2_wall, base2_cells, base2_run =
-    leg (fun () -> timed_matrix ~domains:2 options)
-  in
-  let prof2_wall, prof2_cells, prof2_run =
-    leg (fun () ->
-        timed_matrix ~profile:(Profkit.Profile.create ()) ~domains:2 options)
-  in
   let legs =
     [
       (base1_wall, base1_cells, base1_run);
       (null_wall, null_cells, null_run);
       (prof1_wall, prof1_cells, prof1_run);
-      (base2_wall, base2_cells, base2_run);
-      (prof2_wall, prof2_cells, prof2_run);
     ]
   in
   for _ = 1 to 3 do
@@ -279,9 +257,6 @@ let overhead_check options =
     (pct !base1_wall !null_wall);
   Format.printf "profile-on           min wall = %.3fs (%+.1f%%)@." !prof1_wall
     (pct !base1_wall !prof1_wall);
-  Format.printf "untraced domains=2   min wall = %.3fs@." !base2_wall;
-  Format.printf "profile-on domains=2 min wall = %.3fs (%+.1f%%)@." !prof2_wall
-    (pct !base2_wall !prof2_wall);
   Format.printf "ring sink                wall = %.3fs (%+.1f%%, %d events)@."
     ring_wall
     (pct !base1_wall ring_wall)
@@ -290,20 +265,17 @@ let overhead_check options =
   let identical =
     !base1_cells = !null_cells
     && !base1_cells = !prof1_cells
-    && !base1_cells = !base2_cells
-    && !base1_cells = !prof2_cells
     && !base1_cells = ring_cells
   in
   if not identical then begin
     ok := false;
     prerr_endline
-      "overhead-check: FAIL: traced/profiled/parallel measurements differ \
-       from untraced (telemetry and profiling must be purely observational)"
+      "overhead-check: FAIL: traced/profiled measurements differ from \
+       untraced (telemetry and profiling must be purely observational)"
   end
   else
     Format.printf
-      "measurements: bit-identical across all sinks, profile-on and \
-       domains 1/2@.";
+      "measurements: bit-identical across all sinks and profile-on@.";
   (* 2% relative plus 50ms absolute slack so sub-second smoke runs do
      not fail on scheduler noise. *)
   let gate name wall base =
@@ -318,14 +290,13 @@ let overhead_check options =
   in
   gate "null-sink" null_wall base1_wall;
   gate "profile-on" prof1_wall base1_wall;
-  gate "profile-on domains=2" prof2_wall base2_wall;
   if not !ok then exit 1
 
 (* The perf --profile pass: the concurrent executor over the same
    smoke matrix (CBN only), every seed profiled into one Profkit
    profile — seeds run in the caller because Profile.t is
-   unsynchronized.  Prints the phase attribution table plus the
-   speculation counters, writes the machine-readable profile JSON and
+   unsynchronized.  Prints the phase attribution table plus the work
+   counters, writes the machine-readable profile JSON and
    fails loudly if the phase times cover less than 90% of the measured
    round wall (attribution is exclusive and contiguous, so they sum to
    100% by construction — a shortfall means an executor path stopped
@@ -340,8 +311,8 @@ let perf_profile (options : Runtime.Figures.options) json fmt =
            ~seeds:options.Runtime.Figures.seeds
            ~lambda:options.Runtime.Figures.lambda
            ~base_seed:options.Runtime.Figures.base_seed ~profile
-           ~check_invariants:!check_invariants_flag ~domains:!domains_flag
-           ~workload ~algo:Runtime.Algo.CBN ()))
+           ~check_invariants:!check_invariants_flag ~workload
+           ~algo:Runtime.Algo.CBN ()))
     Workloads.Catalog.paper_six;
   let wall = Profile.wall_us profile in
   let covered =
@@ -352,9 +323,8 @@ let perf_profile (options : Runtime.Figures.options) json fmt =
   Runtime.Report.profile
     ~title:
       (Printf.sprintf
-         "PERF --profile: CBN phase attribution (smoke matrix, seeds=%d, \
-          domains=%d)"
-         options.Runtime.Figures.seeds !domains_flag)
+         "PERF --profile: CBN phase attribution (smoke matrix, seeds=%d)"
+         options.Runtime.Figures.seeds)
     profile fmt;
   let coverage = if wall > 0.0 then covered /. wall else 0.0 in
   Format.fprintf fmt "phase coverage: %.1f%% of round wall@."
@@ -368,8 +338,7 @@ let perf_profile (options : Runtime.Figures.options) json fmt =
   match json with
   | Some path ->
       Runtime.Export.profile_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ()) ~workload:"paper-six-smoke"
-        ~domains:!domains_flag profile path;
+        ~timestamp:(iso8601_now ()) ~workload:"paper-six-smoke" profile path;
       Format.fprintf fmt "wrote profile to %s@." path
   | None -> ()
 
@@ -432,99 +401,11 @@ let perf ?(reps = 3) (options : Runtime.Figures.options) json fmt =
   | Some path -> perf_profile options (Some path) fmt
   | None -> ()
 
-(* Cores-vs-throughput scaling curve of the concurrent executor's
-   parallel round loop: the pfabric and hpc traces (the two cells the
-   tentpole targets) executed at 1, 2, 4 and 8 domains.  Each point
-   keeps the minimum wall clock over [reps] runs; the Run_stats of
-   every domain count must be bit-identical to the single-domain
-   oracle — a divergence exits 1, because a fast wrong executor is
-   worse than no curve.  The JSON root records the host's core count
-   so the CI gate (compare_bench --scaling) knows which points were
-   measured with real parallelism rather than oversubscription. *)
-let perf_scaling ?(reps = 2) (options : Runtime.Figures.options) json fmt =
-  let workloads = [ "pfabric"; "hpc" ] in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let host_cores = Domain.recommended_domain_count () in
-  Format.fprintf fmt
-    "== PERF-SCALING: parallel round loop (domains x rounds/sec, \
-     min-of-%d walls, host cores=%d) ==@."
-    reps host_cores;
-  let rows =
-    List.concat_map
-      (fun workload ->
-        let trace =
-          Runtime.Experiment.trace_for ~scale:options.Runtime.Figures.scale
-            ~lambda:options.Runtime.Figures.lambda ~workload
-            ~seed:options.Runtime.Figures.base_seed ()
-        in
-        let n = trace.Workloads.Trace.n in
-        let runs = Workloads.Trace.to_runs trace in
-        let oracle = ref None in
-        let base_rate = ref 0.0 in
-        List.map
-          (fun domains ->
-            let best = ref infinity and result = ref None in
-            for _ = 1 to reps do
-              let t0 = Unix.gettimeofday () in
-              let stats =
-                Cbnet.Concurrent.run ~domains
-                  ~check_invariants:!check_invariants_flag
-                  (Bstnet.Build.balanced n) runs
-              in
-              let w = Unix.gettimeofday () -. t0 in
-              if w < !best then best := w;
-              result := Some stats
-            done;
-            let stats = Option.get !result in
-            (match !oracle with
-            | None -> oracle := Some stats
-            | Some o ->
-                if not (stats = o) then begin
-                  Printf.eprintf
-                    "perf-scaling: FAIL: %s at %d domains diverged from the \
-                     single-domain oracle\n"
-                    workload domains;
-                  exit 1
-                end);
-            let wall = !best in
-            let rate total =
-              if wall > 0.0 then float_of_int total /. wall else 0.0
-            in
-            let rps = rate stats.Cbnet.Run_stats.rounds in
-            if domains = 1 then base_rate := rps;
-            Format.fprintf fmt
-              "%-14s domains=%d rounds/s=%-11.0f msgs/s=%-10.0f \
-               speedup=%.2fx wall=%.3fs@."
-              workload domains rps
-              (rate stats.Cbnet.Run_stats.messages)
-              (if !base_rate > 0.0 then rps /. !base_rate else 0.0)
-              wall;
-            ({
-               workload;
-               domains;
-               rounds = stats.Cbnet.Run_stats.rounds;
-               messages = stats.Cbnet.Run_stats.messages;
-               wall_seconds = wall;
-             }
-              : Runtime.Export.scaling_row))
-          domain_counts)
-      workloads
-  in
-  Format.fprintf fmt "stats bit-identical across all domain counts@.";
-  match json with
-  | Some path ->
-      Runtime.Export.scaling_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ()) ~host_cores rows path;
-      Format.fprintf fmt "wrote %d scaling rows to %s@." (List.length rows)
-        path
-  | None -> ()
-
 (* The forest sweeps: the sharded overlay (Forest.Overlay) over
    (workload, n) x shards x domains cells.  Every cell's full
    Overlay.run — directory, router, per-shard topology builds,
    execution — is inside the timed region, so the rates are true
-   end-to-end figures.  Correctness is asserted inline, like
-   perf-scaling: the 1-shard configuration must be bit-identical to a
+   end-to-end figures.  Correctness is asserted inline: the 1-shard configuration must be bit-identical to a
    dedicated single-tree Cbnet.Concurrent.run on the same trace, and
    within one shard count every domain fan-out must produce identical
    statistics.  A divergence exits 1. *)
@@ -883,18 +764,16 @@ let chaos (options : Runtime.Figures.options) json fmt =
   | None -> ()
 
 let usage =
-  "usage: main.exe [--full] [--seeds N] [--jobs N] [--domains N] [--csv DIR] \
+  "usage: main.exe [--full] [--seeds N] [--jobs N] [--csv DIR] \
    [--json FILE] [--trace FILE] [--metrics FILE] [--profile FILE] \
    [--check-invariants] [--mode ARTIFACT] [ARTIFACT ...]\n\
    artifacts: fig2 fig3 fig4 thm1 thm2 ablation timeline latency trace-map \
-   micro bench-smoke overhead-check perf perf-scaling forest-smoke \
-   forest-scaling serve-smoke chaos\n\
+   micro bench-smoke overhead-check perf forest-smoke forest-scaling \
+   serve-smoke chaos\n\
    (no artifact: reproduce everything; bench-smoke: tiny-scale matrix for CI,\n\
   \ best combined with --json; --mode NAME is an alias for naming NAME)\n\
    --jobs N parallelizes seed runs over N domains (default: CBNET_JOBS, else\n\
   \ cores - 1); results are bit-identical at every setting.\n\
-   --domains N parallelizes each CBN run's round loop (bit-identical; default\n\
-  \ 1); perf-scaling sweeps domains 1/2/4/8 itself and ignores the flag.\n\
    --trace FILE writes a Chrome/Perfetto trace of the matrix runs\n\
   \ (bench-smoke, --json, --csv); --metrics FILE writes Prometheus text.\n\
    --profile FILE (perf only) runs a profiled CBN pass: phase attribution\n\
@@ -929,7 +808,7 @@ let () =
     | "--full" :: rest ->
         full := true;
         parse rest
-    | [ "--seeds" ] | [ "--jobs" ] | [ "--domains" ] | [ "--csv" ]
+    | [ "--seeds" ] | [ "--jobs" ] | [ "--csv" ]
     | [ "--json" ] | [ "--trace" ] | [ "--metrics" ] | [ "--mode" ]
     | [ "--profile" ] ->
         die "missing value for trailing option"
@@ -938,9 +817,6 @@ let () =
         parse rest
     | "--jobs" :: v :: rest ->
         jobs := Some (int_value "--jobs" v);
-        parse rest
-    | "--domains" :: v :: rest ->
-        domains_flag := int_value "--domains" v;
         parse rest
     | "--csv" :: dir :: rest ->
         csv := Some dir;
@@ -1056,15 +932,6 @@ let () =
             }
           in
           perf perf_options !json fmt );
-      ( "perf-scaling",
-        fun () ->
-          (* Default scale even under --full: the curve is a CI trend
-             metric, and paper-size traces would multiply its wall
-             clock by the domain sweep. *)
-          let scaling_options =
-            { options with Runtime.Figures.scale = Workloads.Catalog.Default }
-          in
-          perf_scaling scaling_options !json fmt );
       ("forest-smoke", fun () -> forest_smoke options !json fmt);
       ("forest-scaling", fun () -> forest_scaling options !json fmt);
       ("serve-smoke", fun () -> serve_smoke options !json fmt);
@@ -1084,11 +951,11 @@ let () =
     when
       not
         (List.mem "bench-smoke" names || List.mem "perf" names
-        || List.mem "perf-scaling" names || List.mem "forest-smoke" names
+        || List.mem "forest-smoke" names
         || List.mem "forest-scaling" names || List.mem "serve-smoke" names
         || List.mem "chaos" names) ->
-      (* bench-smoke, perf, perf-scaling, the forest sweeps,
-         serve-smoke and chaos write the JSON themselves. *)
+      (* bench-smoke, perf, the forest sweeps, serve-smoke and chaos
+         write the JSON themselves. *)
       export_json ~sink options path
   | _ -> ());
   (match names with

@@ -94,9 +94,9 @@ let domains_arg =
     & opt int 1
     & info [ "domains"; "d" ]
         ~doc:
-          "Domains for the CBN executor's intra-run plan wave (results are \
-           bit-identical at every setting); 0 = all recommended cores.  \
-           Other algorithms ignore it.")
+          "Domains that CBN-forest fans its shard executions out across \
+           (results are bit-identical at every setting); 0 = all \
+           recommended cores.  Other algorithms ignore it.")
 
 let resolve_domains d =
   if d < 0 then failwith "--domains must be >= 0"
@@ -191,8 +191,7 @@ let report_profile_cmd =
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:"Also write the machine-readable profile JSON to $(docv).")
   in
-  let run workload out check_invariants domains options =
-    let domains = resolve_domains domains in
+  let run workload out check_invariants options =
     let trace =
       Runtime.Experiment.trace_for ~scale:options.Runtime.Figures.scale
         ~lambda:options.Runtime.Figures.lambda ~workload
@@ -201,26 +200,22 @@ let report_profile_cmd =
     Format.printf "%a@." Workloads.Trace.pp_summary trace;
     let profile = Profkit.Profile.create () in
     let stats =
-      Runtime.Algo.run ~profile ~check_invariants ~domains Runtime.Algo.CBN
-        trace
+      Runtime.Algo.run ~profile ~check_invariants Runtime.Algo.CBN trace
     in
     Format.printf "CBN: %a@." Cbnet.Run_stats.pp stats;
     Runtime.Report.profile
-      ~title:
-        (Printf.sprintf "CBN phase attribution (%s, domains=%d)" workload
-           domains)
+      ~title:(Printf.sprintf "CBN phase attribution (%s)" workload)
       profile Format.std_formatter;
     match out with
     | Some path ->
         Runtime.Export.profile_json ~commit:"cli" ~timestamp:"" ~workload
-          ~domains profile path;
+          profile path;
         Format.printf "wrote profile to %s@." path
     | None -> ()
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ workload_arg $ out_arg $ check_invariants_arg $ domains_arg
-      $ options_term)
+      const run $ workload_arg $ out_arg $ check_invariants_arg $ options_term)
 
 let report_cmd =
   let doc = "Self-profiling reports of the executors." in
@@ -470,8 +465,7 @@ let serve_cmd =
   in
   let run replay use_stdin listen_port unix_path metrics_port n queue_capacity
       policy batch_max batch_min decay_every decay_secs decay_factor
-      virtual_clock out report_every window check_invariants domains seed =
-    let domains = resolve_domains domains in
+      virtual_clock out report_every window check_invariants seed =
     let epoch =
       match (decay_every, decay_secs) with
       | None, None -> Servekit.Epoch.disabled ()
@@ -524,7 +518,7 @@ let serve_cmd =
             let tree = Bstnet.Build.balanced n in
             let cfg =
               Servekit.Server.config ~queue_capacity ~policy ~batch_max
-                ~batch_min ~domains ?window ~check_invariants ~n ()
+                ~batch_min ?window ~check_invariants ~n ()
             in
             let t0 = Obskit.Clock.now_us () in
             let report =
@@ -551,7 +545,7 @@ let serve_cmd =
         let tree = Bstnet.Build.balanced n in
         let cfg =
           Servekit.Server.config ~queue_capacity ~policy ~batch_max ~batch_min
-            ~domains ?window ~check_invariants ~n ()
+            ?window ~check_invariants ~n ()
         in
         let clock =
           if virtual_clock then Servekit.Vclock.virtual_ ()
@@ -597,7 +591,7 @@ let serve_cmd =
       $ metrics_port_arg $ n_arg $ queue_cap_arg $ on_full_arg $ batch_max_arg
       $ batch_min_arg $ decay_every_arg $ decay_secs_arg $ decay_factor_arg
       $ virtual_clock_arg $ out_arg $ report_every_arg $ window_arg
-      $ check_invariants_arg $ domains_arg $ base_seed_arg)
+      $ check_invariants_arg $ base_seed_arg)
 
 let main =
   let doc = "CBNet: concurrent counting-based self-adjusting tree networks" in

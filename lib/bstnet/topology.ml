@@ -8,7 +8,6 @@ type t = {
   weight : int array;
   rank_memo : float array;  (* cached rank per node; < 0 = stale *)
   version : int array;  (* bumped when a node's structural fields change *)
-  stamp : int array;  (* bumped on EVERY mutation of a node: structure or weight *)
   mutable root : int;
   mutable added : int;
 }
@@ -34,7 +33,6 @@ let create ~n ~root =
     weight = Array.make n 0;
     rank_memo = Array.make n (-1.0);
     version = Array.make n 0;
-    stamp = Array.make n 0;
     root;
     added = 0;
   }
@@ -55,25 +53,16 @@ let counter t v =
 
 let rank_memo t v = t.rank_memo.(v)
 let version t v = t.version.(v)
-let stamp t v = t.stamp.(v)
 let set_rank_memo t v r = t.rank_memo.(v) <- r
-
-(* Unlike [version] (structural shape only — the routing/shape caches
-   depend on that), [stamp] counts every mutation of a node, weight
-   writes included: the concurrent executor's speculative plan wave
-   re-validates its read set against it before committing. *)
-let bump_stamp t v = t.stamp.(v) <- t.stamp.(v) + 1
 
 let set_weight t v w =
   t.weight.(v) <- w;
-  t.rank_memo.(v) <- -1.0;
-  bump_stamp t v
+  t.rank_memo.(v) <- -1.0
 
 let add_weight t v k =
   t.weight.(v) <- t.weight.(v) + k;
   t.rank_memo.(v) <- -1.0;
-  t.added <- t.added + k;
-  bump_stamp t v
+  t.added <- t.added + k
 
 let weight_added t = t.added
 
@@ -82,16 +71,13 @@ let set_child t ~parent:p ~child:c =
   if c < p then t.left.(p) <- c else t.right.(p) <- c;
   t.parent.(c) <- p;
   t.version.(p) <- t.version.(p) + 1;
-  t.version.(c) <- t.version.(c) + 1;
-  bump_stamp t p;
-  bump_stamp t c
+  t.version.(c) <- t.version.(c) + 1
 
 let set_root t v =
   if t.parent.(v) <> nil then
     invalid_arg "Topology.set_root: node has a parent";
   t.root <- v;
-  t.version.(v) <- t.version.(v) + 1;
-  bump_stamp t v
+  t.version.(v) <- t.version.(v) + 1
 
 let refresh_local t v =
   let l = t.left.(v) and r = t.right.(v) in
@@ -101,8 +87,7 @@ let refresh_local t v =
   let wl = if l = nil then 0 else t.weight.(l) in
   let wr = if r = nil then 0 else t.weight.(r) in
   t.weight.(v) <- c + wl + wr;
-  t.rank_memo.(v) <- -1.0;
-  bump_stamp t v
+  t.rank_memo.(v) <- -1.0
 
 let rec refresh_upward t v =
   if v <> nil then begin
@@ -137,7 +122,6 @@ let rotate_up t x =
     t.left.(p) <- b;
     if b <> nil then t.parent.(b) <- p;
     if b <> nil then t.version.(b) <- t.version.(b) + 1;
-    if b <> nil then bump_stamp t b;
     t.right.(x) <- p
   end
   else begin
@@ -146,16 +130,12 @@ let rotate_up t x =
     t.right.(p) <- b;
     if b <> nil then t.parent.(b) <- p;
     if b <> nil then t.version.(b) <- t.version.(b) + 1;
-    if b <> nil then bump_stamp t b;
     t.left.(x) <- p
   end;
   (* x, p (links + intervals) and g (child link) changed shape. *)
   t.version.(x) <- t.version.(x) + 1;
   t.version.(p) <- t.version.(p) + 1;
   if g <> nil then t.version.(g) <- t.version.(g) + 1;
-  bump_stamp t x;
-  bump_stamp t p;
-  if g <> nil then bump_stamp t g;
   t.parent.(p) <- x;
   t.parent.(x) <- g;
   if g = nil then t.root <- x
@@ -196,7 +176,6 @@ let rotate_up_torn t x =
     t.left.(p) <- b;
     if b <> nil then t.parent.(b) <- p;
     if b <> nil then t.version.(b) <- t.version.(b) + 1;
-    if b <> nil then bump_stamp t b;
     t.right.(x) <- p
   end
   else begin
@@ -204,13 +183,10 @@ let rotate_up_torn t x =
     t.right.(p) <- b;
     if b <> nil then t.parent.(b) <- p;
     if b <> nil then t.version.(b) <- t.version.(b) + 1;
-    if b <> nil then bump_stamp t b;
     t.left.(x) <- p
   end;
   t.version.(x) <- t.version.(x) + 1;
   t.version.(p) <- t.version.(p) + 1;
-  bump_stamp t x;
-  bump_stamp t p;
   t.parent.(p) <- x;
   t.parent.(x) <- g
 
@@ -231,8 +207,7 @@ let repair_local t v ~counter =
   let wl = if l = nil then 0 else t.weight.(l) in
   let wr = if r = nil then 0 else t.weight.(r) in
   t.weight.(v) <- counter + wl + wr;
-  t.rank_memo.(v) <- -1.0;
-  bump_stamp t v
+  t.rank_memo.(v) <- -1.0
 
 type direction = Up | Down_left | Down_right | Here
 
@@ -291,7 +266,6 @@ let copy t =
     weight = Array.copy t.weight;
     rank_memo = Array.copy t.rank_memo;
     version = Array.copy t.version;
-    stamp = Array.copy t.stamp;
     root = t.root;
     added = t.added;
   }

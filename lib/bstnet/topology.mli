@@ -66,16 +66,6 @@ val version : t -> int -> int
     unchanged is still exact (used by [Cbnet.Concurrent]'s step-shape
     cache). *)
 
-val stamp : t -> int -> int
-(** Per-node mutation stamp: a monotone counter bumped on {e every}
-    mutation touching the node — structural changes (the same sites as
-    {!version}) {e and} weight writes ({!set_weight}, {!add_weight},
-    {!refresh_local}, {!repair_local}, {!rotate_up}'s aggregate
-    recomputes).  Strictly finer than {!version}: a plan speculated
-    against a set of nodes is still exact iff all their stamps are
-    unchanged.  Used by [Cbnet.Concurrent]'s parallel plan wave to
-    validate speculated steps before committing them. *)
-
 val set_child : t -> parent:int -> child:int -> unit
 (** Attach [child] (with its current subtree) under [parent] on the
     side determined by key order.  Interval labels and weights are not

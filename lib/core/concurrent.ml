@@ -28,87 +28,6 @@ let default_window t = function Some w -> w | None -> max 64 (T.n t)
    messages dropped — so statistics, telemetry and the final tree are
    bit-identical to {!Reference}. *)
 
-(* --------------------------------------------------------------
-   Intra-round parallelism: the speculative plan wave.
-
-   Bit-identity rules out racing CAS claims — which message wins a
-   contended cluster would depend on domain scheduling, and every
-   pause/bypass counter, event and rotation downstream of it.  The
-   parallel executor therefore splits each round's visit into
-
-     1. a *wave*: the ready set is partitioned across a fixed team of
-        domains ({!Simkit.Team}); each member speculatively probes and
-        resolves its messages' turns against the frozen start-of-round
-        tree — strictly read-only (no weight deposits, no rank-memo
-        writes, no phase flips) — recording each turn's plan, its exact
-        node read set and the nodes' mutation stamps
-        ({!Bstnet.Topology.stamp});
-
-     2. a *serial commit*: the caller walks the slots in the exact
-        sequential (birth, id) order.  A slot whose read-set stamps
-        still hold commits its speculated plan verbatim (the sequential
-        executor, reaching this message now, would recompute exactly
-        it); a stale or unspeculatable slot falls back to the plain
-        sequential turn.  All tree mutations, claim writes, fault draws
-        and telemetry happen here, on one domain, in sequential order.
-
-   The claim words double-pack (round, rotate) into one int per node —
-   [round lsl 1 lor rotate], initialized to -2 so [asr 1] never equals
-   a real round — replacing the two parallel arrays; the commit phase
-   stays their only writer.
-
-   Turns the wave cannot speculate exactly are tagged [tag_seq]:
-   *flip hazards* — a turn crossing its LCA spawns the weight-update
-   message and deposits its first increment *before* probing, so any
-   speculated ΔΦ would be stale — and, on untraced fault-free runs,
-   turns whose step-shape cache is still valid, which the sequential
-   fast path re-checks in a handful of loads anyway (speculating those
-   would cost more than it saves: pause-dominated rounds are exactly
-   the cache-friendly ones). *)
-
-let tag_seq = 0 (* run the plain sequential turn at commit *)
-let tag_deliver = 1 (* speculated delivery; validate the current node *)
-let tag_plan = 2 (* speculated resolved plan; validate the read set *)
-
-type slot = {
-  mutable tag : int;
-  mutable flags : int; (* Protocol.spec_* bits of the speculation *)
-  splan : Step.t; (* this slot's private plan buffer *)
-  (* Probe-time cluster layout (resolve folds the anchor into the
-     cluster fields when the step rotates, and the untraced commit
-     path must refresh the message's shape cache with the *probe*
-     layout, exactly as the sequential path does). *)
-  mutable c0 : int;
-  mutable c1 : int;
-  mutable c2 : int;
-  mutable canchor : int;
-  (* The turn's exact read set: cluster core + the ΔΦ weight reads
-     (transferred children), with each node's stamp at wave time.  A
-     slot is committable iff every stamp still holds. *)
-  reads : int array;
-  stamps : int array;
-  mutable nreads : int;
-}
-
-let max_reads = 6 (* 3 cluster nodes + at most 2 ΔΦ extras *)
-
-let new_slot () =
-  {
-    tag = tag_seq;
-    flags = 0;
-    splan = Step.buffer ();
-    c0 = T.nil;
-    c1 = T.nil;
-    c2 = T.nil;
-    canchor = T.nil;
-    reads = Array.make max_reads T.nil;
-    stamps = Array.make max_reads 0;
-    nreads = 0;
-  }
-
-(* Below this ready-set size the wave's handoff dwarfs the work. *)
-let par_threshold = 32
-
 module Prof = Profkit.Profile
 
 type state = {
@@ -118,13 +37,13 @@ type state = {
   window : int;  (* admission control: max data messages in flight *)
   sink : Obskit.Sink.t;  (* telemetry; Sink.null compiles to no-ops *)
   profile : Prof.t option;
-      (* phase timers + speculation counters; [None] keeps every
-         profiling site a single branch.  Strictly observational: a
-         profiled run is bit-identical to an unprofiled one. *)
+      (* phase timers + work counters; [None] keeps every profiling
+         site a single branch.  Strictly observational: a profiled run
+         is bit-identical to an unprofiled one. *)
   prof_sink : Obskit.Sink.t;
-      (* Phase_time events of profiled rounds.  A separate sink, like
-         [team_sink]: the run sink's stream must stay bit-identical
-         whether or not profiling is on. *)
+      (* Phase_time events of profiled rounds.  A separate sink: the
+         run sink's stream must stay bit-identical whether or not
+         profiling is on. *)
   faults : Faultkit.Injector.t option;
       (* fault injection (Faultkit); [None] keeps the executor on the
          plain hot path, bit-identical to pre-faultkit behaviour *)
@@ -144,15 +63,6 @@ type state = {
   claims : int array;
   mutable live : int;  (* undelivered messages, data + update *)
   mutable live_data : int;  (* undelivered data messages in flight *)
-  (* Parallel plan wave (domains > 1); see the design note above. *)
-  team_sink : Obskit.Sink.t;  (* per-member wave telemetry *)
-  mutable team : Simkit.Team.t option;
-  mutable slots : slot array;  (* one per committed queue position *)
-  mutable wave_planned : int array;  (* per-member tally of tag_plan slots *)
-  mutable wave_count : int;  (* wave job inputs: ready-set size... *)
-  mutable wave_chunk : int;  (* ...and slice width per member *)
-  mutable wave_cache : bool;  (* honour the shape cache (untraced, fault-free) *)
-  mutable wave_job : int -> unit;  (* preallocated member job *)
 }
 
 (* Profiling shims: a single branch (and no allocation) when profiling
@@ -198,8 +108,7 @@ let spawner st ~origin ~first_increment =
   else Simkit.Pqueue.stage st.queue u
 (* lint: hot-end *)
 
-let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
-    t trace =
+let create config ~window ~sink ~profile ~prof_sink ~faults ~check t trace =
   validate t trace;
   if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
   (* Exactly one update per data message, so the arena never grows
@@ -230,14 +139,6 @@ let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
       claims = Array.make (T.n t) (-2);
       live = 0;
       live_data = 0;
-      team_sink;
-      team = None;
-      slots = [||];
-      wave_planned = [||];
-      wave_count = 0;
-      wave_chunk = 0;
-      wave_cache = false;
-      wave_job = (fun _ -> ());
     }
   in
   st.spawn <-
@@ -392,11 +293,13 @@ let traced_turn st ~round (msg : M.t) =
 (* lint: hot *)
 
 (* The ΔΦ-free conflict pre-check on a probed core shape, shared by
-   the shape-cache fast path, the probe path and the wave commit: the
-   first claimed core node when the pause/bypass verdict is decidable
-   without resolving (anchor unclaimed, or claimed by the same kind of
-   winner), else nil. *)
-let shape_hit st ~round ~c0 ~c1 ~c2 ~anchor =
+   the shape-cache fast path and the probe path.  The anchor joins the
+   cluster (in front) only if the step rotates; with the anchor
+   unclaimed — or claimed by the same kind of winner as the first
+   claimed core node — the verdict is the same either way, so ΔΦ is
+   irrelevant: charge the pause/bypass and return true.  Otherwise
+   return false and leave the turn to the full resolve. *)
+let shape_conflict st ~round (msg : M.t) ~c0 ~c1 ~c2 ~anchor =
   let hit =
     if st.claims.(c0) asr 1 = round then c0
     else if st.claims.(c1) asr 1 = round then c1
@@ -408,8 +311,13 @@ let shape_hit st ~round ~c0 ~c1 ~c2 ~anchor =
     && (anchor = T.nil
        || st.claims.(anchor) asr 1 <> round
        || st.claims.(anchor) land 1 = st.claims.(hit) land 1)
-  then hit
-  else T.nil
+  then begin
+    if st.claims.(hit) land 1 = 1 then msg.M.bypasses <- msg.M.bypasses + 1
+    else msg.M.pauses <- msg.M.pauses + 1;
+    prof_conflict st;
+    true
+  end
+  else false
 
 let untraced_probe_turn st ~round (msg : M.t) =
   if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
@@ -427,18 +335,8 @@ let untraced_probe_turn st ~round (msg : M.t) =
     msg.M.shape_v0 <- T.version st.t c0;
     msg.M.shape_v1 <- T.version st.t c1;
     if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
-    let hit = shape_hit st ~round ~c0 ~c1 ~c2 ~anchor:p.Step.anchor in
-    if hit <> T.nil then begin
-      (* The anchor joins the cluster (in front) only if the step
-         rotates; with the anchor unclaimed — or claimed by the same
-         kind of winner as the first core hit — the verdict is the
-         same either way, so ΔΦ is irrelevant. *)
-      if st.claims.(hit) land 1 = 1 then
-        msg.M.bypasses <- msg.M.bypasses + 1
-      else msg.M.pauses <- msg.M.pauses + 1;
-      prof_conflict st
-    end
-    else begin
+    if not (shape_conflict st ~round msg ~c0 ~c1 ~c2 ~anchor:p.Step.anchor)
+    then begin
       Step.resolve_into st.plan st.config st.t;
       resolved_turn st ~round ~traced:false msg st.plan
     end
@@ -459,20 +357,14 @@ let untraced_turn st ~round (msg : M.t) =
     && (msg.M.shape_c2 = T.nil || T.version st.t msg.M.shape_c2 = msg.M.shape_v2)
   then begin
     prof_shape_hit st;
-    let hit =
-      shape_hit st ~round ~c0 ~c1:msg.M.shape_c1 ~c2:msg.M.shape_c2
-        ~anchor:msg.M.shape_anchor
-    in
-    if hit <> T.nil then begin
-      if st.claims.(hit) land 1 = 1 then
-        msg.M.bypasses <- msg.M.bypasses + 1
-      else msg.M.pauses <- msg.M.pauses + 1;
-      prof_conflict st
-    end
-    else begin
+    if
+      not
+        (shape_conflict st ~round msg ~c0 ~c1:msg.M.shape_c1
+           ~c2:msg.M.shape_c2 ~anchor:msg.M.shape_anchor)
+    then begin
       (* Cluster free (or only the anchor contended): the turn may
          act, so take the full probe + resolve path. *)
-        Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
+      Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
       Step.resolve_into st.plan st.config st.t;
       resolved_turn st ~round ~traced:false msg st.plan
     end
@@ -562,11 +454,8 @@ let abort_rotation st inj ~round (msg : M.t) (plan : Step.t) =
   if st.check then check_now st;
   msg.M.shape_c0 <- M.shape_none
 
-(* The tail of a fault-injected turn, once its plan is resolved (the
-   buffer may be the shared sequential one or a wave slot's): the
-   Step_planned event, crash parking, conflicts, and the commit draws.
-   Factored out so the parallel commit can enter here with a validated
-   speculated plan. *)
+(* The tail of a fault-injected turn, once its plan is resolved: the
+   Step_planned event, crash parking, conflicts, and the commit draws. *)
 let faulty_resolved st inj ~round (msg : M.t) (plan : Step.t) =
   let traced = Obskit.Sink.enabled st.sink in
   if traced then
@@ -664,215 +553,9 @@ let emit_phase_times st p ~round =
               { round; phase = Prof.phase_name phase; elapsed_us }))
     Prof.phases
 
-(* ------------------------------------------------------------------
-   The speculative plan wave (domains > 1).  Everything in this
-   section up to the commit walk runs concurrently on team members and
-   is strictly read-only on the tree, the messages and all shared
-   state: each member writes only the slots of its own slice. *)
-
 (* lint: hot *)
-(* effect: wave -- writes this member's own slot only *)
-let slot_add (slot : slot) t n v =
-  if v <> T.nil then begin
-    slot.reads.(n) <- v;
-    slot.stamps.(n) <- T.stamp t v;
-    n + 1
-  end
-  else n
-
-(* The exact read set of a speculated plan: the probed cluster core
-   plus the ΔΦ weight reads of its kind (the transferred child of the
-   promoted node, or both children of a double-promoted one).  Anchor
-   and parent links need no entries of their own: a parent pointer is
-   the child's own field, and every mutation that re-routes one —
-   including replacing a node as its parent's child — also bumps the
-   stamp of the node it dethrones. *)
-(* effect: wave -- writes this member's own slot only *)
-let fill_reads st (slot : slot) =
-  let t = st.t in
-  let p = slot.splan in
-  let n = slot_add slot t 0 p.Step.cluster0 in
-  let n = slot_add slot t n p.Step.cluster1 in
-  let n = slot_add slot t n p.Step.cluster2 in
-  let n =
-    match p.Step.kind with
-    | Step.Bu_zig ->
-        slot_add slot t n (Potential.transferred_child t p.Step.cluster0)
-    | Step.Bu_semi_zig_zig | Step.Td_zig | Step.Td_semi_zig_zig ->
-        slot_add slot t n (Potential.transferred_child t p.Step.cluster1)
-    | Step.Bu_semi_zig_zag ->
-        let n = slot_add slot t n (T.left t p.Step.cluster0) in
-        slot_add slot t n (T.right t p.Step.cluster0)
-    | Step.Td_semi_zig_zag ->
-        let n = slot_add slot t n (T.left t p.Step.cluster2) in
-        slot_add slot t n (T.right t p.Step.cluster2)
-  in
-  slot.nreads <- n
-
-(* Speculate one message's turn into its slot.  Returns true iff the
-   slot holds a fully resolved plan ([tag_plan]). *)
-(* effect: wave -- writes this member's own slot and plan buffer only *)
-let wave_speculate st (slot : slot) (msg : M.t) =
-  if
-    st.wave_cache
-    && (let c0 = msg.M.shape_c0 in
-        c0 <> M.shape_none
-        && T.version st.t c0 = msg.M.shape_v0
-        && T.version st.t msg.M.shape_c1 = msg.M.shape_v1
-        && (msg.M.shape_c2 = T.nil
-           || T.version st.t msg.M.shape_c2 = msg.M.shape_v2))
-  then begin
-    (* Valid shape cache (untraced, fault-free): the sequential fast
-       path decides this turn in a handful of loads at commit time;
-       speculating it would cost more than it saves.  Structure
-       versions only grow, so a cache invalid now stays invalid. *)
-    slot.tag <- tag_seq;
-    false
-  end
-  else begin
-    let flags = Protocol.speculate_turn_probe slot.splan st.t msg in
-    if flags land Protocol.spec_flip <> 0 then begin
-      (* Crossing the LCA deposits weight before probing: replan
-         sequentially at commit. *)
-      slot.tag <- tag_seq;
-      false
-    end
-    else if flags land Protocol.spec_planned = 0 then begin
-      (* Plain delivery.  Its only tree dependency is the current
-         node (is-the-update-at-the-root), so validate just that. *)
-      slot.tag <- tag_deliver;
-      slot.flags <- flags;
-      slot.reads.(0) <- msg.M.current;
-      slot.stamps.(0) <- T.stamp st.t msg.M.current;
-      slot.nreads <- 1;
-      false
-    end
-    else begin
-      let p = slot.splan in
-      (* Save the probe-time cluster layout before resolve folds the
-         anchor in: the untraced commit refreshes the message's shape
-         cache from the probe layout, exactly as the sequential path
-         does. *)
-      slot.c0 <- p.Step.cluster0;
-      slot.c1 <- p.Step.cluster1;
-      slot.c2 <- p.Step.cluster2;
-      slot.canchor <- p.Step.anchor;
-      fill_reads st slot;
-      Step.resolve_ro_into p st.config st.t;
-      slot.tag <- tag_plan;
-      slot.flags <- flags;
-      true
-    end
-  end
-
-(* One team member's share of the wave: a contiguous slice of the
-   committed queue.  This is the concurrent entry point: everything it
-   reaches is checked by the wave-race lint rule against the wave-local
-   write allowlist (docs/LINTING.md, "Effect analysis"). *)
-(* effect: wave -- concurrent wave root; slice-disjoint slot writes *)
-let wave_member st m =
-  let lo = m * st.wave_chunk in
-  let hi = min st.wave_count (lo + st.wave_chunk) in
-  (* lint: allow no-alloc -- one tally ref per member per round *)
-  let planned = ref 0 in
-  for k = lo to hi - 1 do
-    let msg = Simkit.Pqueue.get st.queue k in
-    if msg.M.delivered then st.slots.(k).tag <- tag_seq
-    else if wave_speculate st st.slots.(k) msg then incr planned
-  done;
-  st.wave_planned.(m) <- !planned
-
-let slot_valid st (slot : slot) =
-  let ok = ref true in
-  for i = 0 to slot.nreads - 1 do
-    if T.stamp st.t slot.reads.(i) <> slot.stamps.(i) then ok := false
-  done;
-  !ok
-
-(* The plain sequential turn, also the per-slot fallback of the
-   parallel commit. *)
-let seq_turn st ~round ~traced (msg : M.t) =
-  match st.faults with
-  | Some inj -> faulty_turn st inj ~round msg
-  | None ->
-      if traced then traced_turn st ~round msg else untraced_turn st ~round msg
-
-(* Commit one message's turn from its wave slot, on the caller, in
-   sequential order.  A stale or unspeculated slot falls back to the
-   plain sequential turn; a valid one commits the speculated plan the
-   sequential executor would have recomputed verbatim. *)
-let commit_slot st ~round ~traced (slot : slot) (msg : M.t) =
-  if slot.tag = tag_seq then begin
-    (match st.profile with None -> () | Some p -> Prof.seq_slot p);
-    seq_turn st ~round ~traced msg
-  end
-  else if not (slot_valid st slot) then begin
-    (match st.profile with
-    | None -> ()
-    | Some p ->
-        Prof.stamp_miss p;
-        Prof.fallback p);
-    seq_turn st ~round ~traced msg
-  end
-  else begin
-    (match st.profile with
-    | None -> ()
-    | Some p ->
-        Prof.stamp_hit p;
-        if slot.tag = tag_deliver then Prof.deliver_slot p else Prof.replay p);
-    (* The wave never flips phases; apply the climb resumption the
-       sequential probe would have performed before using the plan. *)
-    if slot.flags land Protocol.spec_climb <> 0 then
-      msg.M.phase <- M.Climbing;
-    match st.faults with
-    | Some inj ->
-        (* Mirror faulty_turn's gate order: sleep and crash checks
-           precede any protocol action. *)
-        if msg.M.asleep_until > round then ()
-        else if Faultkit.Injector.is_down inj msg.M.current then
-          Faultkit.Injector.note_park inj
-        else if slot.tag = tag_deliver then finish st msg
-        else faulty_resolved st inj ~round msg slot.splan
-    | None ->
-        if slot.tag = tag_deliver then finish st msg
-        else if traced then begin
-          let plan = slot.splan in
-          (* lint: allow no-alloc -- closure built only when tracing is on *)
-          Obskit.Sink.record st.sink (fun () ->
-              Obskit.Event.Step_planned
-                {
-                  round;
-                  msg = msg.M.id;
-                  kind = Step.kind_to_string plan.Step.kind;
-                  rotate = plan.Step.rotate;
-                  delta_phi = Step.delta_phi plan;
-                });
-          resolved_turn st ~round ~traced:true msg plan
-        end
-        else begin
-          (* Untraced: refresh the shape cache from the probe layout
-             and run the ΔΦ-free pre-check, exactly as
-             {!untraced_probe_turn} does. *)
-          let c0 = slot.c0 and c1 = slot.c1 and c2 = slot.c2 in
-          msg.M.shape_c0 <- c0;
-          msg.M.shape_c1 <- c1;
-          msg.M.shape_c2 <- c2;
-          msg.M.shape_anchor <- slot.canchor;
-          msg.M.shape_v0 <- T.version st.t c0;
-          msg.M.shape_v1 <- T.version st.t c1;
-          if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
-          let hit = shape_hit st ~round ~c0 ~c1 ~c2 ~anchor:slot.canchor in
-          if hit <> T.nil then begin
-            if st.claims.(hit) land 1 = 1 then
-              msg.M.bypasses <- msg.M.bypasses + 1
-            else msg.M.pauses <- msg.M.pauses + 1;
-            prof_conflict st
-          end
-          else resolved_turn st ~round ~traced:false msg slot.splan
-        end
-  end
-
-(* The sequential round visit, also the per-turn fallback above. *)
+(* The round visit: every undelivered message takes its turn in
+   (birth, id) order, and the delivered are dropped in place. *)
 let seq_visit st ~round ~traced =
   (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
   Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
@@ -886,67 +569,6 @@ let seq_visit st ~round ~traced =
             else untraced_turn st ~round msg);
         not msg.M.delivered
       end)
-
-let ensure_wave_capacity st count =
-  if Array.length st.slots < count then begin
-    let cap = max count (2 * Array.length st.slots) in
-    (* lint: allow no-alloc -- amortized arena growth, not per-turn *)
-    st.slots <- Array.init cap (fun _ -> new_slot ())
-  end
-
-(* Per-member wave telemetry, merged in fixed member order after the
-   join so the stream is deterministic for a given domain count.  It
-   goes to the dedicated team sink: the run sink's streams must stay
-   bit-identical across domain counts. *)
-let wave_merge st ~round =
-  if Obskit.Sink.enabled st.team_sink then
-    for m = 0 to Array.length st.wave_planned - 1 do
-      let member = m in
-      let planned = st.wave_planned.(m) in
-      (* lint: allow no-alloc -- closure built only when tracing is on *)
-      Obskit.Sink.record st.team_sink (fun () ->
-          Obskit.Event.Plan_wave { round; member; planned })
-    done
-
-let parallel_visit st team ~round ~traced =
-  prof st Prof.Plan_wave;
-  let count = Simkit.Pqueue.length st.queue in
-  ensure_wave_capacity st count;
-  let members = Simkit.Team.members team in
-  st.wave_count <- count;
-  st.wave_chunk <- (count + members - 1) / members;
-  st.wave_cache <-
-    (not traced) && (match st.faults with None -> true | Some _ -> false);
-  Simkit.Team.run team st.wave_job;
-  wave_merge st ~round;
-  (match st.profile with
-  | None -> ()
-  | Some p ->
-      (* Per-member load balance of the wave, over the slots it
-         actually speculated (tag_plan). *)
-      (* lint: allow no-alloc -- two tally refs per wave, profiling on *)
-      let slots = ref 0 and busiest = ref 0 in
-      for m = 0 to Array.length st.wave_planned - 1 do
-        let k = st.wave_planned.(m) in
-        slots := !slots + k;
-        if k > !busiest then busiest := k
-      done;
-      Prof.wave p ~members ~busiest:!busiest ~slots:!slots);
-  prof st Prof.Commit;
-  (* Serial in-order commit: the same mutation order as the
-     sequential walk. *)
-  for k = 0 to count - 1 do
-    let msg = Simkit.Pqueue.get st.queue k in
-    if not msg.M.delivered then begin
-      st.cur_birth <- msg.M.birth;
-      commit_slot st ~round ~traced st.slots.(k) msg
-    end
-  done;
-  prof st Prof.Delivery;
-  (* Drop the delivered in place, preserving order — the same final
-     queue the sequential iter_filter leaves. *)
-  (* lint: allow no-alloc -- one filter closure per round, not per turn *)
-  Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) -> not msg.M.delivered)
 
 let tick st round =
   st.cur_round <- round;
@@ -972,14 +594,10 @@ let tick st round =
   prof st Prof.Inject;
   inject st ~round;
   Simkit.Pqueue.commit st.queue;
-  (match st.team with
-  | Some team when Simkit.Pqueue.length st.queue >= par_threshold ->
-      parallel_visit st team ~round ~traced
-  | Some _ | None ->
-      (* The sequential visit plans, commits and delivers in one fused
-         walk: it all lands in the Commit phase (see Profkit.Profile). *)
-      prof st Prof.Commit;
-      seq_visit st ~round ~traced);
+  (* The visit plans, commits and delivers in one fused walk: it all
+     lands in the Commit phase (see Profkit.Profile). *)
+  prof st Prof.Commit;
+  seq_visit st ~round ~traced;
   prof st Prof.Other;
   (* Φ is O(n) to compute, so it is sampled only on traced runs. *)
   if traced then
@@ -994,17 +612,9 @@ let tick st round =
       Prof.round_commit p
 (* lint: hot-end *)
 
-let shutdown st =
-  match st.team with
-  | None -> ()
-  | Some team ->
-      st.team <- None;
-      Simkit.Team.shutdown team
-
 let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
-    ?profile ?(prof_sink = Obskit.Sink.null) ?(team_sink = Obskit.Sink.null)
-    ?faults ?(check_invariants = false) ?(domains = 1) t trace =
-  if domains < 1 then invalid_arg "Concurrent.run: domains must be >= 1";
+    ?profile ?(prof_sink = Obskit.Sink.null) ?faults ?(check_invariants = false)
+    t trace =
   let window = default_window t window in
   let injector =
     match faults with
@@ -1012,14 +622,9 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
     | Some plan -> Some (Faultkit.Injector.create plan ~n:(T.n t))
   in
   let st =
-    create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults:injector
+    create config ~window ~sink ~profile ~prof_sink ~faults:injector
       ~check:check_invariants t trace
   in
-  if domains > 1 then begin
-    st.team <- Some (Simkit.Team.create ~members:domains ());
-    st.wave_planned <- Array.make domains 0;
-    st.wave_job <- (fun m -> wave_member st m)
-  end;
   let sched =
     {
       Simkit.Engine.label = "cbn";
@@ -1029,7 +634,6 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
     }
   in
   let finalize rounds =
-    shutdown st;
     let chaos =
       match st.faults with
       | None -> Run_stats.no_chaos
@@ -1050,38 +654,29 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
   in
   (st, sched, finalize)
 
-let scheduler ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
-    ?check_invariants ?domains t trace =
+let scheduler ?config ?window ?sink ?profile ?prof_sink ?faults
+    ?check_invariants t trace =
   let _, sched, finalize =
-    make ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
-      ?check_invariants ?domains t trace
+    make ?config ?window ?sink ?profile ?prof_sink ?faults ?check_invariants t
+      trace
   in
   (sched, finalize)
 
-let run ?config ?window ?max_rounds ?sink ?profile ?prof_sink ?team_sink
-    ?faults ?check_invariants ?domains t trace =
-  let st, sched, finalize =
-    make ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
-      ?check_invariants ?domains t trace
+let run ?config ?window ?max_rounds ?sink ?profile ?prof_sink ?faults
+    ?check_invariants t trace =
+  let sched, finalize =
+    scheduler ?config ?window ?sink ?profile ?prof_sink ?faults
+      ?check_invariants t trace
   in
-  let rounds =
-    Fun.protect
-      ~finally:(fun () -> shutdown st)
-      (fun () -> Simkit.Engine.run_exn ?max_rounds sched)
-  in
-  finalize rounds
+  finalize (Simkit.Engine.run_exn ?max_rounds sched)
 
 let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?prof_sink
-    ?team_sink ?faults ?check_invariants ?domains t trace =
+    ?faults ?check_invariants t trace =
   let st, sched, finalize =
-    make ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
-      ?check_invariants ?domains t trace
+    make ?config ?window ?sink ?profile ?prof_sink ?faults ?check_invariants t
+      trace
   in
-  let rounds =
-    Fun.protect
-      ~finally:(fun () -> shutdown st)
-      (fun () -> Simkit.Engine.run_exn ?max_rounds sched)
-  in
+  let rounds = Simkit.Engine.run_exn ?max_rounds sched in
   let stats = finalize rounds in
   let count = ref 0 in
   Arena.iter st.arena (fun m ->
@@ -1291,8 +886,11 @@ module Reference = struct
           (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
       }
     in
+    (* Updates spawned in the last executed round are still staged in
+       [spawned]; a truncated run must count them too. *)
     let finalize rounds =
-      Run_stats.of_messages ~config ~rounds (st.finished @ st.active)
+      Run_stats.of_messages ~config ~rounds
+        (st.finished @ st.active @ st.spawned)
     in
     (st, sched, finalize)
 

@@ -21,13 +21,10 @@
     loop as an executable specification; the two produce bit-identical
     statistics, telemetry payloads and final trees.
 
-    With [domains > 1] the executor parallelizes each round internally
-    (docs/PERFORMANCE.md): a team of domains speculatively plans the
-    ready set's turns against the frozen start-of-round tree, recording
-    each turn's exact read set with per-node mutation stamps, and the
-    caller then commits the slots serially in sequential order —
-    replanning any turn whose reads went stale.  Every output remains
-    bit-identical to [domains = 1] at any domain count. *)
+    The round loop runs on one domain: the concurrency the paper
+    studies is inside the simulated network — many messages sharing
+    each synchronous round — and host parallelism within a round does
+    not pay (docs/PERFORMANCE.md has the measurements). *)
 
 val run :
   ?config:Config.t ->
@@ -36,10 +33,8 @@ val run :
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
   ?prof_sink:Obskit.Sink.t ->
-  ?team_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
-  ?domains:int ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Run_stats.t
@@ -84,30 +79,20 @@ val run :
     the exact same {!Run_stats.t} as an untraced one, bit for bit —
     and with the null sink every emission site is a single branch.
 
-    [domains] (default 1) runs the round loop's plan phase on that
-    many domains (including the caller).  [team_sink] (default
-    {!Obskit.Sink.null}) receives one [Plan_wave] event per member per
-    parallel round, in member order; it is separate from [sink]
-    because the run sink's streams are bit-identical across domain
-    counts while wave telemetry is inherently per-team.
-
     [profile] (default absent) turns on phase-level self-profiling
     (docs/OBSERVABILITY.md): every round is partitioned exclusively
-    and contiguously into fault-injection, inject, plan-wave, commit,
-    delivery, invariant-check and other phases whose times accumulate
-    into the caller-owned {!Profkit.Profile.t}, alongside speculation
-    counters (stamp hits/misses, replayed vs fallback slots,
-    shape-cache hits, claim conflicts, per-member wave imbalance).
-    Profiling is purely observational: a profiled run's statistics,
-    telemetry and final tree are bit-identical to an unprofiled one at
-    any domain count.  [prof_sink] (default {!Obskit.Sink.null})
-    receives one [Phase_time] event per non-empty phase per round when
-    [profile] is set; it is separate from [sink] for the same reason
-    [team_sink] is — the run sink's streams stay identical whether or
-    not profiling is on.
+    and contiguously into fault-injection, inject, commit, delivery,
+    invariant-check and other phases whose times accumulate into the
+    caller-owned {!Profkit.Profile.t}, alongside two counters
+    (shape-cache hits and claim conflicts).  Profiling is purely
+    observational: a profiled run's statistics, telemetry and final
+    tree are bit-identical to an unprofiled one.  [prof_sink] (default
+    {!Obskit.Sink.null}) receives one [Phase_time] event per non-empty
+    phase per round when [profile] is set; it is separate from [sink]
+    so the run sink's streams stay identical whether or not profiling
+    is on.
 
-    @raise Invalid_argument on an unsorted trace, bad endpoints, or
-    [domains < 1].
+    @raise Invalid_argument on an unsorted trace or bad endpoints.
     @raise Simkit.Engine.Budget_exhausted if rounds exceed [max_rounds]
     (a liveness failure, not a legitimate outcome). *)
 
@@ -118,10 +103,8 @@ val run_with_latencies :
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
   ?prof_sink:Obskit.Sink.t ->
-  ?team_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
-  ?domains:int ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Run_stats.t * float array
@@ -136,10 +119,8 @@ val scheduler :
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
   ?prof_sink:Obskit.Sink.t ->
-  ?team_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
-  ?domains:int ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Simkit.Engine.scheduler * (int -> Run_stats.t)
@@ -147,9 +128,7 @@ val scheduler :
     the engine scheduler plus a finalizer producing the statistics
     given the executed round count.  The finalizer folds over {e all}
     messages created so far (delivered or not), so it is meaningful
-    after a truncated embedding too.  With [domains > 1] the finalizer
-    also joins and shuts the plan-wave team down, so it must be called
-    even on a truncated embedding (or the domains leak until exit). *)
+    after a truncated embedding too. *)
 
 (** The original list-based round loop, kept verbatim as the
     executable specification of the executor above: per-round

@@ -51,13 +51,13 @@ let combine (a : Run_stats.t) (b : Run_stats.t) decay_slots =
   }
 
 let run_concurrent ?(config = Config.default) ?window ?(max_rounds = 100_000_000)
-    ?sink ?profile ?prof_sink ?team_sink ?faults ?check_invariants ?domains
-    ~every_rounds ~factor t trace =
+    ?sink ?profile ?prof_sink ?faults ?check_invariants ~every_rounds ~factor t
+    trace =
   if every_rounds < 1 then
     invalid_arg "Counter_reset.run_concurrent: every_rounds must be >= 1";
   let sched, finalize =
-    Concurrent.scheduler ~config ?window ?sink ?profile ?prof_sink ?team_sink
-      ?faults ?check_invariants ?domains t trace
+    Concurrent.scheduler ~config ?window ?sink ?profile ?prof_sink ?faults
+      ?check_invariants t trace
   in
   let round = ref 0 in
   while (not (sched.Simkit.Engine.is_done ())) && !round < max_rounds do
@@ -65,13 +65,9 @@ let run_concurrent ?(config = Config.default) ?window ?(max_rounds = 100_000_000
     incr round;
     if !round mod every_rounds = 0 then decay t ~factor
   done;
-  (* The finalizer also joins the plan-wave team, so it must run even
-     on the budget-exhausted path before the exception escapes. *)
-  let done_ = sched.Simkit.Engine.is_done () in
-  let stats = finalize !round in
-  if not done_ then
+  if not (sched.Simkit.Engine.is_done ()) then
     raise (Simkit.Engine.Budget_exhausted "Counter_reset.run_concurrent");
-  stats
+  finalize !round
 
 let run_sequential ?(config = Config.default) ~every ~factor t trace =
   if every < 1 then invalid_arg "Counter_reset.run_sequential: every must be >= 1";

@@ -20,10 +20,8 @@ val run_concurrent :
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
   ?prof_sink:Obskit.Sink.t ->
-  ?team_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
-  ?domains:int ->
   every_rounds:int ->
   factor:float ->
   Bstnet.Topology.t ->
@@ -34,9 +32,8 @@ val run_concurrent :
     rounds (a distributed implementation would stagger it; the
     ablation only needs the cost/benefit trade-off).  The optional
     arguments are passed through to {!Concurrent.scheduler} unchanged
-    — telemetry, self-profiling, fault plans and the [?domains]
-    plan-wave parallelism all compose with decay, and every output
-    stays bit-identical across domain counts. *)
+    — telemetry, self-profiling and fault plans all compose with
+    decay. *)
 
 val combine : Run_stats.t -> Run_stats.t -> int -> Run_stats.t
 (** [combine a b decay_slots] accumulates two chunk statistics,

@@ -36,16 +36,6 @@ let node_rank t v =
     r
   end
 
-(* Read-only twin of [node_rank] for the parallel speculative plan
-   wave: reads the memo when fresh but never writes it (multiple
-   domains probe concurrently; the tree must stay untouched).  Memoed
-   and recomputed values are bit-identical — the memo always holds
-   exactly [rank (weight v)] — so skipping the write cannot change any
-   downstream float. *)
-(* effect: pure *)
-let node_rank_ro t v =
-  let r = T.rank_memo t v in
-  if r >= 0.0 then r else rank (T.weight t v)
 (* lint: hot-end *)
 
 let phi t =
@@ -81,34 +71,3 @@ let delta_double_promote t c =
   let wp' = T.weight t p - T.weight t c + weight_opt t t1 in
   let wg' = T.weight t g - T.weight t p + weight_opt t t2 in
   rank wp' +. rank wg' -. node_rank t c -. node_rank t p
-
-(* lint: hot *)
-(* Side-effect-free ΔΦ twins (no rank-memo writes) for concurrent
-   speculation.  Same arithmetic, same float results. *)
-(* effect: pure *)
-let delta_promote_ro t c =
-  let p = T.parent t c in
-  if p = T.nil then invalid_arg "Potential.delta_promote_ro: node is the root";
-  let wp' = T.weight t p - T.weight t c + weight_opt t (transferred_child t c) in
-  rank wp' -. node_rank_ro t c
-
-(* effect: pure *)
-let delta_double_promote_ro t c =
-  let p = T.parent t c in
-  if p = T.nil then
-    invalid_arg "Potential.delta_double_promote_ro: node is the root";
-  let g = T.parent t p in
-  if g = T.nil then
-    invalid_arg "Potential.delta_double_promote_ro: no grandparent";
-  let t1 = transferred_child t c in
-  let t2 = if t1 = T.left t c then T.right t c else T.left t c in
-  let wp' = T.weight t p - T.weight t c + weight_opt t t1 in
-  let wg' = T.weight t g - T.weight t p + weight_opt t t2 in
-  rank wp' +. rank wg' -. node_rank_ro t c -. node_rank_ro t p
-(* lint: hot-end *)
-
-(* The "effect: pure" markers above are verified interprocedurally by
-   cbnet_lint's effect-pure rule: lib/effectkit computes each
-   function's transitive write set and fails the lint if a memo write
-   ever leaks into a _ro twin.  See docs/LINTING.md, "Effect
-   analysis". *)

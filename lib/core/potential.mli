@@ -36,18 +36,3 @@ val delta_double_promote : Bstnet.Topology.t -> int -> float
     its parent are children on opposite sides (the zig-zag shape).
     O(1).
     @raise Invalid_argument if [c] has no grandparent. *)
-
-val transferred_child : Bstnet.Topology.t -> int -> int
-(** The subtree root that promoting a node transfers to its demoted
-    parent: the child on the opposite side of the node's own position
-    (may be {!Bstnet.Topology.nil}).  Exposed so the concurrent
-    executor can enumerate the exact weight read set of a speculated
-    rotation. *)
-
-(** Read-only twins for the parallel plan wave: same arithmetic and
-    bit-identical floats, but no {!Bstnet.Topology.rank_memo} writes —
-    safe to call from several domains concurrently on a frozen tree. *)
-
-val node_rank_ro : Bstnet.Topology.t -> int -> float
-val delta_promote_ro : Bstnet.Topology.t -> int -> float
-val delta_double_promote_ro : Bstnet.Topology.t -> int -> float

@@ -74,44 +74,6 @@ let begin_turn_probe buf t ~spawn (msg : M.t) =
           Step.probe_down_into buf t ~current:msg.current ~dst:msg.dst;
           true)
 
-(* Speculative (side-effect-free) twin of [begin_turn_probe] for the
-   parallel plan wave.  Same dispatch, but nothing is mutated: no
-   flip_at_lca (its spawn writes weight(current) *before* the probe,
-   so a speculated plan would be stale — the commit replans those
-   turns sequentially), no phase writes.  Returns a bit set:
-   [spec_planned] — the buffer holds a probe for this turn;
-   [spec_flip] — the commit must run the full sequential turn (a
-   climbing message crossing its LCA); [spec_climb] — the commit must
-   set the phase to Climbing before using the plan. *)
-let spec_planned = 1
-let spec_flip = 2
-let spec_climb = 4
-
-(* lint: hot *)
-(* effect: wave -- writes only the caller's plan buffer *)
-let speculate_turn_probe buf t (msg : M.t) =
-  match msg.kind with
-  | M.Weight_update ->
-      if T.is_root t msg.current then 0
-      else begin
-        Step.probe_up_into buf t ~current:msg.current ~dst:T.nil;
-        spec_planned
-      end
-  | M.Data -> (
-      match T.direction_to t ~src:msg.current ~dst:msg.dst with
-      | T.Here -> if M.is_climbing msg then spec_flip else 0
-      | T.Up ->
-          Step.probe_up_into buf t ~current:msg.current ~dst:msg.dst;
-          if M.is_descending msg then spec_planned lor spec_climb
-          else spec_planned
-      | T.Down_left | T.Down_right ->
-          if M.is_climbing msg then spec_planned lor spec_flip
-          else begin
-            Step.probe_down_into buf t ~current:msg.current ~dst:msg.dst;
-            spec_planned
-          end)
-(* lint: hot-end *)
-
 let begin_turn_into buf config t ~spawn (msg : M.t) =
   if begin_turn_probe buf t ~spawn msg then begin
     Step.resolve_into buf config t;

@@ -39,23 +39,6 @@ val begin_turn_probe :
     executor uses this to pre-check cluster conflicts and only pay for
     {!Step.resolve_into} on turns that can actually act. *)
 
-val spec_planned : int
-val spec_flip : int
-val spec_climb : int
-(** Bit flags returned by {!speculate_turn_probe}. *)
-
-val speculate_turn_probe : Step.t -> Bstnet.Topology.t -> Message.t -> int
-(** Side-effect-free twin of {!begin_turn_probe} for the parallel plan
-    wave: same direction dispatch, but no phase writes and no update
-    spawning (the spawn's weight deposit precedes the probe in the
-    sequential order, so any such turn must be replanned at commit
-    time).  Returns a bit set: [spec_planned] — the buffer holds the
-    turn's probe; [spec_climb] — the committing thread must set the
-    phase to Climbing before using the plan (direction Up while
-    descending); [spec_flip] — the turn crosses its LCA and must be
-    rerun sequentially at commit.  A result of [0] means the turn
-    delivers (subject to commit-time revalidation). *)
-
 val begin_turn_into :
   Step.t -> Config.t -> Bstnet.Topology.t -> spawn:spawn -> Message.t -> bool
 (** Start a turn for an undelivered message: re-evaluate the direction

@@ -85,7 +85,6 @@ let cluster st =
   else if st.cluster3 = T.nil then [ st.cluster0; st.cluster1; st.cluster2 ]
   else [ st.cluster0; st.cluster1; st.cluster2; st.cluster3 ]
 
-(* effect: wave -- fills this plan buffer only *)
 let set_passed st a b =
   st.passed0 <- a;
   st.passed1 <- b
@@ -93,7 +92,6 @@ let set_passed st a b =
 (* [head] is the optional anchor node ([T.nil] when absent) that the
    list planner prepended with [cons_if_real]; [d] may also be [nil]
    for three-element clusters. *)
-(* effect: wave -- fills this plan buffer only *)
 let set_cluster st head a b d =
   if head = T.nil then begin
     st.cluster0 <- a;
@@ -126,7 +124,6 @@ let climb_continues t ~node ~dst =
    on the core alone and skip the ΔΦ evaluation for turns that are
    going to pause anyway (the anchor only joins the cluster when the
    step rotates, which ΔΦ decides). *)
-(* effect: wave -- fills this plan buffer only *)
 let probe_up_into st t ~current:x ~dst =
   let p = T.parent t x in
   if p = T.nil then invalid_arg "Step.plan_up: current node is the root";
@@ -151,7 +148,6 @@ let probe_up_into st t ~current:x ~dst =
     st.cluster3 <- T.nil
   end
 
-(* effect: wave -- fills this plan buffer only *)
 let probe_down_into st t ~current:x ~dst =
   let y = T.next_hop t ~src:x ~dst in
   st.current <- x;
@@ -174,9 +170,7 @@ let probe_down_into st t ~current:x ~dst =
     st.cluster3 <- T.nil
   end
 
-(* ΔΦ of the probed step.  Memoizing variant for the serial (commit)
-   path: [Potential.delta_*] may write the rank memo as it evaluates,
-   so this twin must never run from the speculative wave. *)
+(* ΔΦ of the probed step ([Potential.delta_*] may fill the rank memo). *)
 let probe_dphi st t =
   match st.kind with
   | Bu_zig -> Potential.delta_promote t st.cluster0
@@ -185,28 +179,13 @@ let probe_dphi st t =
   | Td_zig | Td_semi_zig_zig -> Potential.delta_promote t st.cluster1
   | Td_semi_zig_zag -> Potential.delta_double_promote t st.cluster2
 
-(* Read-only twin for the parallel plan wave: bit-identical floats, no
-   rank-memo writes.  The ro/rw choice lives at this seam (two sibling
-   probes selected by the caller, not a [~ro] flag threaded through the
-   resolver) so the wave's ΔΦ path is statically write-free — the
-   effect analysis verifies it, a runtime flag it could not. *)
-(* effect: pure *)
-let probe_dphi_ro st t =
-  match st.kind with
-  | Bu_zig -> Potential.delta_promote_ro t st.cluster0
-  | Bu_semi_zig_zig -> Potential.delta_promote_ro t st.cluster1
-  | Bu_semi_zig_zag -> Potential.delta_double_promote_ro t st.cluster0
-  | Td_zig | Td_semi_zig_zig -> Potential.delta_promote_ro t st.cluster1
-  | Td_semi_zig_zag -> Potential.delta_double_promote_ro t st.cluster2
-
-(* Completes a probed buffer into a full plan from an already-evaluated
-   ΔΦ: decides the rotation and fills the movement/bookkeeping fields.
-   When the step does not rotate the probed cluster is already final;
-   when it does, the anchor is folded in at the front (matching the
-   list planner's [cons_if_real] order).  Writes nothing but the plan
-   buffer itself, so both the serial loop and the wave may call it. *)
-(* effect: wave -- fills this plan buffer only *)
-let resolve_with st config t ~delta_phi =
+(* Completes a probed buffer into a full plan: evaluates ΔΦ, decides
+   the rotation and fills the movement/bookkeeping fields.  When the
+   step does not rotate the probed cluster is already final; when it
+   does, the anchor is folded in at the front (matching the list
+   planner's [cons_if_real] order). *)
+let resolve_into st config t =
+  let delta_phi = probe_dphi st t in
   let x = st.cluster0 in
   let dst = st.dst in
   match st.kind with
@@ -304,12 +283,6 @@ let resolve_with st config t ~delta_phi =
       end
       else set_passed st y z
 
-let resolve_into st config t =
-  resolve_with st config t ~delta_phi:(probe_dphi st t)
-
-(* effect: wave -- resolves from the read-only ΔΦ twin *)
-let resolve_ro_into st config t =
-  resolve_with st config t ~delta_phi:(probe_dphi_ro st t)
 (* lint: hot-end *)
 
 let plan_up_into st config t ~current ~dst =

@@ -101,13 +101,6 @@ val resolve_into : t -> Config.t -> Bstnet.Topology.t -> unit
     the cluster if the step rotates.  The topology must not have
     changed since the probe. *)
 
-val resolve_ro_into : t -> Config.t -> Bstnet.Topology.t -> unit
-(** Exactly {!resolve_into} but strictly read-only on the topology
-    (uses the [Potential.*_ro] ΔΦ twins, which skip the rank-memo
-    writes).  Produces bit-identical plan contents; safe to run from
-    several domains concurrently on a frozen tree — the parallel plan
-    wave's resolver. *)
-
 val plan_up_into :
   t -> Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> unit
 (** Fill the buffer with a bottom-up step plan (direction Up) —

@@ -1,29 +1,23 @@
-(* The three effect rule families, evaluated over {!Callgraph}:
+(* The two effect rule families, evaluated over {!Callgraph}:
 
    - [effect-pure]: a function annotated [(* effect: pure *)] must
      have an empty transitive write set, reach no nondeterminism, and
      call nothing unknown.
-   - [wave-race]: a function annotated [(* effect: wave *)] (or a
-     read-only twin by naming convention) may transitively write only
-     the module-scoped wave-local allowlist below — plan buffers,
-     speculation slots, per-member tallies.  Everything else is a
-     race against the concurrent plan wave.
    - [determinism]: wall clocks, self-seeded RNG, polymorphic hashes
      and domain identity are banned outright in lib/core, lib/bstnet
      and lib/forest, whose outputs must be bit-identical across runs.
 
-   Findings blame the frontier: a required function reports its own
-   direct writes and its calls into *unrequired* dirty callees, while
-   a required callee is skipped here and verified on its own — so one
+   Findings blame the frontier: a pure function reports its own
+   direct writes and its calls into *unannotated* dirty callees, while
+   a pure callee is skipped here and verified on its own — so one
    injected write produces exactly one finding, at the injection
    site.  Messages carry names, never positions, keeping baseline
    keys stable under unrelated edits. *)
 
 let rule_pure = "effect-pure"
-let rule_wave = "wave-race"
 let rule_det = "determinism"
 
-let rules = [ rule_pure; rule_wave; rule_det ]
+let rules = [ rule_pure; rule_det ]
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -37,38 +31,6 @@ let det_scope relpath =
   List.exists
     (fun d -> contains_sub relpath d)
     [ "lib/core/"; "lib/bstnet/"; "lib/forest/"; "lib/servekit/" ]
-
-(* --- the wave-local allowlist -------------------------------------- *)
-
-(* What the plan wave may write, by canonical module: the per-message
-   Step plan buffers (every mutable field of Step.t plus the dphi
-   box's [v]) and Concurrent's per-slot speculation state + per-member
-   tallies.  Message fields, topology state and claim arrays are
-   deliberately absent: the wave reads them, the serial commit writes
-   them. *)
-let wave_allowlist =
-  [
-    ( "Cbnet.Step",
-      [
-        "current"; "dst"; "kind"; "rotate"; "rotations"; "hops";
-        "new_current"; "passed0"; "passed1"; "cluster0"; "cluster1";
-        "cluster2"; "cluster3"; "anchor"; "v";
-      ] );
-    ( "Cbnet.Concurrent",
-      [
-        "tag"; "flags"; "c0"; "c1"; "c2"; "canchor"; "nreads"; "reads";
-        "stamps"; "wave_planned"; "planned";
-      ] );
-  ]
-
-let wave_allowed ~modname tgt =
-  match tgt with
-  | Summary.Opaque _ -> false
-  | _ -> (
-      match List.assoc_opt modname wave_allowlist with
-      | None -> false
-      | Some names ->
-          List.exists (String.equal (Summary.target_name tgt)) names)
 
 (* --- transitive summaries (least fixpoint) ------------------------- *)
 
@@ -134,19 +96,13 @@ let compute_sums (g : Callgraph.t) =
   done;
   sums
 
-let offends req e =
-  match (e, req) with
-  | W _, Summary.Pure -> true
-  | W (m, t), Summary.Wave -> not (wave_allowed ~modname:m t)
-  | (N _ | U _), _ -> true
-
-(* First offending element of a summary, writes before nondeterminism
-   before unknowns, lexicographic within a class — deterministic, so
-   messages are stable across runs. *)
-let violation req sum =
+(* First element of a summary — every element breaks purity — writes
+   before nondeterminism before unknowns, lexicographic within a class:
+   deterministic, so messages are stable across runs. *)
+let violation sum =
   Hashtbl.fold (fun k e acc -> (k, e) :: acc) sum []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.find_map (fun (_, e) -> if offends req e then Some e else None)
+  |> List.find_map (fun (_, e) -> Some e)
 
 (* --- witness chains ------------------------------------------------ *)
 
@@ -155,21 +111,19 @@ let elem_desc = function
   | N (n, why) -> Printf.sprintf "reaches nondeterministic %s (%s)" n why
   | U n -> Printf.sprintf "calls %s, whose effects are unknown" n
 
-(* The first direct fact of [canon] that offends [req], described. *)
-let direct_violation (g : Callgraph.t) req canon =
+(* The first direct impure fact of [canon], described. *)
+let direct_violation (g : Callgraph.t) canon =
   let info = Hashtbl.find g.funs canon in
   List.find_map
     (fun (fact, _) ->
-      match elem_of_fact ~modname:info.Summary.modname fact with
-      | Some e when offends req e -> Some (elem_desc e)
-      | _ -> None)
+      Option.map elem_desc (elem_of_fact ~modname:info.Summary.modname fact))
     info.Summary.facts
 
 (* Breadth-first over Known call edges from [start] to the nearest
-   function with a direct offending fact: the innermost culprit, plus
+   function with a direct impure fact: the innermost culprit, plus
    the chain that reaches it.  Edge order follows source order, so the
    witness is deterministic. *)
-let witness (g : Callgraph.t) req start =
+let witness (g : Callgraph.t) start =
   let seen = Hashtbl.create 32 in
   let q = Queue.create () in
   Queue.add (start, []) q;
@@ -178,7 +132,7 @@ let witness (g : Callgraph.t) req start =
     if Queue.is_empty q then None
     else
       let canon, rev_path = Queue.pop q in
-      match direct_violation g req canon with
+      match direct_violation g canon with
       | Some desc -> Some (desc, List.rev (canon :: rev_path))
       | None ->
           let info = Hashtbl.find g.funs canon in
@@ -203,62 +157,35 @@ let via_suffix path =
 
 (* --- rule evaluation ----------------------------------------------- *)
 
-let origin (f : Summary.info) =
-  match (f.requirement, f.implicit) with
-  | Some Summary.Pure, false -> "(* effect: pure *)"
-  | Some Summary.Wave, false -> "(* effect: wave *)"
-  | Some _, true -> "a read-only twin by naming"
-  | None, _ -> "unconstrained"
-
-let contract (f : Summary.info) req =
-  match req with
-  | Summary.Pure -> Printf.sprintf "%s must stay pure (%s)" f.name (origin f)
-  | Summary.Wave ->
-      Printf.sprintf "%s runs in the plan wave (%s)" f.name (origin f)
-
 let finding ~(f : Summary.info) ~rule ~(site : Summary.site) msg =
   Lintkit.Finding.v ~file:f.file ~line:site.Summary.line ~col:site.Summary.col
     ~rule msg
 
-(* A required callee satisfies the caller's requirement by contract:
-   it gets verified on its own, so the caller does not re-report it —
+(* A pure callee satisfies the caller's requirement by contract: it
+   gets verified on its own, so the caller does not re-report it —
    this is what makes one injected write one finding. *)
-let callee_satisfies req (callee : Summary.info) =
-  match callee.requirement with
-  | Some Summary.Pure -> true
-  | Some Summary.Wave -> ( match req with Summary.Wave -> true | _ -> false)
-  | None -> false
-
 let check_required (g : Callgraph.t) sums (f : Summary.info) acc =
   match f.requirement with
   | None -> acc
-  | Some req ->
-      let rule =
-        match req with Summary.Pure -> rule_pure | Summary.Wave -> rule_wave
-      in
-      let head = contract f req in
+  | Some Summary.Pure ->
+      let head = Printf.sprintf "%s must stay pure (* effect: pure *)" f.name in
       List.fold_left
         (fun acc (fact, site) ->
-          let report msg = finding ~f ~rule ~site msg :: acc in
+          let report msg = finding ~f ~rule:rule_pure ~site msg :: acc in
           match fact with
           | Summary.Write tgt ->
-              if offends req (W (f.modname, tgt)) then
-                report
-                  (Printf.sprintf "%s but writes %s%s" head
-                     (Summary.target_to_string tgt)
-                     (match req with
-                     | Summary.Wave -> ", outside the wave-local allowlist"
-                     | Summary.Pure -> ""))
-              else acc
+              report
+                (Printf.sprintf "%s but writes %s" head
+                   (Summary.target_to_string tgt))
           | Summary.Call (Summary.Known callee) -> (
               let cinfo = Hashtbl.find g.funs callee in
-              if callee_satisfies req cinfo then acc
+              if Option.is_some cinfo.Summary.requirement then acc
               else
-                match violation req (Hashtbl.find sums callee) with
+                match violation (Hashtbl.find sums callee) with
                 | None -> acc
                 | Some e ->
                     let desc, path =
-                      match witness g req callee with
+                      match witness g callee with
                       | Some (desc, path) -> (desc, path)
                       | None -> (elem_desc e, [])
                     in
@@ -299,34 +226,6 @@ let check_determinism (f : Summary.info) acc =
         | _ -> acc)
       acc f.facts
 
-(* The wave closure is anchored on annotations inside Concurrent; if
-   they all disappear, nothing above would fire, so the absence itself
-   is a finding — deleting [(* effect: wave *)] comments cannot turn
-   the race check off. *)
-let wave_anchor_module = "Cbnet.Concurrent"
-
-let check_wave_anchor (g : Callgraph.t) acc =
-  match Hashtbl.find_opt g.mods wave_anchor_module with
-  | None -> acc
-  | Some file ->
-      let anchored =
-        List.exists
-          (fun c ->
-            let f = Hashtbl.find g.funs c in
-            String.equal f.Summary.modname wave_anchor_module
-            && (match f.Summary.requirement with
-               | Some Summary.Wave -> true
-               | _ -> false))
-          g.order
-      in
-      if anchored then acc
-      else
-        Lintkit.Finding.v ~file ~line:1 ~col:1 ~rule:rule_wave
-          (wave_anchor_module
-         ^ " declares no (* effect: wave *) functions; the plan-wave closure \
-            is unverified")
-        :: acc
-
 (* --- the engine pass ----------------------------------------------- *)
 
 let pass ~enabled files =
@@ -344,14 +243,12 @@ let pass ~enabled files =
         (fun acc c ->
           let f = Hashtbl.find g.funs c in
           let acc =
-            if enabled rule_pure || enabled rule_wave then
-              check_required g sums f acc
+            if enabled rule_pure then check_required g sums f acc
             else acc
           in
           if enabled rule_det then check_determinism f acc else acc)
         acc g.order
     in
-    let acc = if enabled rule_wave then check_wave_anchor g acc else acc in
     let keep (fd : Lintkit.Finding.t) =
       enabled fd.Lintkit.Finding.rule
       || String.equal fd.Lintkit.Finding.rule Lintkit.Engine.meta_directive

@@ -1,20 +1,15 @@
 (** The effect rule families over the lib/ call graph: [effect-pure]
-    (annotated functions must be transitively write-free), [wave-race]
-    (the plan-wave closure may write only the module-scoped wave-local
-    allowlist) and [determinism] (clocks, self-seeded RNG, polymorphic
+    (annotated functions must be transitively write-free) and
+    [determinism] (clocks, self-seeded RNG, polymorphic
     hashes and domain identity are banned in lib/core, lib/bstnet,
     lib/forest).  Semantics and annotation syntax: docs/LINTING.md,
     "Effect analysis". *)
 
 val rule_pure : string
-val rule_wave : string
 val rule_det : string
 
 val rules : string list
-(** The three rule ids, for CLI plumbing. *)
-
-val wave_allowed : modname:string -> Summary.target -> bool
-(** Is this write target wave-local in [modname]? *)
+(** The two rule ids, for CLI plumbing. *)
 
 val pass :
   enabled:(string -> bool) ->
@@ -24,7 +19,7 @@ val pass :
     graph over every [lib/<dir>/<file>.ml] input, computes least-
     fixpoint effect summaries, and reports raw findings (suppression
     and baselining happen in the engine).  Skips all work when none of
-    the three rules is enabled. *)
+    the rules is enabled. *)
 
 val analyze_strings : (string * string) list -> Lintkit.Finding.t list
 (** Run the pass over in-memory [(path, code)] fixtures with every

@@ -6,8 +6,8 @@
    Canonical names follow dune's wrapping: [lib/<dir>/<file>.ml]
    defines module [<Lib>.<File>] where [<Lib>] is the library name
    ([core] → [Cbnet], every other directory capitalizes to its own
-   name), so [lib/core/potential.ml]'s [node_rank_ro] is
-   [Cbnet.Potential.node_rank_ro].
+   name), so [lib/core/potential.ml]'s [rank] is
+   [Cbnet.Potential.rank].
 
    Resolution is two-phase: first every file is parsed and its
    definitions, per-file module aliases ([module T = Bstnet.Topology])
@@ -22,18 +22,6 @@ open Parsetree
 let starts_with ~prefix s =
   let plen = String.length prefix in
   String.length s >= plen && String.equal (String.sub s 0 plen) prefix
-
-let ends_with ~suffix s =
-  let slen = String.length suffix and n = String.length s in
-  n >= slen && String.equal (String.sub s (n - slen) slen) suffix
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then false
-    else String.equal (String.sub s i m) sub || go (i + 1)
-  in
-  go 0
 
 let strip_stdlib name =
   let p = "Stdlib." in
@@ -80,8 +68,8 @@ let is_separator tok =
 
 (* [Some (Ok req)] for a well-formed [effect:] annotation, [Some
    (Error m)] for a malformed one, [None] for an ordinary comment.
-   Syntax mirrors the lint directives: [(* effect: pure *)] or
-   [(* effect: wave -- justification *)]. *)
+   Syntax mirrors the lint directives: [(* effect: pure *)], with any
+   justification after [--]. *)
 let annotation_of_text text =
   let text = String.trim text in
   let prefix = "effect:" in
@@ -100,16 +88,14 @@ let annotation_of_text text =
     match tokens with
     | "pure" :: rest when List.is_empty rest || is_separator (List.hd rest) ->
         Some (Ok Summary.Pure)
-    | "wave" :: rest when List.is_empty rest || is_separator (List.hd rest) ->
-        Some (Ok Summary.Wave)
     | tok :: _ ->
         Some
           (Error
              (Printf.sprintf
-                "unknown effect annotation %S (expected pure or wave, with \
-                 any justification after --)"
+                "unknown effect annotation %S (expected pure, with any \
+                 justification after --)"
                 tok))
-    | [] -> Some (Error "empty effect annotation (expected pure or wave)")
+    | [] -> Some (Error "empty effect annotation (expected pure)")
 
 (* --- phase A: per-file collection ---------------------------------- *)
 
@@ -122,7 +108,6 @@ type def = {
   dline : int;
   mutable draw : (raw * Summary.site) list;  (* reversed source order *)
   mutable dreq : Summary.requirement option;
-  mutable dimplicit : bool;
 }
 
 type t = {
@@ -147,7 +132,7 @@ let rec binding_name p =
   | _ -> None
 
 (* Receivers we can name: a bare or dotted identifier, or a record
-   field projection ([slot.reads]). *)
+   field projection ([t.weight]). *)
 let receiver_name e =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> lid_last txt
@@ -235,7 +220,6 @@ let collect_binding st defs order vb ~modpath =
           dline;
           draw = [];
           dreq = None;
-          dimplicit = false;
         }
       in
       collect_facts
@@ -325,16 +309,6 @@ let resolve ~mem ~is_lib st ~dmod name =
 
 (* --- build --------------------------------------------------------- *)
 
-let implicit_readonly simple =
-  ends_with ~suffix:"_ro" simple
-  || contains_sub simple "_ro_"
-  || String.equal simple "speculate_turn_probe"
-
-let simple_name canon =
-  match String.rindex_opt canon '.' with
-  | Some i -> String.sub canon (i + 1) (String.length canon - i - 1)
-  | None -> canon
-
 let build files =
   let g =
     {
@@ -393,8 +367,7 @@ let build files =
                       match target with
                       | Some canon ->
                           let d = Hashtbl.find defs canon in
-                          d.dreq <- Some req;
-                          d.dimplicit <- false
+                          d.dreq <- Some req
                       | None ->
                           errors :=
                             Lintkit.Finding.v ~file:relpath ~line:c.start_line
@@ -412,16 +385,6 @@ let build files =
               ()))
     files;
   let states = !states in
-  (* Naming-convention seeding: read-only twins keep their contract
-     even if someone deletes the annotation. *)
-  Hashtbl.iter
-    (fun canon d ->
-      if Option.is_none d.dreq && implicit_readonly (simple_name canon)
-      then begin
-        d.dreq <- Some Summary.Wave;
-        d.dimplicit <- true
-      end)
-    defs;
   (* Phase B: resolve raw facts against the full definition table. *)
   let order = List.rev !order in
   let mem = Hashtbl.mem defs in
@@ -449,7 +412,6 @@ let build files =
           file = d.dfile;
           def_line = d.dline;
           requirement = d.dreq;
-          implicit = d.dimplicit;
           facts;
         })
     order;

@@ -5,7 +5,7 @@
    plus whole-module prefixes).  Precedence is writes/nondet before
    the pure prefixes — [Array.set] must not be blessed by the
    [Array.] prefix — and anything dotted that matches nothing stays
-   [Unknown], which the pure/wave rules report rather than trust. *)
+   [Unknown], which the pure rule reports rather than trusts. *)
 
 let mem table name = List.exists (fun (n, _) -> String.equal n name) table
 let find table name = List.assoc name table

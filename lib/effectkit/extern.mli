@@ -1,7 +1,7 @@
 (** Curated model of the stdlib surface: which externals write, which
     are nondeterministic, which are pure.  Everything dotted that the
     model does not cover classifies as {!Summary.Unknown} — the
-    pure/wave rules report unknowns instead of assuming purity. *)
+    pure rule reports unknowns instead of assuming purity. *)
 
 val classify : string -> Summary.resolved option
 (** Classify a Stdlib-stripped, alias-expanded name that did not

@@ -1,8 +1,8 @@
 (* The effect domain.  A function's summary is the set of mutations it
-   can perform, each tagged with the module whose state it touches —
-   the wave-race allowlist is module-scoped, so a [tag] field write in
-   [Cbnet.Concurrent] and one in [Cbnet.Message] are different facts
-   even though the untyped AST only sees the field name. *)
+   can perform, each tagged with the module whose state it touches, so
+   a [tag] field write in [Cbnet.Concurrent] and one in
+   [Cbnet.Message] are different facts even though the untyped AST
+   only sees the field name. *)
 
 type target =
   | Field of string  (* r.f <- v: mutable record field, by name *)
@@ -12,7 +12,6 @@ type target =
 
 type requirement =
   | Pure  (* transitively no writes, no nondeterminism, no unknowns *)
-  | Wave  (* transitive writes confined to the wave-local allowlist *)
 
 type resolved =
   | Known of string  (* canonical in-tree function, e.g. "Cbnet.Step.cluster" *)
@@ -26,16 +25,13 @@ type site = { line : int; col : int }
 type fact = Write of target | Call of resolved
 
 type info = {
-  name : string;  (* canonical: "Cbnet.Potential.node_rank_ro" *)
+  name : string;  (* canonical: "Cbnet.Potential.rank" *)
   modname : string;  (* canonical module: "Cbnet.Potential" *)
   file : string;  (* repo-relative path of the defining file *)
   def_line : int;
   requirement : requirement option;
-  implicit : bool;  (* requirement seeded by naming convention, not comment *)
   facts : (fact * site) list;  (* direct facts, in source order *)
 }
-
-let target_name = function Field f | Arr f | Ref f | Opaque f -> f
 
 let target_to_string = function
   | Field f -> Printf.sprintf "mutable field %s" f
@@ -43,4 +39,4 @@ let target_to_string = function
   | Ref r -> Printf.sprintf "ref %s" r
   | Opaque w -> Printf.sprintf "state via %s" w
 
-let requirement_to_string = function Pure -> "pure" | Wave -> "wave"
+let requirement_to_string = function Pure -> "pure"

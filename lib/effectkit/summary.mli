@@ -11,9 +11,6 @@ type target =
 type requirement =
   | Pure
       (** transitively no writes, no nondeterminism, no unknown callees *)
-  | Wave
-      (** transitive writes confined to the module-scoped wave-local
-          allowlist (see {!Analyze}) *)
 
 type resolved =
   | Known of string  (** canonical in-tree function *)
@@ -27,19 +24,13 @@ type site = { line : int; col : int }
 type fact = Write of target | Call of resolved
 
 type info = {
-  name : string;  (** canonical: ["Cbnet.Potential.node_rank_ro"] *)
+  name : string;  (** canonical: ["Cbnet.Potential.rank"] *)
   modname : string;  (** canonical module: ["Cbnet.Potential"] *)
   file : string;  (** repo-relative path of the defining file *)
   def_line : int;
   requirement : requirement option;
-  implicit : bool;
-      (** requirement seeded by naming convention ([*_ro], the
-          speculation probe), not by an [(* effect: ... *)] comment *)
   facts : (fact * site) list;  (** direct facts, in source order *)
 }
-
-val target_name : target -> string
-(** The bare receiver/field name the allowlist matches on. *)
 
 val target_to_string : target -> string
 val requirement_to_string : requirement -> string

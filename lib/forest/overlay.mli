@@ -13,8 +13,7 @@
     Results are therefore bit-identical at every [shards × domains]
     combination and under any shard execution order — [domains] only
     chooses how many shard executions run concurrently
-    ({!Simkit.Pool}), exactly as the plan wave's [domains] only
-    chooses how a round is planned.  A 1-shard forest degenerates to
+    ({!Simkit.Pool}).  A 1-shard forest degenerates to
     the single-tree oracle: same statistics, latencies, telemetry
     stream and final tree, bit for bit ([test/test_forest.ml]).
 

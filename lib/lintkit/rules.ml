@@ -22,13 +22,11 @@ let all =
     ("no-stdout", "printing to stdout from lib/ (use Obskit or Runtime.Export)");
     ("mli-coverage", "lib/ module without an interface file");
     ("whitespace", "tab characters or trailing whitespace");
-    (* The three effectkit rules (interprocedural; implemented as an
+    (* The two effectkit rules (interprocedural; implemented as an
        engine pass in lib/effectkit, plugged in by bin/cbnet_lint). *)
     ( "effect-pure",
       "(* effect: pure *) function with a transitive write, \
        nondeterminism, or an unknown callee" );
-    ( "wave-race",
-      "plan-wave code writing outside the wave-local/claim allowlist" );
     ( "determinism",
       "clock/RNG/poly-hash/domain-identity source in lib/core, lib/bstnet, \
        lib/forest or lib/servekit (Servekit.Vclock reads wall time only \

@@ -41,7 +41,6 @@ type payload =
       queue_depth : int;
       elapsed_us : float;
     }
-  | Plan_wave of { round : int; member : int; planned : int }
   | Phase_time of { round : int; phase : string; elapsed_us : float }
   | Span of { name : string; phase : span_phase }
   | Fault_injected of { round : int; kind : fault; node : int; msg : int }
@@ -76,7 +75,6 @@ let name = function
   | Phi_sample _ -> "phi_sample"
   | Msg_delivered _ -> "msg_delivered"
   | Pool_task _ -> "pool_task"
-  | Plan_wave _ -> "plan_wave"
   | Phase_time _ -> "phase_time"
   | Span _ -> "span"
   | Fault_injected _ -> "fault_injected"
@@ -137,9 +135,6 @@ let payload_fields buf = function
         "\"task\":%d,\"phase\":\"%s\",\"queue_depth\":%d,\"elapsed_us\":%s" task
         (pool_phase_to_string phase)
         queue_depth (num elapsed_us)
-  | Plan_wave { round; member; planned } ->
-      Printf.bprintf buf "\"round\":%d,\"member\":%d,\"planned\":%d" round
-        member planned
   | Phase_time { round; phase; elapsed_us } ->
       Printf.bprintf buf "\"round\":%d,\"phase\":\"%s\",\"elapsed_us\":%s"
         round (escape phase) (num elapsed_us)

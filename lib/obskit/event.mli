@@ -67,15 +67,9 @@ type payload =
       queue_depth : int;
       elapsed_us : float;  (** Task wall time; meaningful at [Done]. *)
     }
-  | Plan_wave of { round : int; member : int; planned : int }
-      (** One team member's share of a parallel speculative plan wave:
-          it probed [planned] plannable turns this round.  Emitted by
-          the caller after the join, in member order, to the dedicated
-          team sink — never the run sink, whose stream must stay
-          bit-identical across domain counts. *)
   | Phase_time of { round : int; phase : string; elapsed_us : float }
       (** Wall time one executor round spent in one
-          {!Profkit.Profile.phase} ("plan_wave", "commit", ...).
+          {!Profkit.Profile.phase} ("inject", "commit", ...).
           Emitted once per (round, phase) after the round closes, to
           the dedicated profiling sink — never the run sink, whose
           stream must stay bit-identical whether or not profiling is

@@ -1,4 +1,4 @@
-(* Phase-attribution timer + speculation analytics for the concurrent
+(* Phase-attribution timer + work counters for the concurrent
    executor.  The design constraint is observability without effect:
    the profile only ever *reads* the clock and increments preallocated
    counters/histograms, so a profiled run must stay bit-identical to an
@@ -19,30 +19,27 @@
 type phase =
   | Fault_injection
   | Inject
-  | Plan_wave
   | Commit
   | Delivery
   | Invariant_check
   | Other
 
 let phases =
-  [ Fault_injection; Inject; Plan_wave; Commit; Delivery; Invariant_check; Other ]
+  [ Fault_injection; Inject; Commit; Delivery; Invariant_check; Other ]
 
-let n_phases = 7
+let n_phases = 6
 
 let phase_index = function
   | Fault_injection -> 0
   | Inject -> 1
-  | Plan_wave -> 2
-  | Commit -> 3
-  | Delivery -> 4
-  | Invariant_check -> 5
-  | Other -> 6
+  | Commit -> 2
+  | Delivery -> 3
+  | Invariant_check -> 4
+  | Other -> 5
 
 let phase_name = function
   | Fault_injection -> "fault_injection"
   | Inject -> "inject"
-  | Plan_wave -> "plan_wave"
   | Commit -> "commit"
   | Delivery -> "delivery"
   | Invariant_check -> "invariant_check"
@@ -53,9 +50,7 @@ let f_mark = 0
 let f_round_start = 1
 let f_round_wall = 2 (* frozen by round_close, read until round_commit *)
 let f_wall = 3 (* sum of committed round walls *)
-let f_imb_sum = 4
-let f_imb_max = 5
-let f_round0 = 6 (* n_phases per-round accumulators *)
+let f_round0 = 4 (* n_phases per-round accumulators *)
 let f_total0 = f_round0 + n_phases (* n_phases whole-run totals *)
 let fs_len = f_total0 + n_phases
 
@@ -65,17 +60,8 @@ type t = {
   wall_hist : Histogram.t; (* per-round wall µs distribution *)
   mutable cur : int;
   mutable rounds : int;
-  mutable stamp_hits : int;
-  mutable stamp_misses : int;
-  mutable replayed : int;
-  mutable fallback : int;
-  mutable seq_slots : int;
-  mutable deliver_slots : int;
   mutable shape_hits : int;
   mutable conflicts : int;
-  mutable waves : int;
-  mutable wave_slots : int;
-  mutable wave_members : int;
 }
 
 let create () =
@@ -85,17 +71,8 @@ let create () =
     wall_hist = Histogram.create ();
     cur = phase_index Other;
     rounds = 0;
-    stamp_hits = 0;
-    stamp_misses = 0;
-    replayed = 0;
-    fallback = 0;
-    seq_slots = 0;
-    deliver_slots = 0;
     shape_hits = 0;
     conflicts = 0;
-    waves = 0;
-    wave_slots = 0;
-    wave_members = 0;
   }
 
 (* lint: allow no-alloc -- Clock.now_us returns a C-stub float whose box
@@ -137,28 +114,9 @@ let round_commit t =
   t.fs.(f_round_wall) <- 0.;
   t.rounds <- t.rounds + 1
 
-(* Speculation / work counters — plain field bumps, allocation-free. *)
-let stamp_hit t = t.stamp_hits <- t.stamp_hits + 1
-let stamp_miss t = t.stamp_misses <- t.stamp_misses + 1
-let replay t = t.replayed <- t.replayed + 1
-let fallback t = t.fallback <- t.fallback + 1
-let seq_slot t = t.seq_slots <- t.seq_slots + 1
-let deliver_slot t = t.deliver_slots <- t.deliver_slots + 1
+(* Work counters — plain field bumps, allocation-free. *)
 let shape_hit t = t.shape_hits <- t.shape_hits + 1
 let conflict t = t.conflicts <- t.conflicts + 1
-
-let wave t ~members ~busiest ~slots =
-  t.waves <- t.waves + 1;
-  t.wave_slots <- t.wave_slots + slots;
-  t.wave_members <- t.wave_members + members;
-  if slots > 0 && members > 0 then begin
-    (* busiest-member share relative to a perfect split: 1.0 means the
-       wave was perfectly balanced, [members] means one member planned
-       every slot. *)
-    let imb = float_of_int (busiest * members) /. float_of_int slots in
-    t.fs.(f_imb_sum) <- t.fs.(f_imb_sum) +. imb;
-    if imb > t.fs.(f_imb_max) then t.fs.(f_imb_max) <- imb
-  end
 
 (* Accessors *)
 let rounds t = t.rounds
@@ -166,41 +124,11 @@ let wall_us t = t.fs.(f_wall)
 let total_us t phase = t.fs.(f_total0 + phase_index phase)
 let hist t phase = t.hist.(phase_index phase)
 let wall_hist t = t.wall_hist
-let stamp_hits t = t.stamp_hits
-let stamp_misses t = t.stamp_misses
-let replayed t = t.replayed
-let fallback_slots t = t.fallback
-let seq_slots t = t.seq_slots
-let deliver_slots t = t.deliver_slots
 let shape_hits t = t.shape_hits
 let conflicts t = t.conflicts
-let waves t = t.waves
-let wave_slots t = t.wave_slots
-let wave_members t = t.wave_members
-
-let stamp_hit_rate t =
-  let total = t.stamp_hits + t.stamp_misses in
-  if total = 0 then 0. else float_of_int t.stamp_hits /. float_of_int total
-
-let avg_imbalance t =
-  if t.waves = 0 then 0. else t.fs.(f_imb_sum) /. float_of_int t.waves
-
-let max_imbalance t = t.fs.(f_imb_max)
 
 let counters t =
-  [
-    ("stamp_hits", t.stamp_hits);
-    ("stamp_misses", t.stamp_misses);
-    ("replayed_slots", t.replayed);
-    ("fallback_slots", t.fallback);
-    ("seq_slots", t.seq_slots);
-    ("deliver_slots", t.deliver_slots);
-    ("shape_hits", t.shape_hits);
-    ("claim_conflicts", t.conflicts);
-    ("waves", t.waves);
-    ("wave_slots", t.wave_slots);
-    ("wave_members", t.wave_members);
-  ]
+  [ ("shape_hits", t.shape_hits); ("claim_conflicts", t.conflicts) ]
 
 let pp fmt t =
   Format.fprintf fmt "rounds=%d wall=%.0fus" t.rounds (wall_us t);

@@ -1,11 +1,11 @@
 (** Phase-level self-profiling for the executors: exclusive wall-time
-    attribution per round phase plus speculation-efficiency counters.
+    attribution per round phase plus two work counters.
 
     Purely observational — a profile only reads {!Obskit.Clock.now_us}
     and bumps preallocated counters and {!Histogram}s, so enabling it
     cannot change results: profiled runs stay bit-identical to
-    unprofiled ones at every domain count (enforced by
-    [test_equivalence] and [bench overhead-check]).
+    unprofiled ones (enforced by [test_equivalence] and
+    [bench overhead-check]).
 
     Time attribution is exclusive and contiguous.  {!round_begin}
     marks the round start; each {!enter} charges the interval since
@@ -25,13 +25,13 @@
 type phase =
   | Fault_injection  (** Faultkit round-boundary crash windows. *)
   | Inject  (** Trace injection and priority-queue commit. *)
-  | Plan_wave  (** Parallel speculative plan wave over the team. *)
   | Commit
-      (** Serial in-order commit walk: stamp validation, replay or
-          fallback probing, claims, rotations.  The sequential visit
-          (small rounds, or [domains = 1]) fuses planning into this
-          phase. *)
-  | Delivery  (** Delivered-message drop/latency bookkeeping. *)
+      (** The round's visit: planning, conflict checks, claims,
+          rotations and delivery, fused into one in-order walk. *)
+  | Delivery
+      (** Delivered-message bookkeeping outside the visit.  The
+          executor fuses delivery into {!Commit}, so this phase reads
+          0; it stays so per-phase exports keep a stable shape. *)
   | Invariant_check  (** Structural audits ([check_invariants]). *)
   | Other  (** Remaining round time (loop bookkeeping, telemetry). *)
 
@@ -40,7 +40,7 @@ val phases : phase list
 
 val phase_name : phase -> string
 val phase_index : phase -> int
-(** Dense index in [0; 6] — stable, matches {!phases} order. *)
+(** Dense index in [0; 5] — stable, matches {!phases} order. *)
 
 type t
 
@@ -64,37 +64,13 @@ val round_commit : t -> unit
 (** Fold the closed round into the whole-run totals and per-phase
     histograms, then reset the per-round state. *)
 
-(** {2 Speculation / work counters} *)
+(** {2 Work counters} *)
 
-val stamp_hit : t -> unit
-(** A speculated slot whose recorded read set validated against the
-    live per-node stamps — its plan replays without re-probing. *)
-
-val stamp_miss : t -> unit
-(** A speculated slot invalidated by an earlier commit — falls back to
-    a serial re-probe. *)
-
-val replay : t -> unit
-(** A slot committed from its speculated plan. *)
-
-val fallback : t -> unit
-(** A slot committed via serial re-probe after invalidation. *)
-
-val seq_slot : t -> unit
-(** A slot planned serially (not covered by the wave). *)
-
-val deliver_slot : t -> unit
 val shape_hit : t -> unit
 (** A turn served from the per-message step-shape cache. *)
 
 val conflict : t -> unit
 (** A pause or bypass caused by a cluster-claim conflict. *)
-
-val wave : t -> members:int -> busiest:int -> slots:int -> unit
-(** One completed plan wave: [members] team members planned [slots]
-    slots in total, the busiest single member planning [busiest].
-    Feeds the imbalance statistics ([busiest * members / slots]; 1.0 =
-    perfectly balanced, [members] = fully serialized). *)
 
 (** {2 Accessors (export side)} *)
 
@@ -110,26 +86,8 @@ val hist : t -> phase -> Histogram.t
 val wall_hist : t -> Histogram.t
 (** Per-round wall-µs distribution. *)
 
-val stamp_hits : t -> int
-val stamp_misses : t -> int
-val stamp_hit_rate : t -> float
-(** [hits / (hits + misses)]; 0 when no slot was ever validated. *)
-
-val replayed : t -> int
-val fallback_slots : t -> int
-val seq_slots : t -> int
-val deliver_slots : t -> int
 val shape_hits : t -> int
 val conflicts : t -> int
-val waves : t -> int
-val wave_slots : t -> int
-val wave_members : t -> int
-
-val avg_imbalance : t -> float
-(** Mean per-wave busiest-member imbalance; 0 when no wave ran. *)
-
-val max_imbalance : t -> float
-
 val counters : t -> (string * int) list
 (** All work counters as [(name, value)] in a stable export order. *)
 

@@ -61,15 +61,14 @@ let run ?(config = Cbnet.Config.default) ?window ?(sink = Obskit.Sink.null)
       check t (Cbnet.Sequential.run ~config ~sink t runs)
   | CBN ->
       Cbnet.Concurrent.run ~config ?window ~sink ?profile ~prof_sink
-        ~check_invariants ~domains
-        (Bstnet.Build.balanced n) runs
+        ~check_invariants (Bstnet.Build.balanced n) runs
   | CBN_REF ->
       let t = Bstnet.Build.balanced n in
       check t (Cbnet.Concurrent.Reference.run ~config ?window ~sink t runs)
   | CBN_FOREST ->
-      (* Forest shard executions are plain Concurrent.run calls at
-         domains = 1; profiling a pool fan-out would need a
-         synchronized Profile.t, so the forest ignores ?profile. *)
+      (* Forest shard executions are plain Concurrent.run calls;
+         profiling a pool fan-out would need a synchronized Profile.t,
+         so the forest ignores ?profile. *)
       let r =
         Forest.Overlay.run ~config ?window ~sink ~check_invariants ~domains
           ~shards ~n runs

@@ -56,11 +56,10 @@ val run :
     ({!Cbnet.Sequential} for SCBN, {!Cbnet.Concurrent} for CBN); the
     baseline algorithms are not instrumented and ignore it.
 
-    [domains] (default 1) parallelizes the CBN round loop across that
-    many domains (see {!Cbnet.Concurrent}); results are bit-identical
-    at every domain count.  For CBN_FOREST it instead fans shard
-    executions out across domains ({!Forest.Overlay.run}) — equally
-    bit-identical.  The other algorithms ignore it.
+    [domains] (default 1) fans CBN_FOREST shard executions out across
+    that many domains ({!Forest.Overlay.run}); results are
+    bit-identical at every domain count.  The other algorithms ignore
+    it.
 
     [shards] (default 1) sizes the CBN_FOREST directory
     ({!Forest.Directory}); the other algorithms ignore it.

@@ -56,11 +56,11 @@ val run_cell :
     [check_invariants] (default [false]) audits every per-seed final
     tree with {!Bstnet.Check.all} (see {!Algo.run}).
 
-    [domains] (default 1) parallelizes each CBN execution's round loop
-    (see {!Algo.run}); orthogonal to [?pool], which parallelizes
-    across seeds.  Combining both oversubscribes the machine — prefer
-    seed-level [?pool] for matrices and [domains] for single large
-    runs.  Measurements are bit-identical at every domain count.
+    [domains] (default 1) fans each CBN_FOREST execution's shards out
+    across that many domains (see {!Algo.run}); orthogonal to [?pool],
+    which parallelizes across seeds.  Combining both oversubscribes
+    the machine.  Measurements are bit-identical at every domain
+    count.
 
     [shards] (default 1) sizes the CBN_FOREST directory; every other
     algorithm ignores it (see {!Algo.run}).

@@ -99,39 +99,6 @@ let bench_json ~commit ~timestamp cells path =
         cells;
       output_string oc "\n  ]\n}\n")
 
-type scaling_row = {
-  workload : string;
-  domains : int;
-  rounds : int;
-  messages : int;
-  wall_seconds : float;
-}
-
-let scaling_json ~commit ~timestamp ~host_cores rows path =
-  with_out path (fun oc ->
-      Printf.fprintf oc
-        "{\n  \"commit\": \"%s\",\n  \"timestamp\": \"%s\",\n  \"host_cores\": \
-         %d,\n"
-        (json_escape commit) (json_escape timestamp) host_cores;
-      output_string oc "  \"rows\": [";
-      List.iteri
-        (fun i (r : scaling_row) ->
-          if i > 0 then output_string oc ",";
-          let rate total =
-            if r.wall_seconds > 0.0 then float_of_int total /. r.wall_seconds
-            else 0.0
-          in
-          Printf.fprintf oc
-            "\n    {\"workload\": \"%s\", \"domains\": %d, \"rounds\": %d, \
-             \"messages\": %d, \"wall_seconds\": %s, \"rounds_per_sec\": %s, \
-             \"msgs_per_sec\": %s}"
-            (json_escape r.workload) r.domains r.rounds r.messages
-            (json_float r.wall_seconds)
-            (json_float (rate r.rounds))
-            (json_float (rate r.messages)))
-        rows;
-      output_string oc "\n  ]\n}\n")
-
 type forest_row = {
   workload : string;
   n : int;
@@ -365,14 +332,6 @@ let chrome_trace ?(dropped = 0) events path =
           instant ~ts ~tid "pool_enqueue" (sp "\"task\":%d" task);
         ]
     | E.Pool_task { phase = E.Start; _ } -> []
-    (* One track per team member (tid = member id) so the per-round
-       plan-wave shares line up as lanes. *)
-    | E.Plan_wave { round; member; planned } ->
-        [
-          instant ~ts ~tid:member "plan_wave"
-            (sp "\"round\":%d,\"member\":%d,\"planned\":%d" round member
-               planned);
-        ]
     (* One counter track per phase so Perfetto renders the per-round
        phase times as stacked lanes. *)
     | E.Phase_time { round; phase; elapsed_us } ->
@@ -548,10 +507,10 @@ let prometheus ?events_dropped reg path =
 
 (* Phase-attribution profile of one run (Profkit.Profile): per-phase
    totals with their share of the round wall, per-round phase/wall
-   quantiles, and the speculation counters — the machine-readable twin
+   quantiles, and the work counters — the machine-readable twin
    of the [bench perf --profile] / [cbnet report profile] table, and
    the input of [compare_bench --profile]. *)
-let profile_json ~commit ~timestamp ~workload ~domains profile path =
+let profile_json ~commit ~timestamp ~workload profile path =
   let module P = Profkit.Profile in
   let module H = Profkit.Histogram in
   with_out path (fun oc ->
@@ -561,11 +520,10 @@ let profile_json ~commit ~timestamp ~workload ~domains profile path =
         \  \"commit\": \"%s\",\n\
         \  \"timestamp\": \"%s\",\n\
         \  \"workload\": \"%s\",\n\
-        \  \"domains\": %d,\n\
         \  \"rounds\": %d,\n\
         \  \"wall_us\": %s,\n"
         (json_escape commit) (json_escape timestamp) (json_escape workload)
-        domains (P.rounds profile) (json_float wall);
+        (P.rounds profile) (json_float wall);
       output_string oc "  \"phases\": [";
       List.iteri
         (fun i phase ->
@@ -599,14 +557,7 @@ let profile_json ~commit ~timestamp ~workload ~domains profile path =
           if i > 0 then output_string oc ", ";
           Printf.fprintf oc "\"%s\": %d" (json_escape k) v)
         (P.counters profile);
-      output_string oc "},\n";
-      Printf.fprintf oc
-        "  \"speculation\": {\"stamp_hit_rate\": %s, \"avg_wave_imbalance\": \
-         %s, \"max_wave_imbalance\": %s}\n"
-        (json_float (P.stamp_hit_rate profile))
-        (json_float (P.avg_imbalance profile))
-        (json_float (P.max_imbalance profile));
-      output_string oc "}\n")
+      output_string oc "}\n}\n")
 
 let latencies_csv latencies path =
   with_out path (fun oc ->

@@ -27,32 +27,6 @@ val bench_json :
     ([bench/compare_bench.exe] diffs two of them).  Hand-rolled writer
     — no JSON dependency. *)
 
-type scaling_row = {
-  workload : string;
-  domains : int;  (** Domain count of the executor's plan wave. *)
-  rounds : int;
-  messages : int;
-  wall_seconds : float;  (** Minimum wall clock across repetitions. *)
-}
-(** One [bench perf-scaling] curve point: the concurrent executor on
-    one workload trace at one domain count. *)
-
-val scaling_json :
-  commit:string ->
-  timestamp:string ->
-  host_cores:int ->
-  scaling_row list ->
-  string ->
-  unit
-(** Machine-readable cores-vs-throughput export
-    ([BENCH_SCALING_BASELINE.json], [bench-scaling.json]): the root
-    carries [host_cores] (the runner's
-    [Domain.recommended_domain_count]) so the CI gate
-    ([bench/compare_bench.exe --scaling]) can tell which points were
-    measured on enough cores to be meaningful; each row adds derived
-    [rounds_per_sec]/[msgs_per_sec] rates.  Hand-rolled writer — no
-    JSON dependency. *)
-
 type forest_row = {
   workload : string;
   n : int;  (** Global key-space size of the cell's trace. *)
@@ -174,16 +148,14 @@ val profile_json :
   commit:string ->
   timestamp:string ->
   workload:string ->
-  domains:int ->
   Profkit.Profile.t ->
   string ->
   unit
 (** Machine-readable phase-attribution export ([bench-profile.json],
     [BENCH_PROFILE_BASELINE.json]): per-phase [total_us] with its
     [share] of the summed round wall time and per-round p50/p95/p99/max
-    µs, the per-round wall quantiles, every speculation/work counter,
-    and derived speculation rates ([stamp_hit_rate],
-    [avg_wave_imbalance], [max_wave_imbalance]).  The phase shares sum
-    to 1 by construction (exclusive contiguous attribution — see
-    {!Profkit.Profile}).  [bench/compare_bench.exe --profile] diffs two
-    of these.  Hand-rolled writer — no JSON dependency. *)
+    µs, the per-round wall quantiles and every work counter.  The
+    phase shares sum to 1 by construction (exclusive contiguous
+    attribution — see {!Profkit.Profile}).
+    [bench/compare_bench.exe --profile] diffs two of these.
+    Hand-rolled writer — no JSON dependency. *)

@@ -88,12 +88,9 @@ let profile ?(title = "CBN phase attribution") p fmt =
      max=%.1fus@."
     (Profile.rounds p) (wall /. 1000.0) (Histogram.p50 wh) (Histogram.p95 wh)
     (Histogram.p99 wh) (Histogram.max wh);
-  table ~title:"speculation / work counters" ~headers:[ "counter"; "value" ]
+  table ~title:"work counters" ~headers:[ "counter"; "value" ]
     (List.map (fun (name, v) -> [ name; string_of_int v ]) (Profile.counters p))
-    fmt;
-  Format.fprintf fmt
-    "speculation: stamp_hit_rate=%.3f wave_imbalance avg=%.2f max=%.2f@."
-    (Profile.stamp_hit_rate p) (Profile.avg_imbalance p) (Profile.max_imbalance p)
+    fmt
 
 let float_cell v =
   if Float.is_integer v && Float.abs v < 1e15 then

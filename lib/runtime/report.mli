@@ -31,6 +31,6 @@ val float_cell : float -> string
 val profile : ?title:string -> Profkit.Profile.t -> Format.formatter -> unit
 (** Render a {!Profkit.Profile} as the human-readable attribution
     report: the per-phase table (total ms, share of round wall,
-    per-round p50/p95/p99/max µs), the round-wall summary line, the
-    speculation/work counter table and the derived speculation rates.
-    Behind [bench perf --profile] and [cbnet report profile]. *)
+    per-round p50/p95/p99/max µs), the round-wall summary line and the
+    work counter table.  Behind [bench perf --profile] and
+    [cbnet report profile]. *)

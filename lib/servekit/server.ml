@@ -17,7 +17,6 @@ type config = {
   policy : policy;
   batch_max : int;
   batch_min : int;
-  domains : int;
   exec : Cbnet.Config.t;
   window : int option;
   faults : Faultkit.Plan.t option;
@@ -26,8 +25,8 @@ type config = {
 }
 
 let config ?(queue_capacity = 1024) ?(policy = Shed) ?(batch_max = 256)
-    ?(batch_min = 1) ?(domains = 1) ?(exec = Cbnet.Config.default) ?window
-    ?faults ?(check_invariants = false) ?(max_rounds = 100_000_000) ~n () =
+    ?(batch_min = 1) ?(exec = Cbnet.Config.default) ?window ?faults
+    ?(check_invariants = false) ?(max_rounds = 100_000_000) ~n () =
   if n < 2 then invalid_arg "Server.config: n must be >= 2";
   if queue_capacity < 1 then
     invalid_arg "Server.config: queue_capacity must be >= 1";
@@ -35,14 +34,12 @@ let config ?(queue_capacity = 1024) ?(policy = Shed) ?(batch_max = 256)
   if batch_min < 1 then invalid_arg "Server.config: batch_min must be >= 1";
   if batch_min > queue_capacity then
     invalid_arg "Server.config: batch_min cannot exceed queue_capacity";
-  if domains < 1 then invalid_arg "Server.config: domains must be >= 1";
   {
     n;
     queue_capacity;
     policy;
     batch_max;
     batch_min;
-    domains;
     exec;
     window;
     faults;
@@ -169,8 +166,7 @@ let run_batch st =
   let stats =
     Cbnet.Concurrent.run ~config:st.cfg.exec ?window:st.cfg.window
       ~max_rounds:st.cfg.max_rounds ?faults:st.cfg.faults
-      ~check_invariants:st.cfg.check_invariants ~domains:st.cfg.domains
-      st.tree runs
+      ~check_invariants:st.cfg.check_invariants st.tree runs
   in
   st.acc <-
     Some
@@ -214,7 +210,7 @@ let finalize st =
     | None ->
         (* Nothing ever ran: an empty execution gives the all-zero
            statistics in the executor's own format. *)
-        Cbnet.Concurrent.run ~config:st.cfg.exec ~domains:1 st.tree [||]
+        Cbnet.Concurrent.run ~config:st.cfg.exec st.tree [||]
   in
   let stats =
     (* A single decay-free batch passes through untouched — this is

@@ -30,7 +30,6 @@ type config = {
   policy : policy;
   batch_max : int;  (** Max requests per executor batch; 0 = unbounded. *)
   batch_min : int;  (** Wait for this many before batching (if more input). *)
-  domains : int;
   exec : Cbnet.Config.t;
   window : int option;
   faults : Faultkit.Plan.t option;
@@ -43,7 +42,6 @@ val config :
   ?policy:policy ->
   ?batch_max:int ->
   ?batch_min:int ->
-  ?domains:int ->
   ?exec:Cbnet.Config.t ->
   ?window:int ->
   ?faults:Faultkit.Plan.t ->
@@ -53,8 +51,8 @@ val config :
   unit ->
   config
 (** Defaults: capacity 1024, [Shed], [batch_max = 256],
-    [batch_min = 1], 1 domain, {!Cbnet.Config.default}, no fault
-    plan, no invariant checks, a 100M-round budget.
+    [batch_min = 1], {!Cbnet.Config.default}, no fault plan, no
+    invariant checks, a 100M-round budget.
     @raise Invalid_argument on inconsistent knobs
     (e.g. [batch_min > queue_capacity]). *)
 

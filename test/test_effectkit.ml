@@ -1,7 +1,7 @@
 (* The effect analysis: per-rule violating and clean fixtures, the
    least fixpoint over mutual recursion, unknown-callee conservatism,
-   module-scoped wave allowlisting, annotation errors, suppression
-   through the engine, and the seeded-mutation catch over the real
+   annotation errors, suppression through the engine, and the
+   seeded-mutation catch over the real
    lib/ tree (which the (source_tree ../lib) dep makes visible to this
    binary).  Fixtures live in strings so the lint run over test/
    never trips on them. *)
@@ -97,48 +97,6 @@ let test_required_callee_frontier () =
   check_rules "one finding at the frontier" [ A.rule_pure ] fs;
   Alcotest.(check int) "blamed on the helper" 2 (List.hd fs).F.line
 
-(* --- wave-race ----------------------------------------------------- *)
-
-let test_wave () =
-  check_rules "non-allowlisted write from the wave" [ A.rule_wave ]
-    (one "(* effect: wave *)\nlet f st = st.weight <- 1\n");
-  check_rules "allowlisted plan-buffer write is wave-local" []
-    (one ~path:"lib/core/step.ml"
-       "(* effect: wave *)\nlet f st = st.current <- 0\n");
-  check_rules "allowlisted slot write is wave-local" []
-    (one ~path:"lib/core/concurrent.ml"
-       "(* effect: wave *)\nlet wave_go slot = slot.tag <- 1\n");
-  (* The allowlist is module-scoped: Concurrent's slot fields are not
-     writable from other modules. *)
-  check_rules "slot field from the wrong module" [ A.rule_wave ]
-    (one "(* effect: wave *)\nlet f slot = slot.tag <- 1\n");
-  check_rules "nondeterminism banned in the wave" [ A.rule_wave ]
-    (one ~path:"lib/simkit/fixture.ml"
-       "(* effect: wave *)\nlet f () = Unix.gettimeofday ()\n")
-
-let test_implicit_ro_seeding () =
-  (* _ro names keep their read-only contract even with no annotation:
-     deleting the comment cannot dodge the check. *)
-  check_rules "suffix _ro is seeded" [ A.rule_wave ]
-    (one "let probe_ro st = st.weight <- 1\n");
-  check_rules "infix _ro_ is seeded" [ A.rule_wave ]
-    (one "let resolve_ro_into st = st.weight <- 1\n");
-  check_rules "speculation probe is seeded" [ A.rule_wave ]
-    (one "let speculate_turn_probe st = st.weight <- 1\n");
-  check_rules "plain name is not seeded" []
-    (one "let resolve_into st = st.weight <- 1\n")
-
-let test_wave_anchor () =
-  (* The real Concurrent module must declare its wave roots; a
-     fixture that drops them all is itself a finding. *)
-  check_rules "anchor module without wave roots" [ A.rule_wave ]
-    (one ~path:"lib/core/concurrent.ml" "let commit st = st.x <- 1\n");
-  check_rules "anchor module with a wave root" []
-    (one ~path:"lib/core/concurrent.ml"
-       "(* effect: wave *)\nlet wave_member slot = slot.tag <- 1\n");
-  check_rules "other modules carry no anchor duty" []
-    (one "let commit st = ignore st\n")
-
 (* --- determinism --------------------------------------------------- *)
 
 let test_determinism () =
@@ -166,7 +124,7 @@ let test_annotation_errors () =
   check_rules "unattached annotation" [ directive ]
     (one "(* effect: pure *)\n\ntype t = int\n");
   check_rules "justification after the separator is fine" []
-    (one "(* effect: wave -- writes nothing at all *)\nlet f x = x\n");
+    (one "(* effect: pure -- writes nothing at all *)\nlet f x = x\n");
   Alcotest.(check bool) "parser accepts pure" true
     (match C.annotation_of_text " effect: pure " with
     | Some (Ok Effectkit.Summary.Pure) -> true
@@ -244,47 +202,84 @@ let lib_sources () =
       (rel, read_file path))
     files
 
-let mutation_marker = "  if r >= 0.0 then r else rank (T.weight t v)"
-
-let mutation_body =
-  "  if r >= 0.0 then r\n\
-  \  else begin\n\
-  \    let r = rank (T.weight t v) in\n\
-  \    T.set_rank_memo t v r;\n\
-  \    r\n\
-  \  end"
-
 let test_real_tree_clean () =
   check_rules "the shipped lib/ tree carries no effect findings" []
     (analyze (lib_sources ()))
 
-let test_seeded_mutation () =
-  (* Injecting a single memo write into the node_rank_ro twin must
-     produce exactly one finding, on that function. *)
+(* Each seeded mutation injects one write into one real
+   [(* effect: pure *)] function of the shipped tree: a direct array
+   write, an external write, a record-field write and a write reached
+   only through a call into another module.  [marker] must occur in
+   [file] verbatim. *)
+type mutation = {
+  label : string;
+  file : string;
+  marker : string;
+  body : string;
+}
+
+let mutations =
+  [
+    {
+      label = "Potential.rank";
+      file = "lib/core/potential.ml";
+      marker = "let rank w =\n  if w <= 1 then 0.0";
+      body = "let rank w =\n  table.(0) <- 0.0;\n  if w <= 1 then 0.0";
+    };
+    {
+      label = "Ingest.parse_line";
+      file = "lib/servekit/ingest.ml";
+      marker = "let parse_line ~n s =\n";
+      body = "let parse_line ~n s =\n  Hashtbl.replace seen s ();\n";
+    };
+    {
+      label = "Bqueue.length";
+      file = "lib/servekit/bqueue.ml";
+      marker = "let length t = t.len";
+      body = "let length t =\n  t.max_depth <- t.len;\n  t.len";
+    };
+    {
+      label = "Http.request_target";
+      file = "lib/servekit/http.ml";
+      marker = "let request_target line =\n";
+      body = "let request_target line =\n  print_string line;\n";
+    };
+    {
+      label = "Step.climb_continues";
+      file = "lib/core/step.ml";
+      marker = "let climb_continues t ~node ~dst =\n";
+      body = "let climb_continues t ~node ~dst =\n  T.set_root t node;\n";
+    };
+  ]
+
+let test_seeded_mutation m () =
+  (* The injected write must produce exactly one finding, on the
+     mutated function's file. *)
   let mutated = ref false in
   let files =
     List.map
       (fun (path, code) ->
-        if String.equal path "lib/core/potential.ml" then begin
-          let re = Str.regexp_string mutation_marker in
+        if String.equal path m.file then begin
+          let re = Str.regexp_string m.marker in
           (try ignore (Str.search_forward re code 0)
            with Not_found ->
-             Alcotest.fail
-               "mutation marker not found in lib/core/potential.ml — keep \
-                test_effectkit.ml's marker in sync with node_rank_ro");
+             Alcotest.failf
+               "mutation marker not found in %s — keep test_effectkit.ml's \
+                marker in sync with %s"
+               m.file m.label);
           mutated := true;
-          (path, Str.replace_first re mutation_body code)
+          (path, Str.replace_first re m.body code)
         end
         else (path, code))
       (lib_sources ())
   in
-  Alcotest.(check bool) "potential.ml was in the tree" true !mutated;
+  Alcotest.(check bool) (m.file ^ " was in the tree") true !mutated;
   match analyze files with
   | [ f ] ->
       Alcotest.(check string) "rule" A.rule_pure f.F.rule;
-      Alcotest.(check string) "file" "lib/core/potential.ml" f.F.file
+      Alcotest.(check string) "file" m.file f.F.file
   | fs ->
-      Alcotest.failf "expected exactly one finding, got %d:\n%s"
+      Alcotest.failf "%s: expected exactly one finding, got %d:\n%s" m.label
         (List.length fs)
         (String.concat "\n" (List.map F.to_string fs))
 
@@ -301,13 +296,6 @@ let () =
           Alcotest.test_case "frontier blame" `Quick
             test_required_callee_frontier;
         ] );
-      ( "wave-race",
-        [
-          Alcotest.test_case "allowlist" `Quick test_wave;
-          Alcotest.test_case "implicit _ro seeding" `Quick
-            test_implicit_ro_seeding;
-          Alcotest.test_case "anchor module" `Quick test_wave_anchor;
-        ] );
       ( "determinism",
         [ Alcotest.test_case "banned sources" `Quick test_determinism ] );
       ( "annotations",
@@ -320,6 +308,12 @@ let () =
       ( "tree",
         [
           Alcotest.test_case "clean" `Quick test_real_tree_clean;
-          Alcotest.test_case "seeded mutation" `Quick test_seeded_mutation;
-        ] );
+          Alcotest.test_case "seeded mutation" `Quick
+            (test_seeded_mutation (List.hd mutations));
+        ]
+        @ List.map
+            (fun m ->
+              Alcotest.test_case ("seeded mutation: " ^ m.label) `Quick
+                (test_seeded_mutation m))
+            (List.tl mutations) );
     ]

@@ -129,34 +129,16 @@ let test_pair_empty_plan ~workload ~seed () =
   check_stats (ctx ^ " untraced") sc sd;
   check_trees (ctx ^ " untraced") tc td
 
-(* ------------------------------------------------------------------
-   Intra-round parallelism: at every domain count the parallel
-   executor must be bit-identical to the sequential oracle — stats,
-   latencies, run-sink payload streams and final trees — traced and
-   untraced, with and without an (empty) fault plan.  The reference
-   run for each (workload, seed) is computed once and shared across
-   domain counts. *)
-
-let parallel_workloads = [ "projector"; "skewed"; "uniform" ]
-let domain_counts = [ 1; 2; 4 ]
-let oracle_cache = Hashtbl.create 16
-
 (* Reference oracle for (workload, seed): trace, stats, sorted
    latencies, traced payload stream and final tree. *)
 let oracle ~workload ~seed =
-  let key = Printf.sprintf "%s/%d" workload seed in
-  match Hashtbl.find_opt oracle_cache key with
-  | Some o -> o
-  | None ->
-      let n, trace = trace_of ~workload ~seed in
-      let tb = Build.balanced n in
-      let (sb, lb), eb =
-        capture_payloads (fun sink -> Ref.run_with_latencies ~sink tb trace)
-      in
-      Array.sort compare lb;
-      let o = (n, trace, sb, lb, eb, tb) in
-      Hashtbl.add oracle_cache key o;
-      o
+  let n, trace = trace_of ~workload ~seed in
+  let tb = Build.balanced n in
+  let (sb, lb), eb =
+    capture_payloads (fun sink -> Ref.run_with_latencies ~sink tb trace)
+  in
+  Array.sort compare lb;
+  (n, trace, sb, lb, eb, tb)
 
 let check_events ctx ea eb =
   Alcotest.(check int)
@@ -169,23 +151,44 @@ let check_events ctx ea eb =
           (Obskit.Event.name pa) (Obskit.Event.name pb))
     (List.combine ea eb)
 
-let test_parallel ~workload ~seed ~domains () =
-  let ctx = Printf.sprintf "parallel d=%d %s/seed %d" domains workload seed in
-  let n, trace, sb, lb, eb, tb = oracle ~workload ~seed in
+(* Non-default tunables and admission windows take the same round
+   loop through other branches (rotations refused or accepted at a
+   different ΔΦ threshold, work charged at another rotation cost,
+   admission stalls behind a small window), so each setting is checked
+   against the reference executor run with the same setting: stats,
+   final trees, sorted latencies and the telemetry payload stream,
+   traced and untraced, and again through the fault-aware turn under an
+   empty plan. *)
+let configured_settings =
+  [
+    ("delta 0.5", Some (Cbnet.Config.make ~delta:0.5 ()), None);
+    ("rotation cost 3", Some (Cbnet.Config.make ~rotation_cost:3.0 ()), None);
+    ("window 8", None, Some 8);
+  ]
+
+let test_pair_configured ~workload ~seed ~label ?config ?window () =
+  let ctx = Printf.sprintf "%s %s/seed %d" label workload seed in
+  let n, trace = trace_of ~workload ~seed in
+  let tb = Build.balanced n in
+  let (sb, lb), eb =
+    capture_payloads (fun sink ->
+        Ref.run_with_latencies ?config ?window ~sink tb trace)
+  in
+  Array.sort compare lb;
   (* Traced. *)
   let ta = Build.balanced n in
   let (sa, la), ea =
     capture_payloads (fun sink ->
-        Conc.run_with_latencies ~sink ~domains ta trace)
+        Conc.run_with_latencies ?config ?window ~sink ta trace)
   in
   check_stats ctx sa sb;
   check_trees ctx ta tb;
   Array.sort compare la;
   Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb la;
   check_events ctx ea eb;
-  (* Untraced (the shape-cache fast path interleaves with the wave). *)
+  (* Untraced. *)
   let tc = Build.balanced n in
-  let sc = Conc.run ~domains tc trace in
+  let sc = Conc.run ?config ?window tc trace in
   check_stats (ctx ^ " untraced") sc sb;
   check_trees (ctx ^ " untraced") tc tb;
   (* Empty fault plan: every turn takes the fault-aware commit. *)
@@ -193,7 +196,7 @@ let test_parallel ~workload ~seed ~domains () =
   let empty = Faultkit.Plan.make ~seed:0 [] in
   let (sd, ld), ed =
     capture_payloads (fun sink ->
-        Conc.run_with_latencies ~sink ~faults:empty ~domains td trace)
+        Conc.run_with_latencies ?config ?window ~sink ~faults:empty td trace)
   in
   check_stats (ctx ^ " empty plan") sd sb;
   check_trees (ctx ^ " empty plan") td tb;
@@ -204,19 +207,19 @@ let test_parallel ~workload ~seed ~domains () =
   check_events (ctx ^ " empty plan") ed eb
 
 (* Profiling is purely observational: a profiled traced run must stay
-   bit-identical to the oracle at every domain count (stats, trees,
-   latencies and the *run-sink* payload stream — Phase_time events go
-   to the separate prof sink only), and the profile's own counters must
-   obey the executor's accounting identities. *)
-let test_parallel_profiled ~workload ~seed ~domains () =
+   bit-identical to the oracle (stats, trees, latencies and the
+   *run-sink* payload stream — Phase_time events go to the separate
+   prof sink only), and the profile's own counters must obey the
+   executor's accounting identities. *)
+let test_profiled ~workload ~seed () =
   let module P = Profkit.Profile in
-  let ctx = Printf.sprintf "profiled d=%d %s/seed %d" domains workload seed in
+  let ctx = Printf.sprintf "profiled %s/seed %d" workload seed in
   let n, trace, sb, lb, eb, tb = oracle ~workload ~seed in
   let profile = P.create () in
   let ta = Build.balanced n in
   let (sa, la), ea =
     capture_payloads (fun sink ->
-        Conc.run_with_latencies ~sink ~profile ~domains ta trace)
+        Conc.run_with_latencies ~sink ~profile ta trace)
   in
   check_stats ctx sa sb;
   check_trees ctx ta tb;
@@ -230,22 +233,6 @@ let test_parallel_profiled ~workload ~seed ~domains () =
     (ctx ^ ": conflicts = pauses + bypasses")
     (sa.Stats.pauses + sa.Stats.bypasses)
     (P.conflicts profile);
-  (* Every validated slot either replayed its plan or was a delivery;
-     every invalidated one fell back to a serial re-probe. *)
-  Alcotest.(check int)
-    (ctx ^ ": stamp hits split into replayed + delivered")
-    (P.stamp_hits profile)
-    (P.replayed profile + P.deliver_slots profile);
-  Alcotest.(check int)
-    (ctx ^ ": stamp misses all fell back")
-    (P.stamp_misses profile) (P.fallback_slots profile);
-  if domains = 1 then
-    Alcotest.(check int) (ctx ^ ": no waves at domains=1") 0 (P.waves profile)
-  else
-    Alcotest.(check int)
-      (ctx ^ ": every wave spans the whole team")
-      (P.waves profile * domains)
-      (P.wave_members profile);
   (* Exclusive attribution: phase totals telescope to the wall. *)
   let covered =
     List.fold_left (fun acc ph -> acc +. P.total_us profile ph) 0.0 P.phases
@@ -265,7 +252,7 @@ let test_profile_sink_events () =
     Obskit.Sink.stream (fun (e : Obskit.Event.t) ->
         events := e.Obskit.Event.payload :: !events)
   in
-  let _ = Conc.run ~domains:2 ~profile ~prof_sink (Build.balanced n) trace in
+  let _ = Conc.run ~profile ~prof_sink (Build.balanced n) trace in
   let evs = List.rev !events in
   Alcotest.(check bool) "phase_time events emitted" true
     (List.length evs > 0);
@@ -287,49 +274,6 @@ let test_profile_sink_events () =
   Alcotest.(check bool) "phase events sum to the wall" true
     (Float.abs (total -. wall) <= 1e-3 *. Float.max 1.0 wall)
 
-(* The wave must actually engage (the ready set crosses the parallel
-   threshold) and report itself: every team-sink event is a Plan_wave
-   with a member id below the domain count, covering member 0. *)
-let test_parallel_wave_telemetry () =
-  let domains = 2 in
-  let n, trace = trace_of ~workload:"projector" ~seed:1 in
-  let events = ref [] in
-  let team_sink =
-    Obskit.Sink.stream (fun (e : Obskit.Event.t) ->
-        events := e.Obskit.Event.payload :: !events)
-  in
-  let _ = Conc.run ~domains ~team_sink (Build.balanced n) trace in
-  let waves = List.rev !events in
-  Alcotest.(check bool)
-    "parallel rounds happened (threshold crossed)" true
-    (List.length waves > 0);
-  let seen0 = ref false in
-  List.iter
-    (fun p ->
-      match p with
-      | Obskit.Event.Plan_wave { member; planned; _ } ->
-          if member = 0 then seen0 := true;
-          Alcotest.(check bool) "member in range" true (member < domains);
-          Alcotest.(check bool) "planned non-negative" true (planned >= 0)
-      | p -> Alcotest.failf "unexpected team event %s" (Obskit.Event.name p))
-    waves;
-  Alcotest.(check bool) "member 0 reported" true !seen0
-
-(* Truncating a parallel run mid-flight must produce the oracle's
-   statistics too, and the finalizer must shut the team down. *)
-let test_parallel_truncated_finalize () =
-  let n, trace = trace_of ~workload:"projector" ~seed:3 in
-  let ta = Build.balanced n and tb = Build.balanced n in
-  let sched_a, fin_a = Conc.scheduler ~domains:4 ta trace in
-  let sched_b, fin_b = Ref.scheduler tb trace in
-  let rounds = 20 in
-  for r = 0 to rounds - 1 do
-    sched_a.Simkit.Engine.tick r;
-    sched_b.Simkit.Engine.tick r
-  done;
-  check_stats "parallel truncated" (fin_a rounds) (fin_b rounds);
-  check_trees "parallel truncated" ta tb
-
 (* The scheduler finalizer must account for in-flight messages too:
    truncating both executors mid-run (before quiescence) must still
    produce identical statistics. *)
@@ -348,6 +292,32 @@ let test_truncated_finalize () =
     (sched_a.Simkit.Engine.is_done () || sched_b.Simkit.Engine.is_done ());
   check_stats "truncated" (fin_a rounds) (fin_b rounds);
   check_trees "truncated" ta tb
+
+(* Finalize after truncation at several cut points, on the plain path
+   and on the fault-aware one (an empty plan routes every turn through
+   it and the finalizer snapshots the injector's tallies), against the
+   reference executor truncated at the same round.  Early cuts leave
+   weight updates staged for the next round: both finalizers must
+   count them. *)
+let test_truncated_finalize_cut_points () =
+  let n, trace = trace_of ~workload:"skewed" ~seed:2 in
+  let empty = Faultkit.Plan.make ~seed:0 [] in
+  List.iter
+    (fun (label, faults) ->
+      List.iter
+        (fun rounds ->
+          let ctx = Printf.sprintf "%s truncated at %d" label rounds in
+          let ta = Build.balanced n and tb = Build.balanced n in
+          let sched_a, fin_a = Conc.scheduler ?faults ta trace in
+          let sched_b, fin_b = Ref.scheduler tb trace in
+          for r = 0 to rounds - 1 do
+            sched_a.Simkit.Engine.tick r;
+            sched_b.Simkit.Engine.tick r
+          done;
+          check_stats ctx (fin_a rounds) (fin_b rounds);
+          check_trees ctx ta tb)
+        [ 1; 7; 20; 40 ])
+    [ ("plain", None); ("fault path", Some empty) ]
 
 (* run and run_with_latencies must agree with each other: the stats
    path is shared, latencies are derived, not re-simulated. *)
@@ -395,35 +365,32 @@ let empty_plan_cases =
         seeds)
     workloads
 
-let parallel_cases =
-  List.concat_map
-    (fun workload ->
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun domains ->
-              Alcotest.test_case
-                (Printf.sprintf "%s seed %d domains %d" workload seed domains)
-                `Quick
-                (test_parallel ~workload ~seed ~domains))
-            domain_counts)
-        seeds)
-    parallel_workloads
-
 let profiled_cases =
   List.concat_map
     (fun workload ->
+      List.map
+        (fun seed ->
+          Alcotest.test_case
+            (Printf.sprintf "%s seed %d" workload seed)
+            `Quick
+            (test_profiled ~workload ~seed))
+        [ 1; 2; 3 ])
+    workloads
+
+let configured_cases =
+  List.concat_map
+    (fun workload ->
       List.concat_map
         (fun seed ->
           List.map
-            (fun domains ->
+            (fun (label, config, window) ->
               Alcotest.test_case
-                (Printf.sprintf "%s seed %d domains %d" workload seed domains)
+                (Printf.sprintf "%s seed %d %s" workload seed label)
                 `Quick
-                (test_parallel_profiled ~workload ~seed ~domains))
-            domain_counts)
-        [ 1; 2 ])
-    [ "projector"; "skewed" ]
+                (test_pair_configured ~workload ~seed ~label ?config ?window))
+            configured_settings)
+        seeds)
+    [ "projector"; "skewed"; "uniform" ]
 
 let () =
   Alcotest.run "equivalence"
@@ -431,24 +398,19 @@ let () =
       ("executor pairs", pair_cases);
       ("executor pairs untraced", untraced_cases);
       ("executor pairs empty fault plan", empty_plan_cases);
-      ("parallel executor", parallel_cases);
+      ("configured executor pairs", configured_cases);
       ( "profiled executor",
         profiled_cases
         @ [
             Alcotest.test_case "prof sink phase events" `Quick
               test_profile_sink_events;
           ] );
-      ( "parallel machinery",
-        [
-          Alcotest.test_case "wave telemetry" `Quick
-            test_parallel_wave_telemetry;
-          Alcotest.test_case "parallel truncated finalize" `Quick
-            test_parallel_truncated_finalize;
-        ] );
       ( "finalization",
         [
           Alcotest.test_case "truncated finalize" `Quick
             test_truncated_finalize;
+          Alcotest.test_case "truncated finalize, cut points" `Quick
+            test_truncated_finalize_cut_points;
           Alcotest.test_case "run vs run_with_latencies" `Quick
             test_run_vs_run_with_latencies;
         ] );

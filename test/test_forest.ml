@@ -2,7 +2,8 @@
    leg decomposition, and — the load-bearing property — bit-identity
    of the forest against the single-tree oracle at 1 shard, and of the
    forest against itself at every domain count and shard execution
-   order. *)
+   order, and of every concurrently executed shard against the
+   reference executor. *)
 
 module Dir = Forest.Directory
 module Router = Forest.Router
@@ -225,6 +226,38 @@ let test_domain_invariance ~workload ~seed () =
       base.Overlay.topologies.(s)
   done
 
+(* {2 Overlay: shard fan-out against the reference executor} *)
+
+(* The only parallel executor left is the forest's shard-level pool
+   fan-out, so it is held to the list-based executable specification:
+   with shards executing concurrently on two domains, every shard's
+   statistics, sorted leg latencies and final tree must equal
+   [Concurrent.Reference] run on that shard's routed sub-trace. *)
+let test_fan_out_reference ~workload ~seed () =
+  let ctx = Printf.sprintf "%s/seed %d" workload seed in
+  let n = 96 and shards = 4 in
+  let runs = trace_for ~workload ~n ~m:1_500 ~seed in
+  let result, lat = Overlay.run_with_latencies ~shards ~domains:2 ~n runs in
+  let router = Router.build result.Overlay.directory runs in
+  Alcotest.(check int) (ctx ^ ": shard count") shards (Array.length lat);
+  for s = 0 to shards - 1 do
+    let ctx = Printf.sprintf "%s shard %d" ctx s in
+    let tree = Build.balanced (Dir.size result.Overlay.directory s) in
+    let stats, ref_lat =
+      Conc.Reference.run_with_latencies tree router.Router.runs.(s)
+    in
+    check_stats ctx result.Overlay.per_shard.(s) stats;
+    check_trees ctx result.Overlay.topologies.(s) tree;
+    let sorted a =
+      let a = Array.copy a in
+      Array.sort compare a;
+      a
+    in
+    Alcotest.(check (array (float 0.0)))
+      (ctx ^ ": sorted latencies")
+      (sorted ref_lat) (sorted lat.(s))
+  done
+
 let test_conservation () =
   let n = 128 in
   let runs = trace_for ~workload:"pfabric" ~n ~m:2_000 ~seed:5 in
@@ -286,6 +319,18 @@ let invariance_tests =
         seeds)
     workloads
 
+let fan_out_tests =
+  List.concat_map
+    (fun workload ->
+      List.map
+        (fun seed ->
+          Alcotest.test_case
+            (Printf.sprintf "%s seed %d" workload seed)
+            `Quick
+            (test_fan_out_reference ~workload ~seed))
+        seeds)
+    workloads
+
 let () =
   Alcotest.run "forest"
     [
@@ -301,6 +346,7 @@ let () =
         ] );
       ("single-shard oracle", oracle_tests);
       ("domain invariance", invariance_tests);
+      ("fan-out reference", fan_out_tests);
       ( "overlay",
         [
           Alcotest.test_case "conservation" `Quick test_conservation;

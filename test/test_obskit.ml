@@ -458,16 +458,14 @@ let test_profile_json_export () =
   P.enter p P.Commit;
   P.round_close p;
   P.round_commit p;
-  P.stamp_hit p;
-  P.stamp_miss p;
+  P.shape_hit p;
   P.conflict p;
-  P.wave p ~members:2 ~busiest:3 ~slots:4;
   let path = Filename.temp_file "obskit_profile" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Runtime.Export.profile_json ~commit:"abc" ~timestamp:"now"
-        ~workload:hostile ~domains:2 p path;
+        ~workload:hostile p path;
       let body = read_file path in
       let count c =
         String.fold_left (fun k ch -> if ch = c then k + 1 else k) 0 body
@@ -477,8 +475,8 @@ let test_profile_json_export () =
       Alcotest.(check (list string)) "hostile workload round-trips"
         [ hostile ]
         (extract_string_fields body "workload");
-      (* One phase entry per profile phase, and the counter/speculation
-         blocks carry the driven values. *)
+      (* One phase entry per profile phase, and the counter block
+         carries the driven values. *)
       Alcotest.(check int) "one entry per phase"
         (List.length P.phases)
         (List.length (extract_string_fields body "phase"));
@@ -489,11 +487,8 @@ let test_profile_json_export () =
             true (contains body needle))
         [
           "\"rounds\": 1";
-          "\"domains\": 2";
-          "\"stamp_hits\": 1";
+          "\"shape_hits\": 1";
           "\"claim_conflicts\": 1";
-          "\"stamp_hit_rate\": 0.5";
-          "\"avg_wave_imbalance\": 1.5";
           "\"round_us\":";
         ])
 

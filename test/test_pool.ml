@@ -118,6 +118,58 @@ let test_default_num_domains_positive () =
   Alcotest.(check bool) "at least one" true (Pool.default_num_domains () >= 1);
   Alcotest.(check bool) "jobs at least one" true (Pool.default_jobs () >= 1)
 
+(* Each task writes only its own slice; after [map] returns the caller
+   must observe every worker's writes (the batch wait is the join). *)
+let test_slice_sums num_domains () =
+  Pool.with_pool ~num_domains (fun pool ->
+      let items = 1000 and tasks = 8 in
+      let data = Array.init items (fun i -> i + 1) in
+      let partial = Array.make tasks 0 in
+      let chunk = (items + tasks - 1) / tasks in
+      ignore
+        (Pool.map pool tasks (fun t ->
+             let lo = t * chunk in
+             let hi = min items (lo + chunk) in
+             let acc = ref 0 in
+             for i = lo to hi - 1 do
+               acc := !acc + data.(i)
+             done;
+             partial.(t) <- !acc));
+      Alcotest.(check int) "slice sum"
+        (items * (items + 1) / 2)
+        (Array.fold_left ( + ) 0 partial))
+
+(* One pool serves many consecutive batches; every batch joins fully
+   before the next starts. *)
+let test_reuse_across_batches num_domains () =
+  Pool.with_pool ~num_domains (fun pool ->
+      let tasks = 5 in
+      let hits = Array.make tasks 0 in
+      for batch = 1 to 50 do
+        ignore (Pool.map pool tasks (fun t -> hits.(t) <- hits.(t) + 1));
+        Array.iteri
+          (fun t h ->
+            Alcotest.(check int)
+              (Printf.sprintf "task %d after batch %d" t batch)
+              batch h)
+          hits
+      done)
+
+(* [with_pool] shuts the pool down when its body raises, so a pool that
+   escapes the body is unusable afterwards. *)
+let test_with_pool_shuts_down_on_exception () =
+  let escaped = ref None in
+  Alcotest.check_raises "body exception passes through" Boom (fun () ->
+      Pool.with_pool ~num_domains:2 (fun pool ->
+          escaped := Some pool;
+          raise Boom));
+  match !escaped with
+  | None -> Alcotest.fail "body did not run"
+  | Some pool ->
+      Alcotest.check_raises "map after with_pool"
+        (Invalid_argument "Pool.map: pool is shut down") (fun () ->
+          ignore (Pool.map pool 1 (fun i -> i)))
+
 (* The acceptance contract of the parallel runner: a cell measured
    with a 4-domain pool is field-for-field identical to the sequential
    path.  Per-seed samples are independent and aggregation folds in
@@ -213,6 +265,24 @@ let () =
           Alcotest.test_case "default domain counts" `Quick
             test_default_num_domains_positive;
         ] );
+      ( "batches",
+        List.map
+          (fun d ->
+            Alcotest.test_case
+              (Printf.sprintf "slice sums (jobs=%d)" d)
+              `Quick (test_slice_sums d))
+          [ 1; 2; 4 ]
+        @ List.map
+            (fun d ->
+              Alcotest.test_case
+                (Printf.sprintf "reuse across batches (jobs=%d)" d)
+                `Quick
+                (test_reuse_across_batches d))
+            [ 1; 3 ]
+        @ [
+            Alcotest.test_case "with_pool shuts down on exception" `Quick
+              test_with_pool_shuts_down_on_exception;
+          ] );
       ( "determinism",
         [
           Alcotest.test_case "run_cell parallel = sequential" `Quick

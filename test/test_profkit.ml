@@ -3,7 +3,7 @@
    record, bounded relative error, exact mergeability — is what lets it
    sit on the executor's hot path; the profile's contract is exclusive
    contiguous time attribution (phases sum to the round wall exactly)
-   plus exact speculation counters. *)
+   plus exact work counters. *)
 
 module H = Profkit.Histogram
 module P = Profkit.Profile
@@ -210,54 +210,25 @@ let test_profile_round_lifecycle () =
 
 let test_profile_counters () =
   let p = P.create () in
-  P.stamp_hit p;
-  P.stamp_hit p;
-  P.stamp_miss p;
-  P.replay p;
-  P.fallback p;
-  P.seq_slot p;
-  P.deliver_slot p;
   P.shape_hit p;
   P.conflict p;
   P.conflict p;
-  Alcotest.(check int) "stamp_hits" 2 (P.stamp_hits p);
-  Alcotest.(check int) "stamp_misses" 1 (P.stamp_misses p);
-  Alcotest.(check (float 1e-9)) "hit rate" (2.0 /. 3.0) (P.stamp_hit_rate p);
-  Alcotest.(check int) "replayed" 1 (P.replayed p);
-  Alcotest.(check int) "fallback" 1 (P.fallback_slots p);
-  Alcotest.(check int) "seq" 1 (P.seq_slots p);
-  Alcotest.(check int) "deliver" 1 (P.deliver_slots p);
   Alcotest.(check int) "shape" 1 (P.shape_hits p);
   Alcotest.(check int) "conflicts" 2 (P.conflicts p);
   (* The stable export list mirrors the accessors. *)
   let l = P.counters p in
-  Alcotest.(check (option int)) "list stamp_hits" (Some 2)
-    (List.assoc_opt "stamp_hits" l);
-  Alcotest.(check (option int)) "list replayed_slots" (Some 1)
-    (List.assoc_opt "replayed_slots" l);
+  Alcotest.(check (option int)) "list shape_hits" (Some 1)
+    (List.assoc_opt "shape_hits" l);
   Alcotest.(check (option int)) "list claim_conflicts" (Some 2)
     (List.assoc_opt "claim_conflicts" l);
-  Alcotest.(check int) "11 counters exported" 11 (List.length l)
-
-let test_profile_wave_imbalance () =
-  let p = P.create () in
-  Alcotest.(check (float 0.0)) "no waves: imbalance 0" 0.0 (P.avg_imbalance p);
-  (* busiest member planned 3 of 4 slots across 2 members: 3*2/4 = 1.5x. *)
-  P.wave p ~members:2 ~busiest:3 ~slots:4;
-  (* perfectly balanced: 2*2/4 = 1.0x. *)
-  P.wave p ~members:2 ~busiest:2 ~slots:4;
-  Alcotest.(check int) "waves" 2 (P.waves p);
-  Alcotest.(check int) "slots" 8 (P.wave_slots p);
-  Alcotest.(check int) "members" 4 (P.wave_members p);
-  Alcotest.(check (float 1e-9)) "avg imbalance" 1.25 (P.avg_imbalance p);
-  Alcotest.(check (float 1e-9)) "max imbalance" 1.5 (P.max_imbalance p)
+  Alcotest.(check int) "2 counters exported" 2 (List.length l)
 
 let test_profile_empty () =
   let p = P.create () in
   Alcotest.(check int) "no rounds" 0 (P.rounds p);
   Alcotest.(check (float 0.0)) "no wall" 0.0 (P.wall_us p);
-  Alcotest.(check (float 0.0)) "hit rate 0 when unused" 0.0
-    (P.stamp_hit_rate p);
+  Alcotest.(check int) "no counters" 0
+    (List.fold_left (fun acc (_, v) -> acc + v) 0 (P.counters p));
   List.iter
     (fun ph ->
       Alcotest.(check (float 0.0))
@@ -266,7 +237,7 @@ let test_profile_empty () =
     P.phases
 
 let test_phase_names_and_indices () =
-  Alcotest.(check int) "seven phases" 7 (List.length P.phases);
+  Alcotest.(check int) "six phases" 6 (List.length P.phases);
   List.iteri
     (fun i ph ->
       Alcotest.(check int) "index matches order" i (P.phase_index ph))
@@ -275,7 +246,6 @@ let test_phase_names_and_indices () =
     [
       "fault_injection";
       "inject";
-      "plan_wave";
       "commit";
       "delivery";
       "invariant_check";
@@ -318,8 +288,6 @@ let () =
           Alcotest.test_case "round lifecycle" `Quick
             test_profile_round_lifecycle;
           Alcotest.test_case "counters" `Quick test_profile_counters;
-          Alcotest.test_case "wave imbalance" `Quick
-            test_profile_wave_imbalance;
           Alcotest.test_case "empty profile" `Quick test_profile_empty;
           Alcotest.test_case "phase names" `Quick
             test_phase_names_and_indices;

@@ -129,7 +129,89 @@ let test_ingest_parse () =
       match parse_line ~n:16 s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (s ^ ": expected an error"))
-    [ "x,5"; "1,y"; "1"; "1,2,3"; "-1,5"; "1,16"; "7,7" ]
+    [
+      "x,5";
+      "1,y";
+      "1";
+      "1,2,3";
+      "-1,5";
+      "1,16";
+      "7,7";
+      (* Decimal digits only, one separator: int_of_string's radix
+         prefixes, underscores and signs are not protocol, and neither
+         are doubled or empty separators. *)
+      "0x5,0b11";
+      "1_0,3";
+      "+1,5";
+      "0o7,2";
+      "1,,5";
+      "1, ,5";
+    ]
+
+(* Errors name what was wrong, quoting the offending token where
+   there is one, so a client can find the bad line. *)
+let test_ingest_error_messages () =
+  let open Servekit.Ingest in
+  let expect s fragment =
+    match parse_line ~n:16 s with
+    | Ok _ -> Alcotest.fail (s ^ ": expected an error")
+    | Error e ->
+        let found =
+          try
+            ignore (Str.search_forward (Str.regexp_string fragment) e 0);
+            true
+          with Not_found -> false
+        in
+        if not found then Alcotest.failf "%s: %S lacks %S" s e fragment
+  in
+  expect "0x5,3" "\"0x5\"";
+  expect "1,+5" "\"+5\"";
+  expect "1_0,3" "\"1_0\"";
+  expect "1,16" "dst 16 out of range";
+  expect "20 3" "src 20 out of range";
+  expect "1,,5" "empty field";
+  expect ",5" "empty field";
+  expect "1,2,3" "got 3";
+  expect "1" "got 1";
+  expect "4,4" "src = dst (4)"
+
+(* Endpoint values saturate while they are read: a digit run far past
+   max_int is out of range, not a wrapped-around small key. *)
+let test_ingest_overlong_endpoint () =
+  let open Servekit.Ingest in
+  let long = String.make 40 '9' in
+  List.iter
+    (fun s ->
+      match parse_line ~n:16 s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (s ^ ": expected out of range"))
+    [ long ^ ",1"; "1," ^ long; "18446744073709551617,1" ];
+  match parse_line ~n:16 "0000000000000000000000000000007,3" with
+  | Ok (Request (7, 3)) -> ()
+  | _ -> Alcotest.fail "leading zeros: expected Request (7, 3)"
+
+(* One index scan per line: an accepted line allocates its result and
+   nothing else (Ok box + Request block), whatever its separator or
+   padding. *)
+let test_ingest_allocation () =
+  let open Servekit.Ingest in
+  let lines = [| "1,5"; " 12 , 3 \r"; "7\t\t9"; "# note"; "10   2" |] in
+  let reps = 2_000 in
+  let parse_all () =
+    for _ = 1 to reps do
+      Array.iter
+        (fun l -> ignore (Sys.opaque_identity (parse_line ~n:16 l)))
+        lines
+    done
+  in
+  parse_all ();
+  let before = Gc.minor_words () in
+  parse_all ();
+  let words = Gc.minor_words () -. before in
+  let per_line = words /. float_of_int (reps * Array.length lines) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per line <= 5" per_line)
+    true (per_line <= 5.0)
 
 (* ---------- bounded queue ---------- *)
 
@@ -155,12 +237,11 @@ let test_bqueue_fifo_bounds () =
 
 (* ---------- replay: determinism and the batch oracle ---------- *)
 
-let replay ?(domains = 1) ?(queue_capacity = 8192) ?(batch_max = 256) ?epoch
-    spec ~seed =
+let replay ?(queue_capacity = 8192) ?(batch_max = 256) ?epoch spec ~seed =
   let shape = shape_of spec in
   let trace = Shape.schedule shape ~seed in
   let n = trace.Workloads.Trace.n in
-  let cfg = Server.config ~queue_capacity ~batch_max ~domains ~n () in
+  let cfg = Server.config ~queue_capacity ~batch_max ~n () in
   let tree = Bstnet.Build.balanced n in
   let report = Server.replay ?epoch cfg tree (Workloads.Trace.to_runs trace) in
   (report, Bstnet.Serialize.to_string tree)
@@ -193,20 +274,10 @@ let test_replay_matches_batch_oracle () =
     ignore (Cbnet.Concurrent.run t runs);
     Bstnet.Serialize.to_string t
   in
-  List.iter
-    (fun domains ->
-      let r, tree =
-        replay ~domains ~queue_capacity:2048 ~batch_max:0 spec ~seed:1
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "stats = Concurrent.run (domains=%d)" domains)
-        true
-        (r.Server.stats = oracle);
-      Alcotest.(check string)
-        (Printf.sprintf "tree = Concurrent.run (domains=%d)" domains)
-        oracle_tree tree;
-      Alcotest.(check int) "one batch" 1 r.Server.batches)
-    [ 1; 2 ]
+  let r, tree = replay ~queue_capacity:2048 ~batch_max:0 spec ~seed:1 in
+  Alcotest.(check bool) "stats = Concurrent.run" true (r.Server.stats = oracle);
+  Alcotest.(check string) "tree = Concurrent.run" oracle_tree tree;
+  Alcotest.(check int) "one batch" 1 r.Server.batches
 
 (* ---------- back-pressure ---------- *)
 
@@ -306,15 +377,16 @@ let test_run_concurrent_parity () =
   (* The widened signature composes with the executor's knobs. *)
   let seen = ref 0 in
   let sink = Obskit.Sink.stream (fun _ -> incr seen) in
-  let multi =
-    Cbnet.Counter_reset.run_concurrent ~every_rounds:500 ~factor:0.25
-      ~domains:2 ~sink ~check_invariants:true (Bstnet.Build.balanced 64) runs
+  let traced =
+    Cbnet.Counter_reset.run_concurrent ~every_rounds:500 ~factor:0.25 ~sink
+      ~check_invariants:true (Bstnet.Build.balanced 64) runs
   in
-  let single =
+  let untraced =
     Cbnet.Counter_reset.run_concurrent ~every_rounds:500 ~factor:0.25
-      ~domains:1 (Bstnet.Build.balanced 64) runs
+      (Bstnet.Build.balanced 64) runs
   in
-  Alcotest.(check bool) "domains invariant" true (multi = single);
+  Alcotest.(check bool) "sink and checks are observational" true
+    (traced = untraced);
   Alcotest.(check bool) "sink saw events" true (!seen > 0)
 
 (* ---------- live serve loop over a pipe ---------- *)
@@ -367,7 +439,14 @@ let () =
             test_shape_schedule_deterministic;
         ] );
       ( "ingest",
-        [ Alcotest.test_case "line protocol" `Quick test_ingest_parse ] );
+        [
+          Alcotest.test_case "line protocol" `Quick test_ingest_parse;
+          Alcotest.test_case "error messages" `Quick test_ingest_error_messages;
+          Alcotest.test_case "overlong endpoint" `Quick
+            test_ingest_overlong_endpoint;
+          Alcotest.test_case "allocation per line" `Quick
+            test_ingest_allocation;
+        ] );
       ( "bqueue",
         [ Alcotest.test_case "fifo and bounds" `Quick test_bqueue_fifo_bounds ] );
       ( "replay",
