@@ -204,7 +204,7 @@ let export_csv ?(sink = Obskit.Sink.null) dir
      null  — an explicit null sink (must hit the same path: a gap
              means an instrumentation site stopped guarding with
              [Sink.enabled])
-     prof1 — profile-on (null prof_sink): the Profkit contract
+     prof1 — profile-on: the Profkit contract
 
    null and prof1 are gated at base1 + 2% (plus an absolute slack for
    sub-second smoke runs); a ring-sink run is also timed (reported,
@@ -351,28 +351,24 @@ let perf_profile (options : Runtime.Figures.options) json fmt =
    on purpose: the metric is single-run executor speed, not fan-out
    capacity. *)
 let perf ?(reps = 3) (options : Runtime.Figures.options) json fmt =
-  let algos = Runtime.Algo.perf_pair in
   let cells =
-    List.concat_map
+    List.map
       (fun workload ->
-        List.map
-          (fun algo ->
-            let best = ref infinity and result = ref None in
-            for _ = 1 to reps do
-              let t0 = Unix.gettimeofday () in
-              let c =
-                Runtime.Experiment.run_cell ~scale:Workloads.Catalog.Smoke
-                  ~seeds:options.Runtime.Figures.seeds
-                  ~lambda:options.Runtime.Figures.lambda
-                  ~base_seed:options.Runtime.Figures.base_seed ~workload ~algo
-                  ()
-              in
-              let w = Unix.gettimeofday () -. t0 in
-              if w < !best then best := w;
-              result := Some c
-            done;
-            (Option.get !result, !best))
-          algos)
+        let best = ref infinity and result = ref None in
+        for _ = 1 to reps do
+          let t0 = Unix.gettimeofday () in
+          let c =
+            Runtime.Experiment.run_cell ~scale:Workloads.Catalog.Smoke
+              ~seeds:options.Runtime.Figures.seeds
+              ~lambda:options.Runtime.Figures.lambda
+              ~base_seed:options.Runtime.Figures.base_seed ~workload
+              ~algo:Runtime.Algo.CBN ()
+          in
+          let w = Unix.gettimeofday () -. t0 in
+          if w < !best then best := w;
+          result := Some c
+        done;
+        (Option.get !result, !best))
       Workloads.Catalog.paper_six
   in
   Format.fprintf fmt

@@ -474,6 +474,15 @@ let serve_cmd =
             ?every_us:(Option.map (fun s -> s *. 1e6) secs)
             ~factor:decay_factor ()
     in
+    (* Knob errors (e.g. --window 0) end the command before it serves. *)
+    let config ~n =
+      try
+        Servekit.Server.config ~queue_capacity ~policy ~batch_max ~batch_min
+          ?window ~check_invariants ~n ()
+      with Invalid_argument e ->
+        prerr_endline ("cbnet serve: " ^ e);
+        exit 2
+    in
     let registry = Simkit.Metrics.create () in
     let status line = Format.eprintf "%s@." line in
     let emit_report ~shape ~n ~wall_seconds (r : Servekit.Server.report) =
@@ -516,10 +525,7 @@ let serve_cmd =
             let trace = Workloads.Shape.schedule shape ~seed in
             let n = trace.Workloads.Trace.n in
             let tree = Bstnet.Build.balanced n in
-            let cfg =
-              Servekit.Server.config ~queue_capacity ~policy ~batch_max
-                ~batch_min ?window ~check_invariants ~n ()
-            in
+            let cfg = config ~n in
             let t0 = Obskit.Clock.now_us () in
             let report =
               Servekit.Server.replay ~epoch ~registry ~status ~report_every
@@ -543,10 +549,7 @@ let serve_cmd =
           exit 2
         end;
         let tree = Bstnet.Build.balanced n in
-        let cfg =
-          Servekit.Server.config ~queue_capacity ~policy ~batch_max ~batch_min
-            ?window ~check_invariants ~n ()
-        in
+        let cfg = config ~n in
         let clock =
           if virtual_clock then Servekit.Vclock.virtual_ ()
           else Servekit.Vclock.wall ()

@@ -17,8 +17,6 @@ let validate t trace =
         invalid_arg "Concurrent.run: endpoint out of range")
     trace
 
-let default_window t = function Some w -> w | None -> max 64 (T.n t)
-
 (* Steady-state allocation-free executor: all messages live in a
    preallocated arena (slot index = message id, handed out in the same
    order the list-based executor minted ids), the undelivered set is
@@ -26,7 +24,8 @@ let default_window t = function Some w -> w | None -> max 64 (T.n t)
    plan buffer.  The rhythm of a round is unchanged — newcomers
    admitted, the whole set visited in (birth, id) order, finished
    messages dropped — so statistics, telemetry and the final tree are
-   bit-identical to {!Reference}. *)
+   bit-identical to the list-based reference executor the equivalence
+   suite checks it against. *)
 
 module Prof = Profkit.Profile
 
@@ -40,10 +39,6 @@ type state = {
       (* phase timers + work counters; [None] keeps every profiling
          site a single branch.  Strictly observational: a profiled run
          is bit-identical to an unprofiled one. *)
-  prof_sink : Obskit.Sink.t;
-      (* Phase_time events of profiled rounds.  A separate sink: the
-         run sink's stream must stay bit-identical whether or not
-         profiling is on. *)
   faults : Faultkit.Injector.t option;
       (* fault injection (Faultkit); [None] keeps the executor on the
          plain hot path, bit-identical to pre-faultkit behaviour *)
@@ -108,7 +103,7 @@ let spawner st ~origin ~first_increment =
   else Simkit.Pqueue.stage st.queue u
 (* lint: hot-end *)
 
-let create config ~window ~sink ~profile ~prof_sink ~faults ~check t trace =
+let create config ~window ~sink ~profile ~faults ~check t trace =
   validate t trace;
   if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
   (* Exactly one update per data message, so the arena never grows
@@ -123,7 +118,6 @@ let create config ~window ~sink ~profile ~prof_sink ~faults ~check t trace =
       window;
       sink;
       profile;
-      prof_sink;
       faults;
       check;
       arena = Arena.create ~capacity;
@@ -223,8 +217,8 @@ let record_conflict st ~round ~traced (msg : M.t) ~was_rotation =
           })
 
 (* Commit the turn's plan: claim the cluster, apply the step, finish
-   the message if it arrived.  Shared by the conflict-free branch of
-   {!resolved_turn} and by the fault-injected path. *)
+   the message if it arrived.  Shared by both turns and by the
+   fault-injected commit. *)
 let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
   claim st ~round plan;
   if traced then
@@ -252,52 +246,19 @@ let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
           });
   if msg.M.delivered then finish st msg
 
-(* Finish a turn whose buffer holds a complete (resolved) plan:
-   conflict test on the final cluster, then claim + apply or record
-   the pause/bypass. *)
-let resolved_turn st ~round ~traced (msg : M.t) (plan : Step.t) =
+(* Claim and commit the resolved plan, or charge the pause/bypass of
+   a conflict on its final cluster. *)
+let contend st ~round (msg : M.t) (plan : Step.t) =
   let conflict = cluster_conflict st ~round plan in
   if conflict <> conflict_free then
-    record_conflict st ~round ~traced msg ~was_rotation:(conflict = 1)
-  else commit_plan st ~round ~traced msg plan
-(* lint: hot-end *)
+    record_conflict st ~round ~traced:false msg ~was_rotation:(conflict = 1)
+  else commit_plan st ~round ~traced:false msg plan
 
-(* Traced turn: full plan up front (Step_planned must carry ΔΦ). *)
-let traced_turn st ~round (msg : M.t) =
-  if Protocol.begin_turn_into st.plan st.config st.t ~spawn:st.spawn msg
-  then begin
-    let plan = st.plan in
-    Obskit.Sink.record st.sink (fun () ->
-        Obskit.Event.Step_planned
-          {
-            round;
-            msg = msg.M.id;
-            kind = Step.kind_to_string plan.Step.kind;
-            rotate = plan.Step.rotate;
-            delta_phi = Step.delta_phi plan;
-          });
-    resolved_turn st ~round ~traced:true msg plan
-  end
-  else finish st msg
-
-(* Untraced turn: probe the step's shape first and only evaluate ΔΦ
-   when it can matter.  Under contention most turns pause, and a pause
-   is decidable from the shape alone: the rotation anchor is the only
-   cluster node whose membership depends on ΔΦ, and it sits in {e
-   front} of the cluster when present — so if some core node is
-   already claimed while the anchor is not, the first colliding node
-   (hence the pause/bypass verdict) is the same whether or not the
-   step would rotate, and the plan can be discarded unresolved.  This
-   is outcome-identical to the traced path; the equivalence suite
-   checks it against {!Reference}. *)
-(* lint: hot *)
-
-(* The ΔΦ-free conflict pre-check on a probed core shape, shared by
-   the shape-cache fast path and the probe path.  The anchor joins the
-   cluster (in front) only if the step rotates; with the anchor
-   unclaimed — or claimed by the same kind of winner as the first
-   claimed core node — the verdict is the same either way, so ΔΦ is
-   irrelevant: charge the pause/bypass and return true.  Otherwise
+(* The ΔΦ-free conflict pre-check on a probed core shape.  The anchor
+   joins the cluster (in front) only if the step rotates; with the
+   anchor unclaimed — or claimed by the same kind of winner as the
+   first claimed core node — the verdict is the same either way, so ΔΦ
+   is irrelevant: charge the pause/bypass and return true.  Otherwise
    return false and leave the turn to the full resolve. *)
 let shape_conflict st ~round (msg : M.t) ~c0 ~c1 ~c2 ~anchor =
   let hit =
@@ -319,30 +280,17 @@ let shape_conflict st ~round (msg : M.t) ~c0 ~c1 ~c2 ~anchor =
   end
   else false
 
-let untraced_probe_turn st ~round (msg : M.t) =
-  if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
-    let p = st.plan in
-    (* Refresh the message's shape cache: while the core nodes'
-       structure versions hold and the message does not act, the next
-       turn can skip the probe entirely. *)
-    let c0 = p.Step.cluster0
-    and c1 = p.Step.cluster1
-    and c2 = p.Step.cluster2 in
-    msg.M.shape_c0 <- c0;
-    msg.M.shape_c1 <- c1;
-    msg.M.shape_c2 <- c2;
-    msg.M.shape_anchor <- p.Step.anchor;
-    msg.M.shape_v0 <- T.version st.t c0;
-    msg.M.shape_v1 <- T.version st.t c1;
-    if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
-    if not (shape_conflict st ~round msg ~c0 ~c1 ~c2 ~anchor:p.Step.anchor)
-    then begin
-      Step.resolve_into st.plan st.config st.t;
-      resolved_turn st ~round ~traced:false msg st.plan
-    end
-  end
-  else finish st msg
-
+(* The shape-cache turn, taken by untraced fault-free runs: probe the
+   step's shape first and only evaluate ΔΦ when it can matter.  Under
+   contention most turns pause, and a pause is decidable from the
+   shape alone: the rotation anchor is the only cluster node whose
+   membership depends on ΔΦ, and it sits in {e front} of the cluster
+   when present — so if some core node is already claimed while the
+   anchor is not, the first colliding node (hence the pause/bypass
+   verdict) is the same whether or not the step would rotate, and the
+   plan can be discarded unresolved.  Outcome-identical to
+   {!resolved_turn}; the equivalence suite checks both against the
+   reference executor. *)
 let untraced_turn st ~round (msg : M.t) =
   (* Cached-shape fast path: with the core nodes structurally
      unchanged since the last probe (and the message not having acted
@@ -366,21 +314,41 @@ let untraced_turn st ~round (msg : M.t) =
          act, so take the full probe + resolve path. *)
       Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
       Step.resolve_into st.plan st.config st.t;
-      resolved_turn st ~round ~traced:false msg st.plan
+      contend st ~round msg st.plan
     end
   end
-  else untraced_probe_turn st ~round msg
-
+  else if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
+    let p = st.plan in
+    (* Refresh the message's shape cache: while the core nodes'
+       structure versions hold and the message does not act, the next
+       turn can skip the probe entirely. *)
+    let c0 = p.Step.cluster0
+    and c1 = p.Step.cluster1
+    and c2 = p.Step.cluster2 in
+    msg.M.shape_c0 <- c0;
+    msg.M.shape_c1 <- c1;
+    msg.M.shape_c2 <- c2;
+    msg.M.shape_anchor <- p.Step.anchor;
+    msg.M.shape_v0 <- T.version st.t c0;
+    msg.M.shape_v1 <- T.version st.t c1;
+    if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
+    if not (shape_conflict st ~round msg ~c0 ~c1 ~c2 ~anchor:p.Step.anchor)
+    then begin
+      Step.resolve_into p st.config st.t;
+      contend st ~round msg p
+    end
+  end
+  else finish st msg
 (* lint: hot-end *)
 
 (* ------------------------------------------------------------------
-   Fault-injected path (Faultkit).  Every turn of a run with a fault
-   plan goes through {!faulty_turn} — traced or not — so the fault
-   draws never depend on whether telemetry is on and a traced chaos
-   run computes the exact same statistics as an untraced one.  The
-   plan is always fully resolved (no probe shortcut, no shape cache):
-   chaos runs pay for clarity, the fault-free hot path above stays
-   untouched. *)
+   Fault injection (Faultkit) and the full-resolve turn.  Every turn of
+   a run with a fault plan goes through {!resolved_turn} — traced or
+   not — so the fault draws never depend on whether telemetry is on
+   and a traced chaos run computes the exact same statistics as an
+   untraced one.  The plan is always fully resolved (no probe
+   shortcut, no shape cache): chaos runs pay for clarity, the
+   fault-free hot path above stays untouched. *)
 
 (* The run-time gate audits the structural suite only: weight sums are
    a flow property, exact only once every weight-update message has
@@ -395,13 +363,24 @@ let check_now st =
   | Error e -> failwith ("Concurrent: invariant violated after repair: " ^ e));
   prof st Prof.Commit
 
-(* True when some node of the plan's cluster is crashed: the step
-   cannot execute and the message parks, charging makespan only —
-   a crash is not a cluster conflict, so no pause/bypass is counted. *)
-let cluster_down inj (p : Step.t) =
-  let down v = v <> T.nil && Faultkit.Injector.is_down inj v in
-  down p.Step.cluster0 || down p.Step.cluster1 || down p.Step.cluster2
-  || down p.Step.cluster3
+(* Crash parking: a message whose acting node, or some node of whose
+   plan's cluster, is down cannot execute and parks, charging makespan
+   only — a crash is not a cluster conflict, so no pause/bypass is
+   counted.  Without a fault plan no node is ever down. *)
+let node_down st v =
+  match st.faults with
+  | Some inj -> Faultkit.Injector.is_down inj v
+  | None -> false
+
+let cluster_down st (p : Step.t) =
+  match st.faults with
+  | Some inj when Faultkit.Injector.any_down inj ->
+      let down v = v <> T.nil && Faultkit.Injector.is_down inj v in
+      down p.Step.cluster0 || down p.Step.cluster1 || down p.Step.cluster2
+      || down p.Step.cluster3
+  | _ -> false
+
+let park st = Option.iter Faultkit.Injector.note_park st.faults
 
 (* A message dropped in transit re-arms at its source with its birth
    (priority and makespan anchor, Sec. VII-A) and its [update_spawned]
@@ -454,119 +433,109 @@ let abort_rotation st inj ~round (msg : M.t) (plan : Step.t) =
   if st.check then check_now st;
   msg.M.shape_c0 <- M.shape_none
 
-(* The tail of a fault-injected turn, once its plan is resolved: the
-   Step_planned event, crash parking, conflicts, and the commit draws. *)
-let faulty_resolved st inj ~round (msg : M.t) (plan : Step.t) =
-  let traced = Obskit.Sink.enabled st.sink in
-  if traced then
-    Obskit.Sink.record st.sink (fun () ->
-        Obskit.Event.Step_planned
-          {
-            round;
-            msg = msg.M.id;
-            kind = Step.kind_to_string plan.Step.kind;
-            rotate = plan.Step.rotate;
-            delta_phi = Step.delta_phi plan;
-          });
-  if Faultkit.Injector.any_down inj && cluster_down inj plan then
-    Faultkit.Injector.note_park inj
-  else begin
-    let conflict = cluster_conflict st ~round plan in
-    if conflict <> conflict_free then
-      record_conflict st ~round ~traced msg ~was_rotation:(conflict = 1)
-    else if plan.Step.rotate && Faultkit.Injector.draw_abort inj then
-      abort_rotation st inj ~round msg plan
-    else begin
-        (* Commit draws, in fixed order: loss, duplication, delay.
-           Each zero-rate family consumes no randomness (see
-           Faultkit.Injector), so replays stay aligned. *)
-        let crossings =
-          (if plan.Step.passed0 <> T.nil then 1 else 0)
-          + if plan.Step.passed1 <> T.nil then 1 else 0
-        in
-        if crossings > 0 && Faultkit.Injector.draw_loss inj ~crossings
-        then begin
-          Faultkit.Injector.note_lost inj;
-          if traced then
-            Obskit.Sink.record st.sink (fun () ->
-                Obskit.Event.Msg_lost
-                  { round; msg = msg.M.id; node = msg.M.current });
-          rearm msg
-        end
-        else if
-          crossings > 0 && M.is_data msg
-          && Faultkit.Injector.draw_duplicate inj
-        then begin
-          let twin = spawn_duplicate st msg in
-          Faultkit.Injector.note_duplicated inj;
-          if traced then
-            Obskit.Sink.record st.sink (fun () ->
-                Obskit.Event.Fault_injected
-                  {
-                    round;
-                    kind = Obskit.Event.Duplicate;
-                    node = msg.M.current;
-                    msg = twin.M.id;
-                  });
-          commit_plan st ~round ~traced msg plan
-        end
-        else begin
-          let k = Faultkit.Injector.draw_delay inj in
-          if k > 0 then begin
-            msg.M.asleep_until <- round + k;
-            Faultkit.Injector.note_delayed inj;
-            if traced then
-              Obskit.Sink.record st.sink (fun () ->
-                  Obskit.Event.Fault_injected
-                    {
-                      round;
-                      kind = Obskit.Event.Delay;
-                      node = msg.M.current;
-                      msg = msg.M.id;
-                    })
-          end
-          else commit_plan st ~round ~traced msg plan
-        end
+(* A conflict-free step under a fault plan: the abort draw, then the
+   commit draws in fixed order — loss, duplication, delay.  Each
+   zero-rate family consumes no randomness (see Faultkit.Injector), so
+   replays stay aligned. *)
+let commit_faulty st inj ~round ~traced (msg : M.t) (plan : Step.t) =
+  if plan.Step.rotate && Faultkit.Injector.draw_abort inj then
+    abort_rotation st inj ~round msg plan
+  else
+    let crossings =
+      (if plan.Step.passed0 <> T.nil then 1 else 0)
+      + if plan.Step.passed1 <> T.nil then 1 else 0
+    in
+    if crossings > 0 && Faultkit.Injector.draw_loss inj ~crossings then begin
+      Faultkit.Injector.note_lost inj;
+      if traced then
+        Obskit.Sink.record st.sink (fun () ->
+            Obskit.Event.Msg_lost
+              { round; msg = msg.M.id; node = msg.M.current });
+      rearm msg
+    end
+    else if
+      crossings > 0 && M.is_data msg && Faultkit.Injector.draw_duplicate inj
+    then begin
+      let twin = spawn_duplicate st msg in
+      Faultkit.Injector.note_duplicated inj;
+      if traced then
+        Obskit.Sink.record st.sink (fun () ->
+            Obskit.Event.Fault_injected
+              {
+                round;
+                kind = Obskit.Event.Duplicate;
+                node = msg.M.current;
+                msg = twin.M.id;
+              });
+      commit_plan st ~round ~traced msg plan
+    end
+    else
+      let k = Faultkit.Injector.draw_delay inj in
+      if k > 0 then begin
+        msg.M.asleep_until <- round + k;
+        Faultkit.Injector.note_delayed inj;
+        if traced then
+          Obskit.Sink.record st.sink (fun () ->
+              Obskit.Event.Fault_injected
+                {
+                  round;
+                  kind = Obskit.Event.Delay;
+                  node = msg.M.current;
+                  msg = msg.M.id;
+                })
       end
-  end
+      else commit_plan st ~round ~traced msg plan
 
-let faulty_turn st inj ~round (msg : M.t) =
+(* The full-resolve turn, taken by traced runs (Step_planned must
+   carry ΔΦ) and by runs with a fault plan: the whole plan up front,
+   then crash parking, the conflict test and the commit.  Without a
+   plan every fault check is a no-op — [asleep_until] stays 0 and no
+   node is down — so a traced clean run takes exactly the steps of the
+   plain commit. *)
+let resolved_turn st ~round (msg : M.t) =
   if msg.M.asleep_until > round then () (* delayed in transit: skip *)
-  else if Faultkit.Injector.is_down inj msg.M.current then
+  else if node_down st msg.M.current then
     (* Parked at a crashed node — checked before planning, so a dead
        node performs no protocol side effects (LCA update spawns). *)
-    Faultkit.Injector.note_park inj
+    park st
   else if Protocol.begin_turn_into st.plan st.config st.t ~spawn:st.spawn msg
-  then faulty_resolved st inj ~round msg st.plan
+  then begin
+    let plan = st.plan in
+    let traced = Obskit.Sink.enabled st.sink in
+    if traced then
+      Obskit.Sink.record st.sink (fun () ->
+          Obskit.Event.Step_planned
+            {
+              round;
+              msg = msg.M.id;
+              kind = Step.kind_to_string plan.Step.kind;
+              rotate = plan.Step.rotate;
+              delta_phi = Step.delta_phi plan;
+            });
+    if cluster_down st plan then park st
+    else
+      let conflict = cluster_conflict st ~round plan in
+      if conflict <> conflict_free then
+        record_conflict st ~round ~traced msg ~was_rotation:(conflict = 1)
+      else
+        match st.faults with
+        | Some inj -> commit_faulty st inj ~round ~traced msg plan
+        | None -> commit_plan st ~round ~traced msg plan
+  end
   else finish st msg
-
-(* Per-round Phase_time emission to the profiling sink — deliberately
-   outside the hot region: it runs only when a profile and an enabled
-   prof sink are both present, and the event closures are the point. *)
-let emit_phase_times st p ~round =
-  List.iter
-    (fun phase ->
-      let elapsed_us = Prof.phase_round_us p phase in
-      if elapsed_us > 0. then
-        Obskit.Sink.record st.prof_sink (fun () ->
-            Obskit.Event.Phase_time
-              { round; phase = Prof.phase_name phase; elapsed_us }))
-    Prof.phases
 
 (* lint: hot *)
 (* The round visit: every undelivered message takes its turn in
-   (birth, id) order, and the delivered are dropped in place. *)
-let seq_visit st ~round ~traced =
+   (birth, id) order, and the delivered are dropped in place.  [full]
+   selects the full-resolve turn (traced or fault-injected runs). *)
+let seq_visit st ~round ~full =
   (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
   Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
       if msg.M.delivered then false
       else begin
         st.cur_birth <- msg.M.birth;
-        (match st.faults with
-        | Some inj -> faulty_turn st inj ~round msg
-        | None ->
-            if traced then traced_turn st ~round msg
-            else untraced_turn st ~round msg);
+        if full then resolved_turn st ~round msg
+        else untraced_turn st ~round msg;
         not msg.M.delivered
       end)
 
@@ -597,7 +566,7 @@ let tick st round =
   (* The visit plans, commits and delivers in one fused walk: it all
      lands in the Commit phase (see Profkit.Profile). *)
   prof st Prof.Commit;
-  seq_visit st ~round ~traced;
+  seq_visit st ~round ~full:(traced || Option.is_some st.faults);
   prof st Prof.Other;
   (* Φ is O(n) to compute, so it is sampled only on traced runs. *)
   if traced then
@@ -608,21 +577,19 @@ let tick st round =
   | None -> ()
   | Some p ->
       Prof.round_close p;
-      if Obskit.Sink.enabled st.prof_sink then emit_phase_times st p ~round;
       Prof.round_commit p
 (* lint: hot-end *)
 
 let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
-    ?profile ?(prof_sink = Obskit.Sink.null) ?faults ?(check_invariants = false)
-    t trace =
-  let window = default_window t window in
+    ?profile ?faults ?(check_invariants = false) t trace =
+  let window = match window with Some w -> w | None -> max 64 (T.n t) in
   let injector =
     match faults with
     | None -> None
     | Some plan -> Some (Faultkit.Injector.create plan ~n:(T.n t))
   in
   let st =
-    create config ~window ~sink ~profile ~prof_sink ~faults:injector
+    create config ~window ~sink ~profile ~faults:injector
       ~check:check_invariants t trace
   in
   let sched =
@@ -654,27 +621,24 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
   in
   (st, sched, finalize)
 
-let scheduler ?config ?window ?sink ?profile ?prof_sink ?faults
-    ?check_invariants t trace =
+let scheduler ?config ?window ?sink ?profile ?faults ?check_invariants t
+    trace =
   let _, sched, finalize =
-    make ?config ?window ?sink ?profile ?prof_sink ?faults ?check_invariants t
-      trace
+    make ?config ?window ?sink ?profile ?faults ?check_invariants t trace
   in
   (sched, finalize)
 
-let run ?config ?window ?max_rounds ?sink ?profile ?prof_sink ?faults
-    ?check_invariants t trace =
+let run ?config ?window ?max_rounds ?sink ?profile ?faults ?check_invariants t
+    trace =
   let sched, finalize =
-    scheduler ?config ?window ?sink ?profile ?prof_sink ?faults
-      ?check_invariants t trace
+    scheduler ?config ?window ?sink ?profile ?faults ?check_invariants t trace
   in
   finalize (Simkit.Engine.run_exn ?max_rounds sched)
 
-let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?prof_sink
-    ?faults ?check_invariants t trace =
+let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?faults
+    ?check_invariants t trace =
   let st, sched, finalize =
-    make ?config ?window ?sink ?profile ?prof_sink ?faults ?check_invariants t
-      trace
+    make ?config ?window ?sink ?profile ?faults ?check_invariants t trace
   in
   let rounds = Simkit.Engine.run_exn ?max_rounds sched in
   let stats = finalize rounds in
@@ -689,233 +653,3 @@ let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?prof_sink
         incr i
       end);
   (stats, latencies)
-
-(* The original list-based executor, kept verbatim as an executable
-   specification: the equivalence test suite checks the arena/pqueue
-   executor against it event for event, and [bench perf] times the two
-   side by side.  Deliberately not refactored to share the round loop
-   above — its value is being the independent implementation. *)
-module Reference = struct
-  type rstate = {
-    config : Config.t;
-    t : T.t;
-    trace : (int * int * int) array;
-    window : int;
-    sink : Obskit.Sink.t;
-    mutable next_inject : int;
-    mutable next_id : int;
-    mutable active : M.t list;  (* undelivered, kept priority-sorted *)
-    mutable finished : M.t list;
-    mutable spawned : M.t list;  (* updates born this round, join next round *)
-    claimed_round : int array;
-    claimed_rot : bool array;
-    mutable live : int;
-    mutable live_data : int;
-  }
-
-  let create config ~window ~sink t trace =
-    validate t trace;
-    if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
-    {
-      config;
-      t;
-      trace;
-      window;
-      sink;
-      next_inject = 0;
-      next_id = 0;
-      active = [];
-      finished = [];
-      spawned = [];
-      claimed_round = Array.make (T.n t) (-1);
-      claimed_rot = Array.make (T.n t) false;
-      live = 0;
-      live_data = 0;
-    }
-
-  let fresh_id st =
-    let id = st.next_id in
-    st.next_id <- st.next_id + 1;
-    id
-
-  let finish st (msg : M.t) ~round =
-    msg.M.delivered <- true;
-    msg.M.end_time <- round;
-    st.finished <- msg :: st.finished;
-    st.live <- st.live - 1;
-    if M.is_data msg then st.live_data <- st.live_data - 1;
-    if Obskit.Sink.enabled st.sink then
-      Obskit.Sink.record st.sink (fun () ->
-          Obskit.Event.Msg_delivered
-            {
-              round;
-              msg = msg.M.id;
-              data = M.is_data msg;
-              birth = msg.M.birth;
-              hops = msg.M.hops;
-              rotations = msg.M.rotations;
-            })
-
-  let spawner st ~round ~birth ~origin ~first_increment =
-    T.add_weight st.t origin first_increment;
-    let u = M.weight_update ~id:(fresh_id st) ~origin ~birth in
-    st.live <- st.live + 1;
-    if T.is_root st.t origin then finish st u ~round
-    else st.spawned <- u :: st.spawned
-
-  let inject st ~round =
-    let injected = ref [] in
-    let continue_ = ref true in
-    while
-      !continue_
-      && st.next_inject < Array.length st.trace
-      && st.live_data < st.window
-    do
-      let birth, src, dst = st.trace.(st.next_inject) in
-      if birth > round then continue_ := false
-      else begin
-        st.next_inject <- st.next_inject + 1;
-        let msg = M.data ~id:(fresh_id st) ~src ~dst ~birth in
-        st.live <- st.live + 1;
-        st.live_data <- st.live_data + 1;
-        Protocol.born st.t ~spawn:(spawner st ~round ~birth) msg;
-        if msg.M.delivered then finish st msg ~round
-        else injected := msg :: !injected
-      end
-    done;
-    List.rev !injected
-
-  let cluster_conflict st ~round plan =
-    let rec go = function
-      | [] -> None
-      | v :: rest ->
-          if st.claimed_round.(v) = round then Some st.claimed_rot.(v)
-          else go rest
-    in
-    go (Step.cluster plan)
-
-  let claim st ~round plan =
-    List.iter
-      (fun v ->
-        st.claimed_round.(v) <- round;
-        st.claimed_rot.(v) <- plan.Step.rotate)
-      (Step.cluster plan)
-
-  let tick st round =
-    let traced = Obskit.Sink.enabled st.sink in
-    if traced then
-      Obskit.Sink.record st.sink (fun () ->
-          Obskit.Event.Round_begin
-            { round; active = st.live; live_data = st.live_data });
-    let injected = inject st ~round in
-    let newcomers = List.sort M.priority_compare (st.spawned @ injected) in
-    st.spawned <- [];
-    let by_priority = List.merge M.priority_compare st.active newcomers in
-    let still_active = ref [] in
-    List.iter
-      (fun (msg : M.t) ->
-        if not msg.M.delivered then begin
-          let spawn = spawner st ~round ~birth:msg.M.birth in
-          (match Protocol.begin_turn st.config st.t ~spawn msg with
-          | Protocol.Delivered -> finish st msg ~round
-          | Protocol.Plan plan -> (
-              if traced then
-                Obskit.Sink.record st.sink (fun () ->
-                    Obskit.Event.Step_planned
-                      {
-                        round;
-                        msg = msg.M.id;
-                        kind = Step.kind_to_string plan.Step.kind;
-                        rotate = plan.Step.rotate;
-                        delta_phi = Step.delta_phi plan;
-                      });
-              match cluster_conflict st ~round plan with
-              | Some was_rotation ->
-                  if was_rotation then msg.M.bypasses <- msg.M.bypasses + 1
-                  else msg.M.pauses <- msg.M.pauses + 1;
-                  if traced then
-                    Obskit.Sink.record st.sink (fun () ->
-                        Obskit.Event.Conflict
-                          {
-                            round;
-                            msg = msg.M.id;
-                            kind =
-                              (if was_rotation then Obskit.Event.Bypass
-                               else Obskit.Event.Pause);
-                          })
-              | None ->
-                  claim st ~round plan;
-                  if traced then
-                    Obskit.Sink.record st.sink (fun () ->
-                        Obskit.Event.Cluster_claimed
-                          {
-                            round;
-                            msg = msg.M.id;
-                            cluster = Step.cluster plan;
-                            rotate = plan.Step.rotate;
-                          });
-                  Protocol.apply_step st.t ~spawn msg plan;
-                  if traced && plan.Step.rotate then
-                    Obskit.Sink.record st.sink (fun () ->
-                        Obskit.Event.Rotation
-                          {
-                            round;
-                            msg = msg.M.id;
-                            node = plan.Step.current;
-                            count = plan.Step.rotations;
-                            delta_phi = Step.delta_phi plan;
-                          });
-                  if msg.M.delivered then finish st msg ~round));
-          if not msg.M.delivered then still_active := msg :: !still_active
-        end)
-      by_priority;
-    st.active <- List.rev !still_active;
-    if traced then
-      Obskit.Sink.record st.sink (fun () ->
-          Obskit.Event.Phi_sample { round; phi = Potential.phi st.t })
-
-  let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null) t
-      trace =
-    let window = default_window t window in
-    let st = create config ~window ~sink t trace in
-    let sched =
-      {
-        Simkit.Engine.label = "cbn-ref";
-        tick = (fun round -> tick st round);
-        is_done =
-          (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
-      }
-    in
-    (* Updates spawned in the last executed round are still staged in
-       [spawned]; a truncated run must count them too. *)
-    let finalize rounds =
-      Run_stats.of_messages ~config ~rounds
-        (st.finished @ st.active @ st.spawned)
-    in
-    (st, sched, finalize)
-
-  let scheduler ?config ?window ?sink t trace =
-    let _, sched, finalize = make ?config ?window ?sink t trace in
-    (sched, finalize)
-
-  let run ?config ?window ?max_rounds ?sink t trace =
-    let sched, finalize = scheduler ?config ?window ?sink t trace in
-    let rounds = Simkit.Engine.run_exn ?max_rounds sched in
-    finalize rounds
-
-  let run_with_latencies ?config ?window ?max_rounds ?sink t trace =
-    let st, sched, finalize = make ?config ?window ?sink t trace in
-    let rounds = Simkit.Engine.run_exn ?max_rounds sched in
-    let stats = finalize rounds in
-    let latencies =
-      List.filter_map
-        (fun (msg : M.t) ->
-          match msg.M.kind with
-          | M.Data when msg.M.delivered ->
-              Some (float_of_int (msg.M.end_time - msg.M.birth))
-          | _ -> None)
-        (st.finished @ st.active)
-      |> Array.of_list
-    in
-    (stats, latencies)
-end

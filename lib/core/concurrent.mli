@@ -17,9 +17,9 @@
     The executor is allocation-free in steady state: messages live in
     a preallocated {!Arena}, the undelivered set is an array-backed
     {!Simkit.Pqueue}, and step planning fills one reusable
-    {!Step.buffer}.  {!Reference} keeps the original list-based round
-    loop as an executable specification; the two produce bit-identical
-    statistics, telemetry payloads and final trees.
+    {!Step.buffer}.  The test suite keeps the original list-based
+    round loop as an executable specification; the two produce
+    bit-identical statistics, telemetry payloads and final trees.
 
     The round loop runs on one domain: the concurrency the paper
     studies is inside the simulated network — many messages sharing
@@ -32,7 +32,6 @@ val run :
   ?max_rounds:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?prof_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
   Bstnet.Topology.t ->
@@ -86,11 +85,7 @@ val run :
     caller-owned {!Profkit.Profile.t}, alongside two counters
     (shape-cache hits and claim conflicts).  Profiling is purely
     observational: a profiled run's statistics, telemetry and final
-    tree are bit-identical to an unprofiled one.  [prof_sink] (default
-    {!Obskit.Sink.null}) receives one [Phase_time] event per non-empty
-    phase per round when [profile] is set; it is separate from [sink]
-    so the run sink's streams stay identical whether or not profiling
-    is on.
+    tree are bit-identical to an unprofiled one.
 
     @raise Invalid_argument on an unsorted trace or bad endpoints.
     @raise Simkit.Engine.Budget_exhausted if rounds exceed [max_rounds]
@@ -102,7 +97,6 @@ val run_with_latencies :
   ?max_rounds:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?prof_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
   Bstnet.Topology.t ->
@@ -118,7 +112,6 @@ val scheduler :
   ?window:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?prof_sink:Obskit.Sink.t ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
   Bstnet.Topology.t ->
@@ -129,41 +122,3 @@ val scheduler :
     given the executed round count.  The finalizer folds over {e all}
     messages created so far (delivered or not), so it is meaningful
     after a truncated embedding too. *)
-
-(** The original list-based round loop, kept verbatim as the
-    executable specification of the executor above: per-round
-    [List.sort]/[List.merge] of freshly-allocated message records and
-    list-valued clusters.  The equivalence test suite checks the two
-    against each other event for event, and [bench perf] times them
-    side by side.  Semantics and results are identical; only the
-    machine profile differs. *)
-module Reference : sig
-  val run :
-    ?config:Config.t ->
-    ?window:int ->
-    ?max_rounds:int ->
-    ?sink:Obskit.Sink.t ->
-    Bstnet.Topology.t ->
-    (int * int * int) array ->
-    Run_stats.t
-
-  val run_with_latencies :
-    ?config:Config.t ->
-    ?window:int ->
-    ?max_rounds:int ->
-    ?sink:Obskit.Sink.t ->
-    Bstnet.Topology.t ->
-    (int * int * int) array ->
-    Run_stats.t * float array
-  (** Latencies are in reverse delivery order (the finish list is a
-      cons stack); compare against {!Concurrent.run_with_latencies}
-      after sorting. *)
-
-  val scheduler :
-    ?config:Config.t ->
-    ?window:int ->
-    ?sink:Obskit.Sink.t ->
-    Bstnet.Topology.t ->
-    (int * int * int) array ->
-    Simkit.Engine.scheduler * (int -> Run_stats.t)
-end

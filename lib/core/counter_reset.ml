@@ -50,25 +50,6 @@ let combine (a : Run_stats.t) (b : Run_stats.t) decay_slots =
     chaos = combine_chaos a.chaos b.chaos;
   }
 
-let run_concurrent ?(config = Config.default) ?window ?(max_rounds = 100_000_000)
-    ?sink ?profile ?prof_sink ?faults ?check_invariants ~every_rounds ~factor t
-    trace =
-  if every_rounds < 1 then
-    invalid_arg "Counter_reset.run_concurrent: every_rounds must be >= 1";
-  let sched, finalize =
-    Concurrent.scheduler ~config ?window ?sink ?profile ?prof_sink ?faults
-      ?check_invariants t trace
-  in
-  let round = ref 0 in
-  while (not (sched.Simkit.Engine.is_done ())) && !round < max_rounds do
-    sched.Simkit.Engine.tick !round;
-    incr round;
-    if !round mod every_rounds = 0 then decay t ~factor
-  done;
-  if not (sched.Simkit.Engine.is_done ()) then
-    raise (Simkit.Engine.Budget_exhausted "Counter_reset.run_concurrent");
-  finalize !round
-
 let run_sequential ?(config = Config.default) ~every ~factor t trace =
   if every < 1 then invalid_arg "Counter_reset.run_sequential: every must be >= 1";
   let m = Array.length trace in

@@ -13,34 +13,12 @@ val decay : Bstnet.Topology.t -> factor:float -> unit
 (** Scale all counters by [factor] and rebuild the subtree weights.
     O(n).  @raise Invalid_argument unless [0 <= factor < 1]. *)
 
-val run_concurrent :
-  ?config:Config.t ->
-  ?window:int ->
-  ?max_rounds:int ->
-  ?sink:Obskit.Sink.t ->
-  ?profile:Profkit.Profile.t ->
-  ?prof_sink:Obskit.Sink.t ->
-  ?faults:Faultkit.Plan.t ->
-  ?check_invariants:bool ->
-  every_rounds:int ->
-  factor:float ->
-  Bstnet.Topology.t ->
-  (int * int * int) array ->
-  Run_stats.t
-(** Concurrent CBNet with a decay every [every_rounds] rounds.  The
-    decay is applied as an idealized global maintenance pass between
-    rounds (a distributed implementation would stagger it; the
-    ablation only needs the cost/benefit trade-off).  The optional
-    arguments are passed through to {!Concurrent.scheduler} unchanged
-    — telemetry, self-profiling and fault plans all compose with
-    decay. *)
-
 val combine : Run_stats.t -> Run_stats.t -> int -> Run_stats.t
 (** [combine a b decay_slots] accumulates two chunk statistics,
     charging [decay_slots] rounds of maintenance time (one slot per
     node per decay pass) to the makespan and round count.  The
     [throughput] field of the result is 0 — recompute it once from the
-    final totals.  Used by the chunked runners here and by
+    final totals.  Used by {!run_sequential} and by
     [Servekit.Server]'s batch accumulation. *)
 
 val run_sequential :

@@ -51,8 +51,8 @@ val begin_turn_into :
 
 val begin_turn : Config.t -> Bstnet.Topology.t -> spawn:spawn -> Message.t -> turn
 (** {!begin_turn_into} into a fresh buffer per plan — the original
-    allocating interface, used by the sequential executor and
-    {!Concurrent.Reference}. *)
+    allocating interface, used by the sequential executor and by the
+    test suite's list-based reference executor. *)
 
 val apply_step : Bstnet.Topology.t -> spawn:spawn -> Message.t -> Step.t -> unit
 (** Commit a plan: execute its rotation (if any) with the weight

@@ -72,8 +72,9 @@ let combine ~config ~cross per_shard first_births =
    fanned out over a pool.  Collection is by shard index either way,
    and each shard's execution touches only its own topology and
    arena, so the two paths are bit-identical. *)
-let exec ~config ~window ~max_rounds ~sink ~check_invariants ~domains
-    ~with_latencies ~shards ~n trace =
+let run_with_latencies ?(config = Cbnet.Config.default)
+    ?(sink = Obskit.Sink.null) ?(check_invariants = false) ?(domains = 1)
+    ?(shards = 1) ~n trace =
   if domains < 1 then
     invalid_arg "Forest.Overlay.run: domains must be >= 1";
   let dir = Directory.create ~n ~shards in
@@ -81,19 +82,11 @@ let exec ~config ~window ~max_rounds ~sink ~check_invariants ~domains
   let k = Directory.shards dir in
   let run_shard s =
     let topo = Bstnet.Build.balanced (Directory.size dir s) in
-    let sub = router.Router.runs.(s) in
-    if with_latencies then
-      let stats, lats =
-        Cbnet.Concurrent.run_with_latencies ~config ?window ?max_rounds ~sink
-          ~check_invariants topo sub
-      in
-      (topo, stats, lats)
-    else
-      let stats =
-        Cbnet.Concurrent.run ~config ?window ?max_rounds ~sink
-          ~check_invariants topo sub
-      in
-      (topo, stats, [||])
+    let stats, lats =
+      Cbnet.Concurrent.run_with_latencies ~config ~sink ~check_invariants topo
+        router.Router.runs.(s)
+    in
+    (topo, stats, lats)
   in
   let executed =
     (* An enabled sink forces the sequential path so the telemetry
@@ -130,15 +123,7 @@ let exec ~config ~window ~max_rounds ~sink ~check_invariants ~domains
     },
     latencies )
 
-let run ?(config = Cbnet.Config.default) ?window ?max_rounds
-    ?(sink = Obskit.Sink.null) ?(check_invariants = false) ?(domains = 1)
-    ?(shards = 1) ~n trace =
+let run ?config ?sink ?check_invariants ?domains ?shards ~n trace =
   fst
-    (exec ~config ~window ~max_rounds ~sink ~check_invariants ~domains
-       ~with_latencies:false ~shards ~n trace)
-
-let run_with_latencies ?(config = Cbnet.Config.default) ?window ?max_rounds
-    ?(sink = Obskit.Sink.null) ?(check_invariants = false) ?(domains = 1)
-    ?(shards = 1) ~n trace =
-  exec ~config ~window ~max_rounds ~sink ~check_invariants ~domains
-    ~with_latencies:true ~shards ~n trace
+    (run_with_latencies ?config ?sink ?check_invariants ?domains ?shards ~n
+       trace)

@@ -43,8 +43,6 @@ type result = {
 
 val run :
   ?config:Cbnet.Config.t ->
-  ?window:int ->
-  ?max_rounds:int ->
   ?sink:Obskit.Sink.t ->
   ?check_invariants:bool ->
   ?domains:int ->
@@ -56,10 +54,9 @@ val run :
     birth, endpoints in [[0, n)]) on a [shards]-way forest (default
     1).
 
-    [config], [window], [max_rounds] and [check_invariants] are
-    forwarded to every shard's {!Cbnet.Concurrent.run}; [window]
-    left unset gives each shard the executor's default for its own
-    size.
+    [config] and [check_invariants] are forwarded to every shard's
+    {!Cbnet.Concurrent.run}; each shard gets the executor's default
+    admission window and round budget for its own size.
 
     [domains] (default 1) executes up to that many shards
     concurrently on a {!Simkit.Pool}; results are bit-identical at
@@ -78,8 +75,6 @@ val run :
 
 val run_with_latencies :
   ?config:Cbnet.Config.t ->
-  ?window:int ->
-  ?max_rounds:int ->
   ?sink:Obskit.Sink.t ->
   ?check_invariants:bool ->
   ?domains:int ->

@@ -41,7 +41,6 @@ type payload =
       queue_depth : int;
       elapsed_us : float;
     }
-  | Phase_time of { round : int; phase : string; elapsed_us : float }
   | Span of { name : string; phase : span_phase }
   | Fault_injected of { round : int; kind : fault; node : int; msg : int }
   | Node_down of { round : int; node : int; until : int }
@@ -75,7 +74,6 @@ let name = function
   | Phi_sample _ -> "phi_sample"
   | Msg_delivered _ -> "msg_delivered"
   | Pool_task _ -> "pool_task"
-  | Phase_time _ -> "phase_time"
   | Span _ -> "span"
   | Fault_injected _ -> "fault_injected"
   | Node_down _ -> "node_down"
@@ -135,9 +133,6 @@ let payload_fields buf = function
         "\"task\":%d,\"phase\":\"%s\",\"queue_depth\":%d,\"elapsed_us\":%s" task
         (pool_phase_to_string phase)
         queue_depth (num elapsed_us)
-  | Phase_time { round; phase; elapsed_us } ->
-      Printf.bprintf buf "\"round\":%d,\"phase\":\"%s\",\"elapsed_us\":%s"
-        round (escape phase) (num elapsed_us)
   | Span { name; phase } ->
       Printf.bprintf buf "\"name\":\"%s\",\"phase\":\"%s\"" (escape name)
         (span_phase_to_string phase)

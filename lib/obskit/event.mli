@@ -67,13 +67,6 @@ type payload =
       queue_depth : int;
       elapsed_us : float;  (** Task wall time; meaningful at [Done]. *)
     }
-  | Phase_time of { round : int; phase : string; elapsed_us : float }
-      (** Wall time one executor round spent in one
-          {!Profkit.Profile.phase} ("inject", "commit", ...).
-          Emitted once per (round, phase) after the round closes, to
-          the dedicated profiling sink — never the run sink, whose
-          stream must stay bit-identical whether or not profiling is
-          on. *)
   | Span of { name : string; phase : span_phase }
       (** Experiment phases ([cell:...], [seed:...]); properly nested
           per emitting domain. *)

@@ -1,8 +1,7 @@
-type t = BT | OPT | SN | DSN | SCBN | CBN | CBN_REF | CBN_FOREST
+type t = BT | OPT | SN | DSN | SCBN | CBN | CBN_FOREST
 
 let all = [ BT; OPT; SN; DSN; SCBN; CBN ]
 let dynamic = [ SN; DSN; SCBN; CBN ]
-let perf_pair = [ CBN; CBN_REF ]
 
 let name = function
   | BT -> "BT"
@@ -11,7 +10,6 @@ let name = function
   | DSN -> "DSN"
   | SCBN -> "SCBN"
   | CBN -> "CBN"
-  | CBN_REF -> "CBN-ref"
   | CBN_FOREST -> "CBN-forest"
 
 let of_name s =
@@ -22,19 +20,13 @@ let of_name s =
   | "DSN" -> DSN
   | "SCBN" -> SCBN
   | "CBN" | "CBNET" -> CBN
-  | "CBN-REF" | "CBNREF" -> CBN_REF
   | "CBN-FOREST" | "CBNFOREST" | "FOREST" -> CBN_FOREST
   | _ -> invalid_arg (Printf.sprintf "Algo.of_name: unknown algorithm %S" s)
 
 let is_static = function BT | OPT -> true | _ -> false
 
-let is_concurrent = function
-  | DSN | CBN | CBN_REF | CBN_FOREST -> true
-  | _ -> false
-
-let run ?(config = Cbnet.Config.default) ?window ?(sink = Obskit.Sink.null)
-    ?profile ?(prof_sink = Obskit.Sink.null) ?(check_invariants = false)
-    ?(domains = 1) ?(shards = 1) algo trace =
+let run ?(config = Cbnet.Config.default) ?(sink = Obskit.Sink.null) ?profile
+    ?(check_invariants = false) ?(domains = 1) ?(shards = 1) algo trace =
   let n = trace.Workloads.Trace.n in
   let runs = Workloads.Trace.to_runs trace in
   (* Keep the topology so the invariant suite can audit the final
@@ -60,17 +52,14 @@ let run ?(config = Cbnet.Config.default) ?window ?(sink = Obskit.Sink.null)
       let t = Bstnet.Build.balanced n in
       check t (Cbnet.Sequential.run ~config ~sink t runs)
   | CBN ->
-      Cbnet.Concurrent.run ~config ?window ~sink ?profile ~prof_sink
-        ~check_invariants (Bstnet.Build.balanced n) runs
-  | CBN_REF ->
-      let t = Bstnet.Build.balanced n in
-      check t (Cbnet.Concurrent.Reference.run ~config ?window ~sink t runs)
+      Cbnet.Concurrent.run ~config ~sink ?profile ~check_invariants
+        (Bstnet.Build.balanced n) runs
   | CBN_FOREST ->
       (* Forest shard executions are plain Concurrent.run calls;
          profiling a pool fan-out would need a synchronized Profile.t,
          so the forest ignores ?profile. *)
       let r =
-        Forest.Overlay.run ~config ?window ~sink ~check_invariants ~domains
-          ~shards ~n runs
+        Forest.Overlay.run ~config ~sink ~check_invariants ~domains ~shards ~n
+          runs
       in
       r.Forest.Overlay.stats

@@ -8,11 +8,6 @@ type t =
   | DSN  (** DiSplayNet, concurrent. *)
   | SCBN  (** CBNet, sequential (Algorithm 1). *)
   | CBN  (** CBNet, concurrent (Sec. VII). *)
-  | CBN_REF
-      (** The list-based reference twin of CBN
-          ({!Cbnet.Concurrent.Reference}) — identical results, original
-          allocation profile; [bench perf] times it against CBN.  Not
-          part of {!all}: it adds nothing to the paper's matrix. *)
   | CBN_FOREST
       (** The sharded forest overlay ({!Forest.Overlay}): CBN on k
           independent range-sharded trees behind a directory
@@ -24,24 +19,16 @@ val all : t list
 val dynamic : t list
 (** The four self-adjusting algorithms (Fig. 4 excludes BT and OPT). *)
 
-val perf_pair : t list
-(** The algorithms timed by the [bench perf] throughput
-    microbenchmark: the concurrent CBNet executor (and, when present,
-    its list-based reference twin). *)
-
 val name : t -> string
 val of_name : string -> t
 (** @raise Invalid_argument for an unknown name. *)
 
 val is_static : t -> bool
-val is_concurrent : t -> bool
 
 val run :
   ?config:Cbnet.Config.t ->
-  ?window:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?prof_sink:Obskit.Sink.t ->
   ?check_invariants:bool ->
   ?domains:int ->
   ?shards:int ->
@@ -63,15 +50,13 @@ val run :
 
     [shards] (default 1) sizes the CBN_FOREST directory
     ({!Forest.Directory}); the other algorithms ignore it.
-    CBN_FOREST ignores [profile]/[prof_sink]: its shard executions
-    may fan out across a pool and {!Profkit.Profile.t} is
-    unsynchronized.
+    CBN_FOREST ignores [profile]: its shard executions may fan out
+    across a pool and {!Profkit.Profile.t} is unsynchronized.
 
-    [profile] / [prof_sink] enable phase-level self-profiling on the
-    CBN executor (see {!Cbnet.Concurrent.run} and
-    {!Profkit.Profile}); the other algorithms ignore them.  Profiling
-    never changes results: a profiled CBN run is bit-identical to an
-    unprofiled one.
+    [profile] enables phase-level self-profiling on the CBN executor
+    (see {!Cbnet.Concurrent.run} and {!Profkit.Profile}); the other
+    algorithms ignore it.  Profiling never changes results: a profiled
+    CBN run is bit-identical to an unprofiled one.
 
     [check_invariants] (default [false]) audits the final tree with
     {!Bstnet.Check.structural} and raises [Failure] on a violation —

@@ -25,13 +25,12 @@ let trace_for ?(scale = Workloads.Catalog.Default) ?(lambda = 0.05) ~workload
    can run on any domain.  On traced runs the whole seed is wrapped in
    a span, so the per-domain tracks of the trace show which seed ran
    where and for how long. *)
-let run_seed ?profile ?(prof_sink = Obskit.Sink.null) ~sink ~config ~scale
-    ~lambda ~base_seed ~check ~domains ~shards ~workload ~algo i =
+let run_seed ?config ?profile ~sink ~scale ~lambda ~base_seed ~check
+    ~workload ~algo i =
   let seed = base_seed + (1009 * i) in
   let body () =
     let trace = trace_for ~scale ~lambda ~workload ~seed () in
-    Algo.run ~config ~sink ?profile ~prof_sink ~check_invariants:check ~domains
-      ~shards algo trace
+    Algo.run ?config ~sink ?profile ~check_invariants:check algo trace
   in
   if Obskit.Sink.enabled sink then
     Obskit.Sink.span sink
@@ -95,11 +94,9 @@ let aggregate ~workload ~algo ~seeds per_seed =
     rounds = Simkit.Stats.summary rounds;
   }
 
-let run_cell ?pool ?(config = Cbnet.Config.default)
-    ?(scale = Workloads.Catalog.Default) ?(seeds = 5) ?(lambda = 0.05)
-    ?(base_seed = 1) ?(sink = Obskit.Sink.null) ?profile ?prof_sink
-    ?(check_invariants = false) ?(domains = 1) ?(shards = 1) ~workload ~algo
-    () =
+let run_cell ?pool ?config ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
+    ?(lambda = 0.05) ?(base_seed = 1) ?(sink = Obskit.Sink.null) ?profile
+    ?(check_invariants = false) ~workload ~algo () =
   if seeds < 1 then invalid_arg "Experiment.run_cell: seeds must be >= 1";
   (* Profile.t is a plain mutable record with no synchronization, so a
      profiled cell must run its seeds in the caller, not on a pool. *)
@@ -108,8 +105,8 @@ let run_cell ?pool ?(config = Cbnet.Config.default)
   let cell () =
     let per_seed =
       collect ?pool seeds
-        (run_seed ?profile ?prof_sink ~sink ~config ~scale ~lambda ~base_seed
-           ~check:check_invariants ~domains ~shards ~workload ~algo)
+        (run_seed ?config ?profile ~sink ~scale ~lambda ~base_seed
+           ~check:check_invariants ~workload ~algo)
     in
     aggregate ~workload ~algo ~seeds per_seed
   in
@@ -119,10 +116,9 @@ let run_cell ?pool ?(config = Cbnet.Config.default)
       cell
   else cell ()
 
-let run_matrix ?pool ?(config = Cbnet.Config.default)
-    ?(scale = Workloads.Catalog.Default) ?(seeds = 5) ?(lambda = 0.05)
-    ?(base_seed = 1) ?(sink = Obskit.Sink.null) ?(check_invariants = false)
-    ?(domains = 1) ?(shards = 1) ~workloads ~algos () =
+let run_matrix ?pool ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
+    ?(lambda = 0.05) ?(base_seed = 1) ?(sink = Obskit.Sink.null)
+    ?(check_invariants = false) ~workloads ~algos () =
   if seeds < 1 then invalid_arg "Experiment.run_matrix: seeds must be >= 1";
   let cells =
     Array.of_list
@@ -137,9 +133,8 @@ let run_matrix ?pool ?(config = Cbnet.Config.default)
   let per_task =
     collect ?pool (n_cells * seeds) (fun k ->
         let workload, algo = cells.(k / seeds) in
-        run_seed ~sink ~config ~scale ~lambda ~base_seed
-          ~check:check_invariants ~domains ~shards ~workload ~algo
-          (k mod seeds))
+        run_seed ~sink ~scale ~lambda ~base_seed ~check:check_invariants
+          ~workload ~algo (k mod seeds))
   in
   List.init n_cells (fun ci ->
       let workload, algo = cells.(ci) in

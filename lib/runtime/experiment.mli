@@ -34,10 +34,7 @@ val run_cell :
   ?base_seed:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?prof_sink:Obskit.Sink.t ->
   ?check_invariants:bool ->
-  ?domains:int ->
-  ?shards:int ->
   workload:string ->
   algo:Algo.t ->
   unit ->
@@ -54,18 +51,13 @@ val run_cell :
     Traced measurements are bit-identical to untraced ones.
 
     [check_invariants] (default [false]) audits every per-seed final
-    tree with {!Bstnet.Check.all} (see {!Algo.run}).
+    tree with {!Bstnet.Check.structural} — structure, BST order and
+    interval labels, not weight sums (see {!Algo.run}).
 
-    [domains] (default 1) fans each CBN_FOREST execution's shards out
-    across that many domains (see {!Algo.run}); orthogonal to [?pool],
-    which parallelizes across seeds.  Combining both oversubscribes
-    the machine.  Measurements are bit-identical at every domain
-    count.
+    A CBN_FOREST cell runs one shard on one domain; {!Algo.run} takes
+    the shard and domain counts.
 
-    [shards] (default 1) sizes the CBN_FOREST directory; every other
-    algorithm ignores it (see {!Algo.run}).
-
-    [profile] / [prof_sink] turn on phase-level self-profiling of the
+    [profile] turns on phase-level self-profiling of the
     CBN executions ({!Algo.run}, {!Profkit.Profile}); every seed's
     phases and counters accumulate into the one caller-owned profile.
     {!Profkit.Profile.t} is unsynchronized, so [?profile] cannot be
@@ -74,20 +66,18 @@ val run_cell :
 
 val run_matrix :
   ?pool:Simkit.Pool.t ->
-  ?config:Cbnet.Config.t ->
   ?scale:Workloads.Catalog.scale ->
   ?seeds:int ->
   ?lambda:float ->
   ?base_seed:int ->
   ?sink:Obskit.Sink.t ->
   ?check_invariants:bool ->
-  ?domains:int ->
-  ?shards:int ->
   workloads:string list ->
   algos:Algo.t list ->
   unit ->
   measurement list
-(** {!run_cell} over the full matrix, workload-major.  With [?pool]
+(** {!run_cell} over the full matrix, workload-major, with the default
+    {!Cbnet.Config.t}.  With [?pool]
     the matrix is flattened to (cell × seed) tasks so every domain
     stays busy even at small seed counts. *)
 

@@ -232,18 +232,6 @@ let chaos_json ~commit ~timestamp rows path =
         rows;
       output_string oc "\n  ]\n}\n")
 
-let timeline_csv points path =
-  with_out path (fun oc ->
-      output_string oc
-        "window,first_message,messages,amortized_routing,rotations,phi,mean_distance\n";
-      List.iter
-        (fun (p : Timeline.point) ->
-          Printf.fprintf oc "%d,%d,%d,%f,%d,%f,%f\n" p.Timeline.window_index
-            p.Timeline.first_message p.Timeline.messages
-            p.Timeline.amortized_routing p.Timeline.rotations p.Timeline.phi
-            p.Timeline.mean_distance)
-        points)
-
 (* Chrome trace-event JSON (the format chrome://tracing and Perfetto
    load).  Timestamps are microseconds relative to the earliest event;
    each OCaml domain becomes one "thread" track. *)
@@ -332,13 +320,6 @@ let chrome_trace ?(dropped = 0) events path =
           instant ~ts ~tid "pool_enqueue" (sp "\"task\":%d" task);
         ]
     | E.Pool_task { phase = E.Start; _ } -> []
-    (* One counter track per phase so Perfetto renders the per-round
-       phase times as stacked lanes. *)
-    | E.Phase_time { round; phase; elapsed_us } ->
-        [
-          counter ~ts ~tid (sp "phase_us:%s" phase)
-            (sp "\"us\":%s,\"round\":%d" (json_float elapsed_us) round);
-        ]
     | E.Pool_task { task; phase = E.Done; elapsed_us; _ } ->
         [
           sp

@@ -104,8 +104,6 @@ val chaos_json :
     the fault-free twin, and the full fault/repair tallies.
     Hand-rolled writer — no JSON dependency. *)
 
-val timeline_csv : Timeline.point list -> string -> unit
-
 val latencies_csv : float array -> string -> unit
 (** One latency per row, plus a summary block as trailing comment
     lines: n, mean, std, min, max, p50, p95, p99. *)
@@ -114,10 +112,9 @@ val chrome_trace : ?dropped:int -> Obskit.Event.t list -> string -> unit
 (** Write telemetry events (oldest first) as Chrome trace-event JSON,
     loadable in Perfetto ({:https://ui.perfetto.dev}) or
     [chrome://tracing].  Spans become B/E slices and pool tasks
-    complete ("X") slices on one track per domain; rounds, Φ, queue
-    depth and per-round phase times become counter series (one
-    [phase_us:<phase>] lane per profiling phase); steps, conflicts,
-    rotations and deliveries become instant events.
+    complete ("X") slices on one track per domain; rounds, Φ and queue
+    depth become counter series; steps, conflicts, rotations and
+    deliveries become instant events.
 
     [dropped] (default 0): events the capturing ring sink discarded.
     When positive, a trailing [events_dropped] instant is appended at

@@ -32,8 +32,6 @@ let recorder reg (ev : E.t) =
         (Printf.sprintf "cbnet_pool_busy_us_total{domain=\"%d\"}" ev.E.domain)
         (int_of_float elapsed_us)
   | E.Pool_task { phase = E.Start; _ } -> ()
-  | E.Phase_time { phase; elapsed_us; _ } ->
-      M.observe reg (Printf.sprintf "cbnet_phase_us{phase=%S}" phase) elapsed_us
   | E.Span { phase = E.End; _ } -> M.incr reg "cbnet_spans_total"
   | E.Span { phase = E.Begin; _ } -> ()
   | E.Fault_injected { kind; _ } ->

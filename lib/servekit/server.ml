@@ -17,16 +17,13 @@ type config = {
   policy : policy;
   batch_max : int;
   batch_min : int;
-  exec : Cbnet.Config.t;
   window : int option;
   faults : Faultkit.Plan.t option;
   check_invariants : bool;
-  max_rounds : int;
 }
 
 let config ?(queue_capacity = 1024) ?(policy = Shed) ?(batch_max = 256)
-    ?(batch_min = 1) ?(exec = Cbnet.Config.default) ?window ?faults
-    ?(check_invariants = false) ?(max_rounds = 100_000_000) ~n () =
+    ?(batch_min = 1) ?window ?faults ?(check_invariants = false) ~n () =
   if n < 2 then invalid_arg "Server.config: n must be >= 2";
   if queue_capacity < 1 then
     invalid_arg "Server.config: queue_capacity must be >= 1";
@@ -34,17 +31,18 @@ let config ?(queue_capacity = 1024) ?(policy = Shed) ?(batch_max = 256)
   if batch_min < 1 then invalid_arg "Server.config: batch_min must be >= 1";
   if batch_min > queue_capacity then
     invalid_arg "Server.config: batch_min cannot exceed queue_capacity";
+  (match window with
+  | Some w when w < 1 -> invalid_arg "Server.config: window must be >= 1"
+  | _ -> ());
   {
     n;
     queue_capacity;
     policy;
     batch_max;
     batch_min;
-    exec;
     window;
     faults;
     check_invariants;
-    max_rounds;
   }
 
 type report = {
@@ -159,13 +157,11 @@ let admit st ~birth ~src ~dst =
 (* Drain one batch through the executor; returns the rounds consumed
    so the caller can advance its clock. *)
 let run_batch st =
-  let max = if st.cfg.batch_max = 0 then 0 else st.cfg.batch_max in
-  let batch = Bqueue.take st.queue ~max in
+  let batch = Bqueue.take st.queue ~max:st.cfg.batch_max in
   let base = match batch.(0) with b, _, _ -> b in
   let runs = Array.map (fun (b, s, d) -> (b - base, s, d)) batch in
   let stats =
-    Cbnet.Concurrent.run ~config:st.cfg.exec ?window:st.cfg.window
-      ~max_rounds:st.cfg.max_rounds ?faults:st.cfg.faults
+    Cbnet.Concurrent.run ?window:st.cfg.window ?faults:st.cfg.faults
       ~check_invariants:st.cfg.check_invariants st.tree runs
   in
   st.acc <-
@@ -210,7 +206,7 @@ let finalize st =
     | None ->
         (* Nothing ever ran: an empty execution gives the all-zero
            statistics in the executor's own format. *)
-        Cbnet.Concurrent.run ~config:st.cfg.exec st.tree [||]
+        Cbnet.Concurrent.run st.tree [||]
   in
   let stats =
     (* A single decay-free batch passes through untouched — this is

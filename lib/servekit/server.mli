@@ -30,11 +30,9 @@ type config = {
   policy : policy;
   batch_max : int;  (** Max requests per executor batch; 0 = unbounded. *)
   batch_min : int;  (** Wait for this many before batching (if more input). *)
-  exec : Cbnet.Config.t;
   window : int option;
   faults : Faultkit.Plan.t option;
   check_invariants : bool;
-  max_rounds : int;  (** Per-batch round budget. *)
 }
 
 val config :
@@ -42,19 +40,18 @@ val config :
   ?policy:policy ->
   ?batch_max:int ->
   ?batch_min:int ->
-  ?exec:Cbnet.Config.t ->
   ?window:int ->
   ?faults:Faultkit.Plan.t ->
   ?check_invariants:bool ->
-  ?max_rounds:int ->
   n:int ->
   unit ->
   config
 (** Defaults: capacity 1024, [Shed], [batch_max = 256],
-    [batch_min = 1], {!Cbnet.Config.default}, no fault plan, no
-    invariant checks, a 100M-round budget.
+    [batch_min = 1], the executor's default window, no fault plan, no
+    invariant checks.  Batches run under {!Cbnet.Config.default} and
+    the executor's default budget of 100M rounds per batch.
     @raise Invalid_argument on inconsistent knobs
-    (e.g. [batch_min > queue_capacity]). *)
+    (e.g. [batch_min > queue_capacity] or [window < 1]). *)
 
 type report = {
   stats : Cbnet.Run_stats.t;

@@ -1,12 +1,12 @@
 (* The arena/pqueue concurrent executor against its list-based
-   executable specification (Cbnet.Concurrent.Reference): statistics,
+   executable specification (Reference, in this directory): statistics,
    latencies, telemetry payload streams and final trees must be
    bit-identical across seeds and workload families. *)
 
 module T = Bstnet.Topology
 module Build = Bstnet.Build
 module Conc = Cbnet.Concurrent
-module Ref = Cbnet.Concurrent.Reference
+module Ref = Reference
 module Stats = Cbnet.Run_stats
 
 let workloads = [ "projector"; "skewed"; "datastructure"; "uniform" ]
@@ -208,8 +208,7 @@ let test_pair_configured ~workload ~seed ~label ?config ?window () =
 
 (* Profiling is purely observational: a profiled traced run must stay
    bit-identical to the oracle (stats, trees, latencies and the
-   *run-sink* payload stream — Phase_time events go to the separate
-   prof sink only), and the profile's own counters must obey the
+   payload stream), and the profile's own counters must obey the
    executor's accounting identities. *)
 let test_profiled ~workload ~seed () =
   let module P = Profkit.Profile in
@@ -240,39 +239,6 @@ let test_profiled ~workload ~seed () =
   let wall = P.wall_us profile in
   Alcotest.(check bool) (ctx ^ ": phases cover the wall") true
     (Float.abs (covered -. wall) <= 1e-6 *. Float.max 1.0 wall)
-
-(* Phase_time telemetry goes to the dedicated prof sink: well-formed
-   events whose per-round times sum back to the profile's wall. *)
-let test_profile_sink_events () =
-  let module P = Profkit.Profile in
-  let n, trace = trace_of ~workload:"projector" ~seed:1 in
-  let profile = P.create () in
-  let events = ref [] in
-  let prof_sink =
-    Obskit.Sink.stream (fun (e : Obskit.Event.t) ->
-        events := e.Obskit.Event.payload :: !events)
-  in
-  let _ = Conc.run ~profile ~prof_sink (Build.balanced n) trace in
-  let evs = List.rev !events in
-  Alcotest.(check bool) "phase_time events emitted" true
-    (List.length evs > 0);
-  let names = List.map P.phase_name P.phases in
-  let total =
-    List.fold_left
-      (fun acc p ->
-        match p with
-        | Obskit.Event.Phase_time { round; phase; elapsed_us } ->
-            Alcotest.(check bool) "round non-negative" true (round >= 0);
-            Alcotest.(check bool) "elapsed positive" true (elapsed_us > 0.0);
-            Alcotest.(check bool) "phase name known" true
-              (List.mem phase names);
-            acc +. elapsed_us
-        | p -> Alcotest.failf "unexpected prof event %s" (Obskit.Event.name p))
-      0.0 evs
-  in
-  let wall = P.wall_us profile in
-  Alcotest.(check bool) "phase events sum to the wall" true
-    (Float.abs (total -. wall) <= 1e-3 *. Float.max 1.0 wall)
 
 (* The scheduler finalizer must account for in-flight messages too:
    truncating both executors mid-run (before quiescence) must still
@@ -399,12 +365,7 @@ let () =
       ("executor pairs untraced", untraced_cases);
       ("executor pairs empty fault plan", empty_plan_cases);
       ("configured executor pairs", configured_cases);
-      ( "profiled executor",
-        profiled_cases
-        @ [
-            Alcotest.test_case "prof sink phase events" `Quick
-              test_profile_sink_events;
-          ] );
+      ("profiled executor", profiled_cases);
       ( "finalization",
         [
           Alcotest.test_case "truncated finalize" `Quick

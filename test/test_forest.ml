@@ -232,7 +232,7 @@ let test_domain_invariance ~workload ~seed () =
    fan-out, so it is held to the list-based executable specification:
    with shards executing concurrently on two domains, every shard's
    statistics, sorted leg latencies and final tree must equal
-   [Concurrent.Reference] run on that shard's routed sub-trace. *)
+   [Reference] run on that shard's routed sub-trace. *)
 let test_fan_out_reference ~workload ~seed () =
   let ctx = Printf.sprintf "%s/seed %d" workload seed in
   let n = 96 and shards = 4 in
@@ -244,7 +244,7 @@ let test_fan_out_reference ~workload ~seed () =
     let ctx = Printf.sprintf "%s shard %d" ctx s in
     let tree = Build.balanced (Dir.size result.Overlay.directory s) in
     let stats, ref_lat =
-      Conc.Reference.run_with_latencies tree router.Router.runs.(s)
+      Reference.run_with_latencies tree router.Router.runs.(s)
     in
     check_stats ctx result.Overlay.per_shard.(s) stats;
     check_trees ctx result.Overlay.topologies.(s) tree;
@@ -265,6 +265,23 @@ let test_conservation () =
     (fun shards ->
       let r = Overlay.run ~shards ~n runs in
       let ctx = Printf.sprintf "shards=%d" shards in
+      (* [run] is the stats half of [run_with_latencies]. *)
+      if shards = 1 || shards = 4 then begin
+        let rl, _ = Overlay.run_with_latencies ~shards ~n runs in
+        let ctx = ctx ^ " run vs run_with_latencies" in
+        check_stats ctx r.Overlay.stats rl.Overlay.stats;
+        Array.iteri
+          (fun s st ->
+            check_stats (Printf.sprintf "%s shard %d" ctx s) st
+              rl.Overlay.per_shard.(s))
+          r.Overlay.per_shard;
+        Array.iteri
+          (fun s t ->
+            check_trees
+              (Printf.sprintf "%s shard %d tree" ctx s)
+              t rl.Overlay.topologies.(s))
+          r.Overlay.topologies
+      end;
       Alcotest.(check int)
         (ctx ^ ": requests")
         (Array.length runs) r.Overlay.requests;

@@ -361,33 +361,51 @@ let test_epoch_cadence () =
   Alcotest.(check bool) "disabled never fires" false
     (Epoch.maybe_roll off ~clock t)
 
-(* ---------- run_concurrent parity (Counter_reset) ---------- *)
+(* A cadence the run never reaches is no decay at all: the replay is
+   bit-identical to one without an epoch scheduler. *)
+let test_epoch_unreached_cadence_is_plain () =
+  let spec = "rampup:drifting:n=64,m=3000,peak=6" in
+  let plain, plain_tree = replay spec ~seed:17 in
+  let never, never_tree =
+    replay ~epoch:(Epoch.create ~every_rounds:100_000_000 ~factor:0.5 ())
+      spec ~seed:17
+  in
+  Alcotest.(check int) "no decay pass" 0 never.Server.decays;
+  Alcotest.(check bool) "stats identical" true
+    (never.Server.stats = plain.Server.stats);
+  Alcotest.(check string) "report identical" (report_text plain)
+    (report_text never);
+  Alcotest.(check string) "tree identical" plain_tree never_tree
 
-let test_run_concurrent_parity () =
-  let trace = Workloads.Drifting.generate ~n:64 ~m:3000 ~seed:17 () in
-  let runs = Workloads.Trace.to_runs trace in
-  let plain = Cbnet.Concurrent.run (Bstnet.Build.balanced 64) runs in
-  (* A cadence beyond the run's makespan never decays: bit-identical
-     to the plain executor. *)
-  let never =
-    Cbnet.Counter_reset.run_concurrent ~every_rounds:100_000_000 ~factor:0.5
-      (Bstnet.Build.balanced 64) runs
+(* ---------- config validation ---------- *)
+
+(* A window below 1 would only surface inside the first batch's
+   executor run, killing a live daemon mid-stream; [config] rejects it
+   up front like the other knobs. *)
+let test_config_rejects_window_0 () =
+  match Server.config ~window:0 ~n:16 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Server.config accepted window 0"
+
+let test_config_rejects_inconsistent_knobs () =
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "Server.config accepted %s" label
   in
-  Alcotest.(check bool) "huge cadence = plain run" true (never = plain);
-  (* The widened signature composes with the executor's knobs. *)
-  let seen = ref 0 in
-  let sink = Obskit.Sink.stream (fun _ -> incr seen) in
-  let traced =
-    Cbnet.Counter_reset.run_concurrent ~every_rounds:500 ~factor:0.25 ~sink
-      ~check_invariants:true (Bstnet.Build.balanced 64) runs
+  rejects "n 1" (fun () -> Server.config ~n:1 ());
+  rejects "queue_capacity 0" (fun () -> Server.config ~queue_capacity:0 ~n:16 ());
+  rejects "batch_max -1" (fun () -> Server.config ~batch_max:(-1) ~n:16 ());
+  rejects "batch_min 0" (fun () -> Server.config ~batch_min:0 ~n:16 ());
+  rejects "batch_min > queue_capacity" (fun () ->
+      Server.config ~queue_capacity:8 ~batch_min:9 ~n:16 ());
+  rejects "window -1" (fun () -> Server.config ~window:(-1) ~n:16 ());
+  (* The boundary values are legal. *)
+  let cfg =
+    Server.config ~queue_capacity:8 ~batch_max:0 ~batch_min:8 ~window:1 ~n:2 ()
   in
-  let untraced =
-    Cbnet.Counter_reset.run_concurrent ~every_rounds:500 ~factor:0.25
-      (Bstnet.Build.balanced 64) runs
-  in
-  Alcotest.(check bool) "sink and checks are observational" true
-    (traced = untraced);
-  Alcotest.(check bool) "sink saw events" true (!seen > 0)
+  Alcotest.(check (option int)) "window 1 kept" (Some 1) cfg.Server.window;
+  Alcotest.(check int) "batch_max 0 = unbounded" 0 cfg.Server.batch_max
 
 (* ---------- live serve loop over a pipe ---------- *)
 
@@ -470,11 +488,15 @@ let () =
           Alcotest.test_case "factor 0 resets" `Quick
             test_epoch_decay_zero_resets_counters;
           Alcotest.test_case "cadence" `Quick test_epoch_cadence;
+          Alcotest.test_case "unreached cadence = no decay" `Quick
+            test_epoch_unreached_cadence_is_plain;
         ] );
-      ( "counter_reset",
+      ( "config",
         [
-          Alcotest.test_case "run_concurrent parity" `Quick
-            test_run_concurrent_parity;
+          Alcotest.test_case "rejects window 0" `Quick
+            test_config_rejects_window_0;
+          Alcotest.test_case "rejects inconsistent knobs" `Quick
+            test_config_rejects_inconsistent_knobs;
         ] );
       ( "serve",
         [
