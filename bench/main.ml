@@ -160,37 +160,53 @@ let iso8601_now () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let export_json ?sink options path =
-  let cells = timed_matrix ?sink options in
-  Runtime.Export.bench_json ~commit:(detect_commit ())
-    ~timestamp:(iso8601_now ()) cells path;
-  List.iter
-    (fun ((c : Runtime.Experiment.measurement), wall) ->
-      Format.printf "%-14s %-5s work=%-12.1f makespan=%-9.1f wall=%.3fs@."
-        c.Runtime.Experiment.workload
-        (Runtime.Algo.name c.Runtime.Experiment.algo)
-        c.Runtime.Experiment.work.Simkit.Stats.mean
-        c.Runtime.Experiment.makespan.Simkit.Stats.mean wall)
-    cells;
-  Format.printf "wrote %d cells to %s@." (List.length cells) path
+let bench_file suite rows =
+  Runtime.Bench_row.make ~suite ~commit:(detect_commit ())
+    ~timestamp:(iso8601_now ()) rows
 
-let export_csv ?(sink = Obskit.Sink.null) dir
-    (options : Runtime.Figures.options) =
-  let pool_scope f =
-    if options.Runtime.Figures.jobs <= 1 then f None
-    else
-      Simkit.Pool.with_pool ~num_domains:options.Runtime.Figures.jobs ~sink
-        (fun p -> f (Some p))
-  in
-  let cells =
-    pool_scope (fun pool ->
-        Runtime.Experiment.run_matrix ?pool ~scale:options.Runtime.Figures.scale
-          ~seeds:options.Runtime.Figures.seeds
-          ~lambda:options.Runtime.Figures.lambda
-          ~base_seed:options.Runtime.Figures.base_seed ~sink
-          ~check_invariants:!check_invariants_flag
-          ~workloads:Workloads.Catalog.paper_six ~algos:Runtime.Algo.all ())
-  in
+let save path (t : Runtime.Bench_row.t) =
+  Runtime.Bench_row.write path t;
+  Format.printf "wrote %d %s rows to %s@." (List.length t.rows) t.suite path
+
+(* One row per matrix cell: metric means across seeds, and
+   simulator-throughput rates (seed totals over the cell's wall clock)
+   that stay comparable across commits. *)
+let cell_row ((c : Runtime.Experiment.measurement), wall) =
+  let module E = Runtime.Experiment in
+  let mean (s : Simkit.Stats.summary) = s.Simkit.Stats.mean in
+  let rate total = if wall > 0.0 then total /. wall else 0.0 in
+  let msgs = c.E.messages.Simkit.Stats.total in
+  {
+    Runtime.Bench_row.key =
+      [ ("workload", Str c.E.workload); ("algo", Str (Runtime.Algo.name c.E.algo)) ];
+    metrics =
+      [
+        ("seeds", float_of_int c.E.seeds);
+        ("messages", mean c.E.messages);
+        ("work", mean c.E.work);
+        ("makespan", mean c.E.makespan);
+        ("throughput", mean c.E.throughput);
+        ("rotations", mean c.E.rotations);
+        ("pauses", mean c.E.pauses);
+        ("bypasses", mean c.E.bypasses);
+        ("rounds", mean c.E.rounds);
+        ("wall_seconds", wall);
+        ("rounds_per_sec", rate c.E.rounds.Simkit.Stats.total);
+        ("msgs_per_sec", rate msgs);
+        ("hops_per_sec", rate (c.E.routing.Simkit.Stats.total -. msgs));
+      ];
+  }
+
+let print_rows fmt names rows =
+  List.iter (Format.fprintf fmt "%a@." (Runtime.Bench_row.pp_row names)) rows
+
+let matrix ?sink options =
+  let rows = List.map cell_row (timed_matrix ?sink options) in
+  print_rows Format.std_formatter [ "work"; "makespan"; "wall_seconds" ] rows;
+  bench_file "matrix" rows
+
+let export_csv ?sink dir options =
+  let cells = List.map fst (timed_matrix ?sink options) in
   let path = Filename.concat dir "measurements.csv" in
   Runtime.Export.measurements_csv cells path;
   Format.printf "wrote %d cells to %s@." (List.length cells) path
@@ -296,12 +312,12 @@ let overhead_check options =
    smoke matrix (CBN only), every seed profiled into one Profkit
    profile — seeds run in the caller because Profile.t is
    unsynchronized.  Prints the phase attribution table plus the work
-   counters, writes the machine-readable profile JSON and
+   counters, writes the profile suite's bench rows to [path] and
    fails loudly if the phase times cover less than 90% of the measured
    round wall (attribution is exclusive and contiguous, so they sum to
    100% by construction — a shortfall means an executor path stopped
    driving the round lifecycle). *)
-let perf_profile (options : Runtime.Figures.options) json fmt =
+let perf_profile (options : Runtime.Figures.options) path fmt =
   let open Profkit in
   let profile = Profile.create () in
   List.iter
@@ -335,22 +351,19 @@ let perf_profile (options : Runtime.Figures.options) json fmt =
       (100.0 *. coverage);
     exit 1
   end;
-  match json with
-  | Some path ->
-      Runtime.Export.profile_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ()) ~workload:"paper-six-smoke" profile path;
-      Format.fprintf fmt "wrote profile to %s@." path
-  | None -> ()
+  save path
+    (bench_file "profile"
+       (Runtime.Report.profile_rows ~workload:"paper-six-smoke" profile))
 
 (* Single-domain throughput microbenchmark of the concurrent executor
    on the smoke matrix.  Each cell is executed [reps] times and the
    minimum wall clock is kept (the measurements are deterministic, so
    repeats only de-noise the timing); rounds/sec, msgs/sec and
-   delivered-hops/sec land in the bench JSON as trend metrics that
-   [compare_bench.exe] can diff across commits.  Runs without a pool
-   on purpose: the metric is single-run executor speed, not fan-out
-   capacity. *)
-let perf ?(reps = 3) (options : Runtime.Figures.options) json fmt =
+   delivered-hops/sec land in the perf suite's rows, whose rounds/sec
+   the CI throughput gate diffs against the baseline.  Runs without a
+   pool on purpose: the metric is single-run executor speed, not
+   fan-out capacity. *)
+let perf ?(reps = 3) (options : Runtime.Figures.options) fmt =
   let cells =
     List.map
       (fun workload ->
@@ -375,27 +388,12 @@ let perf ?(reps = 3) (options : Runtime.Figures.options) json fmt =
     "== PERF: concurrent executor throughput (smoke matrix, seeds=%d, \
      min-of-%d walls, single domain) ==@."
     options.Runtime.Figures.seeds reps;
-  List.iter
-    (fun ((c : Runtime.Experiment.measurement), wall) ->
-      let msgs = c.Runtime.Experiment.messages.Simkit.Stats.total in
-      let hops = c.Runtime.Experiment.routing.Simkit.Stats.total -. msgs in
-      let rate total = if wall > 0.0 then total /. wall else 0.0 in
-      Format.fprintf fmt
-        "%-14s %-8s rounds/s=%-11.0f msgs/s=%-10.0f hops/s=%-11.0f wall=%.4fs@."
-        c.Runtime.Experiment.workload
-        (Runtime.Algo.name c.Runtime.Experiment.algo)
-        (rate c.Runtime.Experiment.rounds.Simkit.Stats.total)
-        (rate msgs) (rate hops) wall)
-    cells;
-  (match json with
-  | Some path ->
-      Runtime.Export.bench_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ()) cells path;
-      Format.fprintf fmt "wrote %d perf cells to %s@." (List.length cells) path
-  | None -> ());
-  match !profile_flag with
-  | Some path -> perf_profile options (Some path) fmt
-  | None -> ()
+  let rows = List.map cell_row cells in
+  print_rows fmt
+    [ "rounds_per_sec"; "msgs_per_sec"; "hops_per_sec"; "wall_seconds" ]
+    rows;
+  Option.iter (fun path -> perf_profile options path fmt) !profile_flag;
+  bench_file "perf" rows
 
 (* The forest sweeps: the sharded overlay (Forest.Overlay) over
    (workload, n) x shards x domains cells.  Every cell's full
@@ -417,7 +415,7 @@ let forest_trace ~workload ~n ~m ~seed =
 (* cells: (workload, n, m, shard counts, domain counts).  Cells with
    shards = 1 skip domains > 1 — there is nothing to fan out and the
    run would only repeat the domains = 1 cell. *)
-let forest_cells ~title ~reps ~cells ~seed json fmt =
+let forest_cells ~title ~reps ~cells ~seed fmt =
   let host_cores = Domain.recommended_domain_count () in
   Format.fprintf fmt "== %s (min-of-%d walls, host cores=%d) ==@." title reps
     host_cores;
@@ -471,59 +469,54 @@ let forest_cells ~title ~reps ~cells ~seed json fmt =
                         exit 1
                       end);
                   let wall = !best in
-                  let rate total =
-                    if wall > 0.0 then float_of_int total /. wall else 0.0
-                  in
-                  Format.fprintf fmt
-                    "%-10s n=%-8d shards=%-3d domains=%d rounds/s=%-11.0f \
-                     msgs/s=%-10.0f cross=%-7d wall=%.3fs@."
-                    workload n shards domains
-                    (rate stats.Cbnet.Run_stats.rounds)
-                    (rate stats.Cbnet.Run_stats.messages)
-                    r.Forest.Overlay.cross wall;
+                  let i = float_of_int in
+                  let rate total = if wall > 0.0 then i total /. wall else 0.0 in
                   Some
-                    ({
-                       workload;
-                       n;
-                       shards;
-                       domains;
-                       rounds = stats.Cbnet.Run_stats.rounds;
-                       messages = stats.Cbnet.Run_stats.messages;
-                       requests = r.Forest.Overlay.requests;
-                       cross = r.Forest.Overlay.cross;
-                       wall_seconds = wall;
-                     }
-                      : Runtime.Export.forest_row)
+                    {
+                      Runtime.Bench_row.key =
+                        [
+                          ("workload", Str workload);
+                          ("n", Int n);
+                          ("shards", Int shards);
+                          ("domains", Int domains);
+                        ];
+                      metrics =
+                        [
+                          ("rounds", i stats.Cbnet.Run_stats.rounds);
+                          ("messages", i stats.Cbnet.Run_stats.messages);
+                          ("requests", i r.Forest.Overlay.requests);
+                          ("cross", i r.Forest.Overlay.cross);
+                          ("wall_seconds", wall);
+                          ("rounds_per_sec", rate stats.Cbnet.Run_stats.rounds);
+                          ("msgs_per_sec", rate stats.Cbnet.Run_stats.messages);
+                        ];
+                    }
                 end)
               domain_counts)
           shard_counts)
       cells
   in
+  print_rows fmt [ "rounds_per_sec"; "msgs_per_sec"; "cross"; "wall_seconds" ] rows;
   Format.fprintf fmt
     "1-shard cells bit-identical to the single-tree oracle; stats identical \
      across domain counts@.";
-  match json with
-  | Some path ->
-      Runtime.Export.forest_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ()) ~host_cores rows path;
-      Format.fprintf fmt "wrote %d forest rows to %s@." (List.length rows) path
-  | None -> ()
+  bench_file "forest" rows
 
 (* CI smoke: small n, every routing/merging path exercised (uneven
    shards, shard counts that do and do not divide n, fan-out wider
    than the host). *)
-let forest_smoke (options : Runtime.Figures.options) json fmt =
+let forest_smoke (options : Runtime.Figures.options) fmt =
   forest_cells ~title:"FOREST-SMOKE: sharded overlay" ~reps:2
     ~cells:
       [
         ("pfabric", 512, 4_000, [ 1; 4; 7 ], [ 1; 2 ]);
         ("skewed", 512, 4_000, [ 1; 4 ], [ 1; 2 ]);
       ]
-    ~seed:options.Runtime.Figures.base_seed json fmt
+    ~seed:options.Runtime.Figures.base_seed fmt
 
 (* The acceptance sweep: pfabric-style cells from n = 1k to n = 1M,
    1-shard oracle checks included at every size. *)
-let forest_scaling (options : Runtime.Figures.options) json fmt =
+let forest_scaling (options : Runtime.Figures.options) fmt =
   forest_cells ~title:"FOREST-SCALING: sharded overlay, n from 1k to 1M"
     ~reps:1
     ~cells:
@@ -533,7 +526,7 @@ let forest_scaling (options : Runtime.Figures.options) json fmt =
         ("pfabric", 100_000, 20_000, [ 1; 16 ], [ 1; 4 ]);
         ("pfabric", 1_000_000, 50_000, [ 1; 16 ], [ 1; 8 ]);
       ]
-    ~seed:options.Runtime.Figures.base_seed json fmt
+    ~seed:options.Runtime.Figures.base_seed fmt
 
 (* CI smoke for the serve loop: shaped streams through
    Servekit.Server.replay, one cell per load-shape kind.  Three
@@ -542,7 +535,7 @@ let forest_scaling (options : Runtime.Figures.options) json fmt =
    the fixed shape with an unbounded batch and decay off must
    reproduce Concurrent.run exactly (the batch oracle), and the
    flash-crowd queue must never exceed its cap. *)
-let serve_smoke (options : Runtime.Figures.options) json fmt =
+let serve_smoke (options : Runtime.Figures.options) fmt =
   let seed = options.Runtime.Figures.base_seed in
   let reps = 2 in
   (* (shape spec, queue cap, batch_max, decay cadence) *)
@@ -621,47 +614,27 @@ let serve_smoke (options : Runtime.Figures.options) json fmt =
           failwith
             (Printf.sprintf "serve-smoke: %s: queue depth %d exceeds cap %d"
                spec r.Servekit.Server.max_queue_depth cap);
-        let stats = r.Servekit.Server.stats in
-        Format.fprintf fmt
-          "%-24s n=%-4d seen=%-5d shed=%-5d batches=%-3d decays=%-2d \
-           busy=%-6d idle=%-6d q_max=%-5d wall=%.3fs@."
-          (Workloads.Shape.label shape)
-          n r.Servekit.Server.seen r.Servekit.Server.shed
-          r.Servekit.Server.batches r.Servekit.Server.decays
-          r.Servekit.Server.busy_rounds r.Servekit.Server.idle_rounds
-          r.Servekit.Server.max_queue_depth wall;
-        let q = r.Servekit.Server.queue_depth in
-        ({
-           shape = Workloads.Shape.label shape;
-           n;
-           seed;
-           requests = r.Servekit.Server.seen;
-           admitted = r.Servekit.Server.admitted;
-           shed = r.Servekit.Server.shed;
-           batches = r.Servekit.Server.batches;
-           decays = r.Servekit.Server.decays;
-           busy_rounds = r.Servekit.Server.busy_rounds;
-           idle_rounds = r.Servekit.Server.idle_rounds;
-           messages = stats.Cbnet.Run_stats.messages;
-           makespan = stats.Cbnet.Run_stats.makespan;
-           q_max = r.Servekit.Server.max_queue_depth;
-           q_p50 = Profkit.Histogram.p50 q;
-           q_p95 = Profkit.Histogram.p95 q;
-           q_p99 = Profkit.Histogram.p99 q;
-           wall_seconds = wall;
-         }
-          : Runtime.Export.serve_row))
+        {
+          Runtime.Bench_row.key =
+            [
+              ("shape", Str (Workloads.Shape.label shape));
+              ("n", Int n);
+              ("seed", Int seed);
+            ];
+          metrics = Servekit.Server.report_metrics ~wall_seconds:wall r;
+        })
       cells
   in
+  print_rows fmt
+    [
+      "requests"; "shed"; "batches"; "decays"; "busy_rounds"; "idle_rounds";
+      "q_max"; "wall_seconds";
+    ]
+    rows;
   Format.fprintf fmt
     "replays bit-identical; fixed shape matches the batch oracle; queues \
      stayed under their caps@.";
-  match json with
-  | Some path ->
-      Runtime.Export.serve_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ()) rows path;
-      Format.fprintf fmt "wrote %d serve rows to %s@." (List.length rows) path
-  | None -> ()
+  bench_file "serve" rows
 
 (* The fault plans of the chaos sweep: one stressor per fault family
    plus a kitchen-sink mix.  Rates are low enough that every run still
@@ -693,8 +666,13 @@ let chaos_plans =
    per plan with invariant checking after every repair and at the end.
    A run that fails to drain within the round budget or corrupts the
    tree raises — chaos is a correctness gate, not just a table. *)
-let chaos (options : Runtime.Figures.options) json fmt =
+let chaos (options : Runtime.Figures.options) fmt =
   let seed = options.Runtime.Figures.base_seed in
+  let i = float_of_int in
+  Format.fprintf fmt
+    "== CHAOS: concurrent executor under fault injection (smoke scale, \
+     seed=%d, invariants checked) ==@."
+    seed;
   let rows =
     List.concat_map
       (fun workload ->
@@ -708,72 +686,75 @@ let chaos (options : Runtime.Figures.options) json fmt =
         List.map
           (fun (name, plan) ->
             let t0 = Unix.gettimeofday () in
-            let stats =
+            let s =
               Cbnet.Concurrent.run ~max_rounds:2_000_000 ~faults:plan
                 ~check_invariants:true (Bstnet.Build.balanced n) runs
             in
             let wall = Unix.gettimeofday () -. t0 in
-            ( name,
-              clean,
-              {
-                Runtime.Export.workload;
-                plan = Faultkit.Plan.to_string plan;
-                seed;
-                stats;
-                clean_makespan = clean.Cbnet.Run_stats.makespan;
-                wall_seconds = wall;
-              } ))
+            let c = s.Cbnet.Run_stats.chaos in
+            let clean_makespan = clean.Cbnet.Run_stats.makespan in
+            let inflation =
+              if clean_makespan > 0 then
+                i s.Cbnet.Run_stats.makespan /. i clean_makespan
+              else 0.0
+            in
+            Format.fprintf fmt
+              "%-14s %-12s delivered=%-5d makespan=%-6d (x%.2f) crashes=%-4d \
+               parks=%-5d lost=%-4d dup=%-3d delayed=%-4d repairs=%-3d \
+               wall=%.3fs@."
+              workload name s.Cbnet.Run_stats.messages
+              s.Cbnet.Run_stats.makespan inflation c.Cbnet.Run_stats.crashes
+              c.Cbnet.Run_stats.parks c.Cbnet.Run_stats.lost
+              c.Cbnet.Run_stats.duplicated c.Cbnet.Run_stats.delayed
+              c.Cbnet.Run_stats.repairs wall;
+            {
+              Runtime.Bench_row.key =
+                [
+                  ("workload", Str workload);
+                  ("plan", Str (Faultkit.Plan.to_string plan));
+                  ("seed", Int seed);
+                ];
+              metrics =
+                [
+                  ("messages", i s.Cbnet.Run_stats.messages);
+                  ("makespan", i s.Cbnet.Run_stats.makespan);
+                  ("clean_makespan", i clean_makespan);
+                  ("makespan_inflation", inflation);
+                  ("rounds", i s.Cbnet.Run_stats.rounds);
+                  ("crashes", i c.Cbnet.Run_stats.crashes);
+                  ("parks", i c.Cbnet.Run_stats.parks);
+                  ("lost", i c.Cbnet.Run_stats.lost);
+                  ("duplicated", i c.Cbnet.Run_stats.duplicated);
+                  ("delayed", i c.Cbnet.Run_stats.delayed);
+                  ("aborted_rotations", i c.Cbnet.Run_stats.aborted_rotations);
+                  ("repairs", i c.Cbnet.Run_stats.repairs);
+                  ("wall_seconds", wall);
+                ];
+            })
           chaos_plans)
       Workloads.Catalog.paper_six
   in
-  Format.fprintf fmt
-    "== CHAOS: concurrent executor under fault injection (smoke scale, \
-     seed=%d, invariants checked) ==@."
-    seed;
-  List.iter
-    (fun (name, (clean : Cbnet.Run_stats.t), (r : Runtime.Export.chaos_row)) ->
-      let s = r.Runtime.Export.stats in
-      let c = s.Cbnet.Run_stats.chaos in
-      let inflation =
-        if clean.Cbnet.Run_stats.makespan > 0 then
-          float_of_int s.Cbnet.Run_stats.makespan
-          /. float_of_int clean.Cbnet.Run_stats.makespan
-        else 0.0
-      in
-      Format.fprintf fmt
-        "%-14s %-12s delivered=%-5d makespan=%-6d (x%.2f) crashes=%-4d \
-         parks=%-5d lost=%-4d dup=%-3d delayed=%-4d repairs=%-3d wall=%.3fs@."
-        r.Runtime.Export.workload name s.Cbnet.Run_stats.messages
-        s.Cbnet.Run_stats.makespan inflation c.Cbnet.Run_stats.crashes
-        c.Cbnet.Run_stats.parks c.Cbnet.Run_stats.lost
-        c.Cbnet.Run_stats.duplicated c.Cbnet.Run_stats.delayed
-        c.Cbnet.Run_stats.repairs r.Runtime.Export.wall_seconds)
-    rows;
   Format.fprintf fmt "all runs drained; invariants held after every repair@.";
-  match json with
-  | Some path ->
-      Runtime.Export.chaos_json ~commit:(detect_commit ())
-        ~timestamp:(iso8601_now ())
-        (List.map (fun (_, _, r) -> r) rows)
-        path;
-      Format.fprintf fmt "wrote %d chaos rows to %s@." (List.length rows) path
-  | None -> ()
+  bench_file "chaos" rows
 
 let usage =
   "usage: main.exe [--full] [--seeds N] [--jobs N] [--csv DIR] \
    [--json FILE] [--trace FILE] [--metrics FILE] [--profile FILE] \
    [--check-invariants] [--mode ARTIFACT] [ARTIFACT ...]\n\
    artifacts: fig2 fig3 fig4 thm1 thm2 ablation timeline latency trace-map \
-   micro bench-smoke overhead-check perf forest-smoke forest-scaling \
-   serve-smoke chaos\n\
+   micro overhead-check\n\
+   row-producing artifacts: bench-smoke perf chaos forest-smoke \
+   forest-scaling serve-smoke\n\
    (no artifact: reproduce everything; bench-smoke: tiny-scale matrix for CI,\n\
-  \ best combined with --json; --mode NAME is an alias for naming NAME)\n\
+  \ --mode NAME is an alias for naming NAME)\n\
+   --json FILE writes the rows of the one row-producing artifact named,\n\
+  \ else of the default-scale matrix.\n\
    --jobs N parallelizes seed runs over N domains (default: CBNET_JOBS, else\n\
   \ cores - 1); results are bit-identical at every setting.\n\
    --trace FILE writes a Chrome/Perfetto trace of the matrix runs\n\
   \ (bench-smoke, --json, --csv); --metrics FILE writes Prometheus text.\n\
    --profile FILE (perf only) runs a profiled CBN pass: phase attribution\n\
-  \ table on stdout, machine-readable profile JSON to FILE.\n\
+  \ table on stdout, the profile suite's bench rows to FILE.\n\
    --check-invariants audits every final tree with Bstnet.Check.structural;\n\
   \ chaos always checks, including after every mid-run repair."
 
@@ -861,27 +842,10 @@ let () =
     }
   in
   let fmt = Format.std_formatter in
-  (* Telemetry sinks requested on the command line: a bounded ring for
-     the Perfetto trace and a metrics registry for Prometheus.  The tee
-     collapses to the null sink when neither flag is given, so the
-     default run stays on the zero-cost path. *)
-  let ring =
-    match !trace with
-    | Some _ -> Some (Obskit.Sink.Ring.create ~capacity:1_000_000)
-    | None -> None
+  let sink, write_telemetry =
+    Runtime.Export.capture ~trace:!trace ~metrics:!metrics
   in
-  let registry =
-    match !metrics with Some _ -> Some (Simkit.Metrics.create ()) | None -> None
-  in
-  let sink =
-    Obskit.Sink.tee
-      ((match ring with Some r -> [ Obskit.Sink.Ring.sink r ] | None -> [])
-      @
-      match registry with
-      | Some reg -> [ Runtime.Telemetry.metrics_sink reg ]
-      | None -> [])
-  in
-  let artifacts =
+  let figures =
     [
       ("fig2", fun () -> Runtime.Figures.fig2 ~options fmt);
       ("fig3", fun () -> Runtime.Figures.fig3 ~options fmt);
@@ -898,62 +862,47 @@ let () =
       ("latency", fun () -> Runtime.Figures.latency ~options fmt);
       ("trace-map", fun () -> Runtime.Figures.trace_map_sweep ~options fmt);
       ("micro", fun () -> micro fmt);
+      ("overhead-check", fun () -> overhead_check smoke_options);
+    ]
+  in
+  (* The row-producing artifacts: each returns its bench file. *)
+  let suites =
+    [
       ( "bench-smoke",
         fun () ->
           Format.printf
             "== BENCH-SMOKE: tiny-scale matrix (seeds=%d, jobs=%d) ==@."
             smoke_options.Runtime.Figures.seeds
             smoke_options.Runtime.Figures.jobs;
-          match !json with
-          | Some path -> export_json ~sink smoke_options path
-          | None ->
-              List.iter
-                (fun ((c : Runtime.Experiment.measurement), wall) ->
-                  Format.printf
-                    "%-14s %-5s work=%-12.1f makespan=%-9.1f wall=%.3fs@."
-                    c.Runtime.Experiment.workload
-                    (Runtime.Algo.name c.Runtime.Experiment.algo)
-                    c.Runtime.Experiment.work.Simkit.Stats.mean
-                    c.Runtime.Experiment.makespan.Simkit.Stats.mean wall)
-                (timed_matrix ~sink smoke_options) );
-      ("overhead-check", fun () -> overhead_check smoke_options);
-      ("chaos", fun () -> chaos smoke_options !json fmt);
+          matrix ~sink smoke_options );
+      ("chaos", fun () -> chaos smoke_options fmt);
       ( "perf",
         fun () ->
-          let perf_options =
-            {
-              smoke_options with
-              Runtime.Figures.seeds =
-                (match !seeds with Some s -> s | None -> 3);
-            }
-          in
-          perf perf_options !json fmt );
-      ("forest-smoke", fun () -> forest_smoke options !json fmt);
-      ("forest-scaling", fun () -> forest_scaling options !json fmt);
-      ("serve-smoke", fun () -> serve_smoke options !json fmt);
+          let seeds = match !seeds with Some s -> s | None -> 3 in
+          perf { smoke_options with Runtime.Figures.seeds } fmt );
+      ("forest-smoke", fun () -> forest_smoke options fmt);
+      ("forest-scaling", fun () -> forest_scaling options fmt);
+      ("serve-smoke", fun () -> serve_smoke options fmt);
     ]
   in
-  (* Validate every artifact name before running anything: CI must
-     fail loudly on a typo, not run a partial subset first. *)
+  (* Validate every artifact name, and that --json has one file's rows
+     to write, before running anything: CI must fail loudly on a typo,
+     not run a partial subset first or overwrite one suite with
+     another. *)
+  let known = List.map fst figures @ List.map fst suites in
   List.iter
     (fun name ->
-      if not (List.mem_assoc name artifacts) then
-        die "unknown artifact %S (known: %s)" name
-          (String.concat ", " (List.map fst artifacts)))
+      if not (List.mem name known) then
+        die "unknown artifact %S (known: %s)" name (String.concat ", " known))
     names;
+  let named_suites = List.filter (fun name -> List.mem_assoc name suites) names in
+  if !json <> None && List.length named_suites > 1 then
+    die "--json takes one row-producing artifact, got %s"
+      (String.concat ", " named_suites);
+  let emit t = Option.iter (fun path -> save path t) !json in
   (match !csv with Some dir -> export_csv ~sink dir options | None -> ());
-  (match !json with
-  | Some path
-    when
-      not
-        (List.mem "bench-smoke" names || List.mem "perf" names
-        || List.mem "forest-smoke" names
-        || List.mem "forest-scaling" names || List.mem "serve-smoke" names
-        || List.mem "chaos" names) ->
-      (* bench-smoke, perf, the forest sweeps, serve-smoke and chaos
-         write the JSON themselves. *)
-      export_json ~sink options path
-  | _ -> ());
+  (* --json without a row-producing artifact exports the matrix. *)
+  if !json <> None && named_suites = [] then emit (matrix ~sink options);
   (match names with
   | [] ->
       if !csv = None && !json = None then begin
@@ -961,22 +910,11 @@ let () =
         Runtime.Figures.all ~options fmt;
         micro fmt
       end
-  | names -> List.iter (fun name -> (List.assoc name artifacts) ()) names);
-  (match (!trace, ring) with
-  | Some path, Some r ->
-      let dropped = Obskit.Sink.Ring.dropped r in
-      Runtime.Export.chrome_trace ~dropped (Obskit.Sink.Ring.contents r) path;
-      Format.printf "wrote %d trace events to %s%s@."
-        (Obskit.Sink.Ring.length r)
-        path
-        (if dropped > 0 then Printf.sprintf " (%d oldest dropped)" dropped
-         else "")
-  | _ -> ());
-  match (!metrics, registry) with
-  | Some path, Some reg ->
-      let events_dropped =
-        match ring with Some r -> Obskit.Sink.Ring.dropped r | None -> 0
-      in
-      Runtime.Export.prometheus ~events_dropped reg path;
-      Format.printf "wrote metrics to %s@." path
-  | _ -> ()
+  | names ->
+      List.iter
+        (fun name ->
+          match List.assoc_opt name suites with
+          | Some run -> emit (run ())
+          | None -> (List.assoc name figures) ())
+        names);
+  write_telemetry fmt

@@ -133,46 +133,14 @@ let run_cmd =
         ~seed:options.Runtime.Figures.base_seed ()
     in
     Format.printf "%a@." Workloads.Trace.pp_summary trace;
-    let ring =
-      match trace_file with
-      | Some _ -> Some (Obskit.Sink.Ring.create ~capacity:1_000_000)
-      | None -> None
-    in
-    let registry =
-      match metrics_file with
-      | Some _ -> Some (Simkit.Metrics.create ())
-      | None -> None
-    in
-    let sink =
-      Obskit.Sink.tee
-        ((match ring with Some r -> [ Obskit.Sink.Ring.sink r ] | None -> [])
-        @
-        match registry with
-        | Some reg -> [ Runtime.Telemetry.metrics_sink reg ]
-        | None -> [])
+    let sink, write_telemetry =
+      Runtime.Export.capture ~trace:trace_file ~metrics:metrics_file
     in
     let stats =
       Runtime.Algo.run ~sink ~check_invariants ~domains ~shards algo trace
     in
     Format.printf "%s: %a@." (Runtime.Algo.name algo) Cbnet.Run_stats.pp stats;
-    (match (trace_file, ring) with
-    | Some path, Some r ->
-        let dropped = Obskit.Sink.Ring.dropped r in
-        Runtime.Export.chrome_trace ~dropped (Obskit.Sink.Ring.contents r) path;
-        Format.printf "wrote %d trace events to %s%s@."
-          (Obskit.Sink.Ring.length r)
-          path
-          (if dropped > 0 then Printf.sprintf " (%d oldest dropped)" dropped
-           else "")
-    | _ -> ());
-    match (metrics_file, registry) with
-    | Some path, Some reg ->
-        let events_dropped =
-          match ring with Some r -> Obskit.Sink.Ring.dropped r | None -> 0
-        in
-        Runtime.Export.prometheus ~events_dropped reg path;
-        Format.printf "wrote metrics to %s@." path
-    | _ -> ()
+    write_telemetry Format.std_formatter
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -189,7 +157,7 @@ let report_profile_cmd =
       value
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable profile JSON to $(docv).")
+          ~doc:"Also write the profile as bench rows to $(docv).")
   in
   let run workload out check_invariants options =
     let trace =
@@ -208,8 +176,10 @@ let report_profile_cmd =
       profile Format.std_formatter;
     match out with
     | Some path ->
-        Runtime.Export.profile_json ~commit:"cli" ~timestamp:"" ~workload
-          profile path;
+        Runtime.Bench_row.(
+          write path
+            (make ~suite:"profile" ~commit:"unknown" ~timestamp:"unknown"
+               (Runtime.Report.profile_rows ~workload profile)));
         Format.printf "wrote profile to %s@." path
     | None -> ()
   in
@@ -447,7 +417,7 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Write the final report as a serve JSON row to $(docv).")
+          ~doc:"Write the final report as a serve bench row to $(docv).")
   in
   let report_every_arg =
     Arg.(
@@ -492,27 +462,14 @@ let serve_cmd =
       | Some path ->
           let row =
             {
-              Runtime.Export.shape;
-              n;
-              seed;
-              requests = r.Servekit.Server.seen;
-              admitted = r.Servekit.Server.admitted;
-              shed = r.Servekit.Server.shed;
-              batches = r.Servekit.Server.batches;
-              decays = r.Servekit.Server.decays;
-              busy_rounds = r.Servekit.Server.busy_rounds;
-              idle_rounds = r.Servekit.Server.idle_rounds;
-              messages = r.Servekit.Server.stats.Cbnet.Run_stats.messages;
-              makespan = r.Servekit.Server.stats.Cbnet.Run_stats.makespan;
-              q_max = r.Servekit.Server.max_queue_depth;
-              q_p50 = Profkit.Histogram.p50 r.Servekit.Server.queue_depth;
-              q_p95 = Profkit.Histogram.p95 r.Servekit.Server.queue_depth;
-              q_p99 = Profkit.Histogram.p99 r.Servekit.Server.queue_depth;
-              wall_seconds;
+              Runtime.Bench_row.key =
+                [ ("shape", Str shape); ("n", Int n); ("seed", Int seed) ];
+              metrics = Servekit.Server.report_metrics ~wall_seconds r;
             }
           in
-          Runtime.Export.serve_json ~commit:"unknown" ~timestamp:"unknown"
-            [ row ] path;
+          Runtime.Bench_row.(
+            write path
+              (make ~suite:"serve" ~commit:"unknown" ~timestamp:"unknown" [ row ]));
           Format.printf "wrote serve report to %s@." path
     in
     match replay with

@@ -37,200 +37,12 @@ let measurements_csv cells path =
             c.Experiment.rounds.Simkit.Stats.mean)
         cells)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Bench_row.escape
 
 (* JSON numbers must be finite; our metrics always are, but guard so a
    pathological cell can never emit an unparseable file. *)
 let json_float x =
   if Float.is_finite x then Printf.sprintf "%.6f" x else "null"
-
-let bench_json ~commit ~timestamp cells path =
-  with_out path (fun oc ->
-      Printf.fprintf oc "{\n  \"commit\": \"%s\",\n  \"timestamp\": \"%s\",\n"
-        (json_escape commit) (json_escape timestamp);
-      output_string oc "  \"cells\": [";
-      List.iteri
-        (fun i ((c : Experiment.measurement), wall_seconds) ->
-          if i > 0 then output_string oc ",";
-          (* Simulator-throughput rates: totals across all seeds of the
-             cell divided by the cell's wall clock, so artifacts from
-             different commits are comparable as rounds/sec trends. *)
-          let rate total =
-            if wall_seconds > 0.0 then total /. wall_seconds else 0.0
-          in
-          let msgs = c.Experiment.messages.Simkit.Stats.total in
-          let hops = c.Experiment.routing.Simkit.Stats.total -. msgs in
-          Printf.fprintf oc
-            "\n    {\"workload\": \"%s\", \"algo\": \"%s\", \"seeds\": %d, \
-             \"messages\": %s, \"work\": %s, \"makespan\": %s, \
-             \"throughput\": %s, \"rotations\": %s, \"pauses\": %s, \
-             \"bypasses\": %s, \"rounds\": %s, \"wall_seconds\": %s, \
-             \"rounds_per_sec\": %s, \"msgs_per_sec\": %s, \
-             \"hops_per_sec\": %s}"
-            (json_escape c.Experiment.workload)
-            (json_escape (Algo.name c.Experiment.algo))
-            c.Experiment.seeds
-            (json_float c.Experiment.messages.Simkit.Stats.mean)
-            (json_float c.Experiment.work.Simkit.Stats.mean)
-            (json_float c.Experiment.makespan.Simkit.Stats.mean)
-            (json_float c.Experiment.throughput.Simkit.Stats.mean)
-            (json_float c.Experiment.rotations.Simkit.Stats.mean)
-            (json_float c.Experiment.pauses.Simkit.Stats.mean)
-            (json_float c.Experiment.bypasses.Simkit.Stats.mean)
-            (json_float c.Experiment.rounds.Simkit.Stats.mean)
-            (json_float wall_seconds)
-            (json_float (rate c.Experiment.rounds.Simkit.Stats.total))
-            (json_float (rate msgs))
-            (json_float (rate hops)))
-        cells;
-      output_string oc "\n  ]\n}\n")
-
-type forest_row = {
-  workload : string;
-  n : int;
-  shards : int;
-  domains : int;
-  rounds : int;
-  messages : int;
-  requests : int;
-  cross : int;
-  wall_seconds : float;
-}
-
-let forest_json ~commit ~timestamp ~host_cores rows path =
-  with_out path (fun oc ->
-      Printf.fprintf oc
-        "{\n  \"commit\": \"%s\",\n  \"timestamp\": \"%s\",\n  \"host_cores\": \
-         %d,\n"
-        (json_escape commit) (json_escape timestamp) host_cores;
-      output_string oc "  \"rows\": [";
-      List.iteri
-        (fun i (r : forest_row) ->
-          if i > 0 then output_string oc ",";
-          let rate total =
-            if r.wall_seconds > 0.0 then float_of_int total /. r.wall_seconds
-            else 0.0
-          in
-          Printf.fprintf oc
-            "\n    {\"workload\": \"%s\", \"n\": %d, \"shards\": %d, \
-             \"domains\": %d, \"rounds\": %d, \"messages\": %d, \"requests\": \
-             %d, \"cross\": %d, \"wall_seconds\": %s, \"rounds_per_sec\": %s, \
-             \"msgs_per_sec\": %s}"
-            (json_escape r.workload) r.n r.shards r.domains r.rounds r.messages
-            r.requests r.cross
-            (json_float r.wall_seconds)
-            (json_float (rate r.rounds))
-            (json_float (rate r.messages)))
-        rows;
-      output_string oc "\n  ]\n}\n")
-
-type serve_row = {
-  shape : string;
-  n : int;
-  seed : int;
-  requests : int;
-  admitted : int;
-  shed : int;
-  batches : int;
-  decays : int;
-  busy_rounds : int;
-  idle_rounds : int;
-  messages : int;
-  makespan : int;
-  q_max : int;
-  q_p50 : float;
-  q_p95 : float;
-  q_p99 : float;
-  wall_seconds : float;
-}
-
-(* Serve-mode bench rows (bench serve-smoke): one row per load shape,
-   carrying the sustained-rate and queue-depth picture the
-   [compare_bench --serve] advisory diff consumes. *)
-let serve_json ~commit ~timestamp rows path =
-  with_out path (fun oc ->
-      Printf.fprintf oc "{\n  \"commit\": \"%s\",\n  \"timestamp\": \"%s\",\n"
-        (json_escape commit) (json_escape timestamp);
-      output_string oc "  \"rows\": [";
-      List.iteri
-        (fun i (r : serve_row) ->
-          if i > 0 then output_string oc ",";
-          let rate total =
-            if r.wall_seconds > 0.0 then float_of_int total /. r.wall_seconds
-            else 0.0
-          in
-          Printf.fprintf oc
-            "\n    {\"shape\": \"%s\", \"n\": %d, \"seed\": %d, \"requests\": \
-             %d, \"admitted\": %d, \"shed\": %d, \"batches\": %d, \"decays\": \
-             %d, \"busy_rounds\": %d, \"idle_rounds\": %d, \"messages\": %d, \
-             \"makespan\": %d, \"q_max\": %d, \"q_p50\": %s, \"q_p95\": %s, \
-             \"q_p99\": %s, \"wall_seconds\": %s, \"rounds_per_sec\": %s, \
-             \"msgs_per_sec\": %s}"
-            (json_escape r.shape) r.n r.seed r.requests r.admitted r.shed
-            r.batches r.decays r.busy_rounds r.idle_rounds r.messages
-            r.makespan r.q_max (json_float r.q_p50) (json_float r.q_p95)
-            (json_float r.q_p99)
-            (json_float r.wall_seconds)
-            (json_float (rate r.busy_rounds))
-            (json_float (rate r.messages)))
-        rows;
-      output_string oc "\n  ]\n}\n")
-
-type chaos_row = {
-  workload : string;
-  plan : string;
-  seed : int;
-  stats : Cbnet.Run_stats.t;
-  clean_makespan : int;
-  wall_seconds : float;
-}
-
-let chaos_json ~commit ~timestamp rows path =
-  with_out path (fun oc ->
-      Printf.fprintf oc "{\n  \"commit\": \"%s\",\n  \"timestamp\": \"%s\",\n"
-        (json_escape commit) (json_escape timestamp);
-      output_string oc "  \"rows\": [";
-      List.iteri
-        (fun i r ->
-          if i > 0 then output_string oc ",";
-          let s = r.stats in
-          let c = s.Cbnet.Run_stats.chaos in
-          let inflation =
-            if r.clean_makespan > 0 then
-              float_of_int s.Cbnet.Run_stats.makespan
-              /. float_of_int r.clean_makespan
-            else 0.0
-          in
-          Printf.fprintf oc
-            "\n    {\"workload\": \"%s\", \"plan\": \"%s\", \"seed\": %d, \
-             \"messages\": %d, \"makespan\": %d, \"clean_makespan\": %d, \
-             \"makespan_inflation\": %s, \"rounds\": %d, \"crashes\": %d, \
-             \"parks\": %d, \"lost\": %d, \"duplicated\": %d, \"delayed\": \
-             %d, \"aborted_rotations\": %d, \"repairs\": %d, \
-             \"wall_seconds\": %s}"
-            (json_escape r.workload) (json_escape r.plan) r.seed
-            s.Cbnet.Run_stats.messages s.Cbnet.Run_stats.makespan
-            r.clean_makespan (json_float inflation) s.Cbnet.Run_stats.rounds
-            c.Cbnet.Run_stats.crashes c.Cbnet.Run_stats.parks
-            c.Cbnet.Run_stats.lost c.Cbnet.Run_stats.duplicated
-            c.Cbnet.Run_stats.delayed c.Cbnet.Run_stats.aborted_rotations
-            c.Cbnet.Run_stats.repairs (json_float r.wall_seconds))
-        rows;
-      output_string oc "\n  ]\n}\n")
 
 (* Chrome trace-event JSON (the format chrome://tracing and Perfetto
    load).  Timestamps are microseconds relative to the earliest event;
@@ -486,59 +298,35 @@ let prometheus ?events_dropped reg path =
   with_out path (fun oc ->
       output_string oc (prometheus_string ?events_dropped reg))
 
-(* Phase-attribution profile of one run (Profkit.Profile): per-phase
-   totals with their share of the round wall, per-round phase/wall
-   quantiles, and the work counters — the machine-readable twin
-   of the [bench perf --profile] / [cbnet report profile] table, and
-   the input of [compare_bench --profile]. *)
-let profile_json ~commit ~timestamp ~workload profile path =
-  let module P = Profkit.Profile in
-  let module H = Profkit.Histogram in
-  with_out path (fun oc ->
-      let wall = P.wall_us profile in
-      Printf.fprintf oc
-        "{\n\
-        \  \"commit\": \"%s\",\n\
-        \  \"timestamp\": \"%s\",\n\
-        \  \"workload\": \"%s\",\n\
-        \  \"rounds\": %d,\n\
-        \  \"wall_us\": %s,\n"
-        (json_escape commit) (json_escape timestamp) (json_escape workload)
-        (P.rounds profile) (json_float wall);
-      output_string oc "  \"phases\": [";
-      List.iteri
-        (fun i phase ->
-          if i > 0 then output_string oc ",";
-          let total = P.total_us profile phase in
-          let share = if wall > 0. then total /. wall else 0. in
-          let h = P.hist profile phase in
-          Printf.fprintf oc
-            "\n    {\"phase\": \"%s\", \"total_us\": %s, \"share\": %s, \
-             \"round_p50_us\": %s, \"round_p95_us\": %s, \"round_p99_us\": \
-             %s, \"round_max_us\": %s}"
-            (json_escape (P.phase_name phase))
-            (json_float total) (json_float share)
-            (json_float (H.p50 h))
-            (json_float (H.p95 h))
-            (json_float (H.p99 h))
-            (json_float (H.max h)))
-        P.phases;
-      output_string oc "\n  ],\n";
-      let rh = P.wall_hist profile in
-      Printf.fprintf oc
-        "  \"round_us\": {\"p50\": %s, \"p95\": %s, \"p99\": %s, \"max\": \
-         %s},\n"
-        (json_float (H.p50 rh))
-        (json_float (H.p95 rh))
-        (json_float (H.p99 rh))
-        (json_float (H.max rh));
-      output_string oc "  \"counters\": {";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then output_string oc ", ";
-          Printf.fprintf oc "\"%s\": %d" (json_escape k) v)
-        (P.counters profile);
-      output_string oc "}\n}\n")
+let capture ~trace ~metrics =
+  let ring =
+    Option.map (fun _ -> Obskit.Sink.Ring.create ~capacity:1_000_000) trace
+  in
+  let registry = Option.map (fun _ -> Simkit.Metrics.create ()) metrics in
+  let sink =
+    Obskit.Sink.tee
+      (Option.to_list (Option.map Obskit.Sink.Ring.sink ring)
+      @ Option.to_list (Option.map Telemetry.metrics_sink registry))
+  in
+  let dropped = Option.fold ~none:0 ~some:Obskit.Sink.Ring.dropped in
+  let write fmt =
+    (match (trace, ring) with
+    | Some path, Some r ->
+        chrome_trace ~dropped:(dropped ring) (Obskit.Sink.Ring.contents r) path;
+        Format.fprintf fmt "wrote %d trace events to %s%s@."
+          (Obskit.Sink.Ring.length r)
+          path
+          (if dropped ring > 0 then
+             Printf.sprintf " (%d oldest dropped)" (dropped ring)
+           else "")
+    | _ -> ());
+    match (metrics, registry) with
+    | Some path, Some reg ->
+        prometheus ~events_dropped:(dropped ring) reg path;
+        Format.fprintf fmt "wrote metrics to %s@." path
+    | _ -> ()
+  in
+  (sink, write)
 
 let latencies_csv latencies path =
   with_out path (fun oc ->

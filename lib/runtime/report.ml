@@ -92,6 +92,38 @@ let profile ?(title = "CBN phase attribution") p fmt =
     (List.map (fun (name, v) -> [ name; string_of_int v ]) (Profile.counters p))
     fmt
 
+let profile_rows ~workload p =
+  let open Profkit in
+  let quantiles h =
+    [
+      ("round_p50_us", Histogram.p50 h);
+      ("round_p95_us", Histogram.p95 h);
+      ("round_p99_us", Histogram.p99 h);
+      ("round_max_us", Histogram.max h);
+    ]
+  in
+  let wall = Profile.wall_us p in
+  let key = [ ("workload", Bench_row.Str workload) ] in
+  {
+    Bench_row.key;
+    metrics =
+      (("rounds", float_of_int (Profile.rounds p)) :: ("wall_us", wall)
+       :: quantiles (Profile.wall_hist p))
+      @ List.map (fun (k, v) -> (k, float_of_int v)) (Profile.counters p);
+  }
+  :: List.map
+       (fun phase ->
+         let total = Profile.total_us p phase in
+         {
+           Bench_row.key =
+             key @ [ ("phase", Bench_row.Str (Profile.phase_name phase)) ];
+           metrics =
+             ("total_us", total)
+             :: ("share", if wall > 0.0 then total /. wall else 0.0)
+             :: quantiles (Profile.hist p phase);
+         })
+       Profile.phases
+
 let float_cell v =
   if Float.is_integer v && Float.abs v < 1e15 then
     let i = int_of_float v in

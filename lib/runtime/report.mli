@@ -34,3 +34,10 @@ val profile : ?title:string -> Profkit.Profile.t -> Format.formatter -> unit
     per-round p50/p95/p99/max µs), the round-wall summary line and the
     work counter table.  Behind [bench perf --profile] and
     [cbnet report profile]. *)
+
+val profile_rows : workload:string -> Profkit.Profile.t -> Bench_row.row list
+(** The profile as bench rows of the ["profile"] suite, keyed by
+    [workload]: one whole-round row ([rounds], [wall_us], per-round
+    wall quantiles and every work counter) and one row per phase
+    ([total_us], its [share] of the round wall, per-round quantiles).
+    Behind [bench perf --profile] and [cbnet report profile --out]. *)

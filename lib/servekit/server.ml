@@ -72,6 +72,28 @@ let pp_report ppf r =
     (Profkit.Histogram.p95 r.queue_depth)
     (Profkit.Histogram.p99 r.queue_depth)
 
+let report_metrics ~wall_seconds r =
+  let i = float_of_int and q = r.queue_depth in
+  let rate total = if wall_seconds > 0.0 then i total /. wall_seconds else 0.0 in
+  [
+    ("requests", i r.seen);
+    ("admitted", i r.admitted);
+    ("shed", i r.shed);
+    ("batches", i r.batches);
+    ("decays", i r.decays);
+    ("busy_rounds", i r.busy_rounds);
+    ("idle_rounds", i r.idle_rounds);
+    ("messages", i r.stats.Stats.messages);
+    ("makespan", i r.stats.Stats.makespan);
+    ("q_max", i r.max_queue_depth);
+    ("q_p50", Profkit.Histogram.p50 q);
+    ("q_p95", Profkit.Histogram.p95 q);
+    ("q_p99", Profkit.Histogram.p99 q);
+    ("wall_seconds", wall_seconds);
+    ("rounds_per_sec", rate r.busy_rounds);
+    ("msgs_per_sec", rate r.stats.Stats.messages);
+  ]
+
 (* --- shared serving state ------------------------------------------- *)
 
 type state = {

@@ -75,6 +75,12 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+val report_metrics : wall_seconds:float -> report -> (string * float) list
+(** The report as named figures, one bench row's metrics: arrival,
+    batch, round and delivery counts, queue-depth quantiles, and the
+    sustained [rounds_per_sec] (busy rounds) and [msgs_per_sec] over
+    [wall_seconds]. *)
+
 val replay :
   ?epoch:Epoch.t ->
   ?registry:Simkit.Metrics.t ->

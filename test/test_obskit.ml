@@ -451,7 +451,7 @@ let test_chrome_trace_escaping_and_dropped () =
       Alcotest.(check bool) "dropped count recorded" true
         (contains body "\"dropped\":3"))
 
-let test_profile_json_export () =
+let test_profile_bench_rows () =
   let module P = Profkit.Profile in
   let p = P.create () in
   P.round_begin p;
@@ -464,8 +464,10 @@ let test_profile_json_export () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Runtime.Export.profile_json ~commit:"abc" ~timestamp:"now"
-        ~workload:hostile p path;
+      Runtime.Bench_row.(
+        write path
+          (make ~suite:"profile" ~commit:"abc" ~timestamp:"now"
+             (Runtime.Report.profile_rows ~workload:hostile p)));
       let body = read_file path in
       let count c =
         String.fold_left (fun k ch -> if ch = c then k + 1 else k) 0 body
@@ -474,9 +476,14 @@ let test_profile_json_export () =
       Alcotest.(check bool) "no raw control bytes" true (no_raw_control body);
       Alcotest.(check (list string)) "hostile workload round-trips"
         [ hostile ]
-        (extract_string_fields body "workload");
-      (* One phase entry per profile phase, and the counter block
-         carries the driven values. *)
+        (List.sort_uniq compare (extract_string_fields body "workload"));
+      Alcotest.(check bool) "hostile workload reads back" true
+        (List.for_all
+           (fun (r : Runtime.Bench_row.row) ->
+             List.assoc "workload" r.key = Runtime.Bench_row.Str hostile)
+           (Runtime.Bench_row.read path).rows);
+      (* One row per profile phase, and the whole-round row carries the
+         driven counters. *)
       Alcotest.(check int) "one entry per phase"
         (List.length P.phases)
         (List.length (extract_string_fields body "phase"));
@@ -489,7 +496,7 @@ let test_profile_json_export () =
           "\"rounds\": 1";
           "\"shape_hits\": 1";
           "\"claim_conflicts\": 1";
-          "\"round_us\":";
+          "\"round_p50_us\":";
         ])
 
 let test_prometheus_export () =
@@ -559,7 +566,7 @@ let () =
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace_export;
           Alcotest.test_case "chrome trace escaping and dropped" `Quick
             test_chrome_trace_escaping_and_dropped;
-          Alcotest.test_case "profile json" `Quick test_profile_json_export;
+          Alcotest.test_case "profile json" `Quick test_profile_bench_rows;
           Alcotest.test_case "prometheus" `Quick test_prometheus_export;
         ] );
     ]
