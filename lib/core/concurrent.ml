@@ -19,13 +19,16 @@ let validate t trace =
 
 (* Steady-state allocation-free executor: all messages live in a
    preallocated arena (slot index = message id, handed out in the same
-   order the list-based executor minted ids), the undelivered set is
+   order the list-based executor minted ids), the active messages are
    an array-backed priority buffer, and every turn fills one reusable
    plan buffer.  The rhythm of a round is unchanged — newcomers
-   admitted, the whole set visited in (birth, id) order, finished
-   messages dropped — so statistics, telemetry and the final tree are
-   bit-identical to the list-based reference executor the equivalence
-   suite checks it against. *)
+   admitted, every undelivered message decided in (birth, id) order,
+   finished messages dropped — so statistics, telemetry and the final
+   tree are bit-identical to the list-based reference executor the
+   equivalence suite checks it against.  On untraced fault-free runs a
+   paused message is parked in its shape class (Shape_class) and the
+   walk visits each class once, at its frontier, instead of every
+   parked member. *)
 
 module Prof = Profkit.Profile
 
@@ -44,7 +47,8 @@ type state = {
          plain hot path, bit-identical to pre-faultkit behaviour *)
   check : bool;  (* verify Bstnet.Check.structural after every repair *)
   arena : Arena.t;  (* all messages ever created, by id *)
-  queue : M.t Simkit.Pqueue.t;  (* undelivered, in priority order *)
+  queue : M.t Simkit.Pqueue.t;  (* active (not parked), in priority order *)
+  classes : Shape_class.t;  (* parked messages, by cached step shape *)
   plan : Step.t;  (* the reusable plan buffer *)
   mutable next_inject : int;  (* index into trace *)
   (* The spawn callback is allocated once; it reads the round and the
@@ -67,9 +71,6 @@ let prof st phase =
 
 let prof_conflict st =
   match st.profile with None -> () | Some p -> Prof.conflict p
-
-let prof_shape_hit st =
-  match st.profile with None -> () | Some p -> Prof.shape_hit p
 
 (* lint: hot *)
 let finish st (msg : M.t) =
@@ -110,6 +111,7 @@ let create config ~window ~sink ~profile ~faults ~check t trace =
      (fault-injected duplicates take the amortized growth path). *)
   let capacity = max 16 (2 * Array.length trace) in
   let dummy = M.data ~id:(-1) ~src:0 ~dst:0 ~birth:0 in
+  let arena = Arena.create ~capacity in
   let st =
     {
       config;
@@ -120,11 +122,12 @@ let create config ~window ~sink ~profile ~faults ~check t trace =
       profile;
       faults;
       check;
-      arena = Arena.create ~capacity;
+      arena;
       queue =
         Simkit.Pqueue.create
           ~capacity:(min capacity (4 * window))
           ~dummy M.priority_compare;
+      classes = Shape_class.create ~n:(T.n t) arena profile;
       plan = Step.buffer ();
       next_inject = 0;
       spawn = (fun ~origin:_ ~first_increment:_ -> ());
@@ -231,7 +234,6 @@ let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
             cluster = Step.cluster plan;
             rotate = plan.Step.rotate;
           });
-  msg.M.shape_c0 <- M.shape_none;
   Protocol.apply_step st.t ~spawn:st.spawn msg plan;
   if traced && plan.Step.rotate then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
@@ -246,43 +248,36 @@ let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
           });
   if msg.M.delivered then finish st msg
 
-(* Claim and commit the resolved plan, or charge the pause/bypass of
-   a conflict on its final cluster. *)
+(* Charge the pause (bit 0) or bypass (bit 1) of a shape verdict. *)
+let charge_conflict st (msg : M.t) bit =
+  if bit = 1 then msg.M.bypasses <- msg.M.bypasses + 1
+  else msg.M.pauses <- msg.M.pauses + 1;
+  prof_conflict st
+
+(* Park a message that paused off its cached shape; it leaves the walk. *)
+let park_in_class st (msg : M.t) =
+  Shape_class.stage st.classes msg;
+  false
+
+(* Claim and commit the resolved plan (true), or charge the pause or
+   bypass of a conflict on its final cluster (false).  A commit is the
+   only event that can change a parked message's outcome within a
+   round, so the shape classes re-check their charges after it. *)
 let contend st ~round (msg : M.t) (plan : Step.t) =
   let conflict = cluster_conflict st ~round plan in
-  if conflict <> conflict_free then
-    record_conflict st ~round ~traced:false msg ~was_rotation:(conflict = 1)
-  else commit_plan st ~round ~traced:false msg plan
-
-(* The ΔΦ-free conflict pre-check on a probed core shape.  The anchor
-   joins the cluster (in front) only if the step rotates; with the
-   anchor unclaimed — or claimed by the same kind of winner as the
-   first claimed core node — the verdict is the same either way, so ΔΦ
-   is irrelevant: charge the pause/bypass and return true.  Otherwise
-   return false and leave the turn to the full resolve. *)
-let shape_conflict st ~round (msg : M.t) ~c0 ~c1 ~c2 ~anchor =
-  let hit =
-    if st.claims.(c0) asr 1 = round then c0
-    else if st.claims.(c1) asr 1 = round then c1
-    else if c2 <> T.nil && st.claims.(c2) asr 1 = round then c2
-    else T.nil
-  in
-  if
-    hit <> T.nil
-    && (anchor = T.nil
-       || st.claims.(anchor) asr 1 <> round
-       || st.claims.(anchor) land 1 = st.claims.(hit) land 1)
-  then begin
-    if st.claims.(hit) land 1 = 1 then msg.M.bypasses <- msg.M.bypasses + 1
-    else msg.M.pauses <- msg.M.pauses + 1;
-    prof_conflict st;
+  if conflict <> conflict_free then begin
+    record_conflict st ~round ~traced:false msg ~was_rotation:(conflict = 1);
+    false
+  end
+  else begin
+    commit_plan st ~round ~traced:false msg plan;
+    Shape_class.after_commit st.classes st.t st.claims ~round plan msg;
     true
   end
-  else false
 
-(* The shape-cache turn, taken by untraced fault-free runs: probe the
-   step's shape first and only evaluate ΔΦ when it can matter.  Under
-   contention most turns pause, and a pause is decidable from the
+(* The turn of an active message on an untraced fault-free run: probe
+   the step's shape first and only evaluate ΔΦ when it can matter.
+   Under contention most turns pause, and a pause is decidable from the
    shape alone: the rotation anchor is the only cluster node whose
    membership depends on ΔΦ, and it sits in {e front} of the cluster
    when present — so if some core node is already claimed while the
@@ -290,41 +285,28 @@ let shape_conflict st ~round (msg : M.t) ~c0 ~c1 ~c2 ~anchor =
    verdict) is the same whether or not the step would rotate, and the
    plan can be discarded unresolved.  Outcome-identical to
    {!resolved_turn}; the equivalence suite checks both against the
-   reference executor. *)
+   reference executor.
+
+   The probed shape is cached on the message.  A turn that ends in a
+   conflict has not acted, so the shape stays valid while the core
+   nodes' structure versions hold.  When the probe merely reproduced
+   the cached shape, the message paused off a valid cache and is
+   parked in its shape class; after a first pause it stays active,
+   since a lightly loaded tree mostly frees it the next round.
+   Returns whether the message stays in the active walk. *)
 let untraced_turn st ~round (msg : M.t) =
-  (* Cached-shape fast path: with the core nodes structurally
-     unchanged since the last probe (and the message not having acted
-     since — acting clears the cache), a re-probe would reproduce the
-     cached shape verbatim and perform no protocol side effects, so
-     the conflict pre-check can run straight off the cache. *)
-  let c0 = msg.M.shape_c0 in
-  if
-    c0 <> M.shape_none
-    && T.version st.t c0 = msg.M.shape_v0
-    && T.version st.t msg.M.shape_c1 = msg.M.shape_v1
-    && (msg.M.shape_c2 = T.nil || T.version st.t msg.M.shape_c2 = msg.M.shape_v2)
-  then begin
-    prof_shape_hit st;
-    if
-      not
-        (shape_conflict st ~round msg ~c0 ~c1:msg.M.shape_c1
-           ~c2:msg.M.shape_c2 ~anchor:msg.M.shape_anchor)
-    then begin
-      (* Cluster free (or only the anchor contended): the turn may
-         act, so take the full probe + resolve path. *)
-      Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
-      Step.resolve_into st.plan st.config st.t;
-      contend st ~round msg st.plan
-    end
-  end
-  else if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
+  if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
     let p = st.plan in
-    (* Refresh the message's shape cache: while the core nodes'
-       structure versions hold and the message does not act, the next
-       turn can skip the probe entirely. *)
     let c0 = p.Step.cluster0
     and c1 = p.Step.cluster1
     and c2 = p.Step.cluster2 in
+    let cached =
+      msg.M.shape_c0 = c0 && msg.M.shape_c1 = c1 && msg.M.shape_c2 = c2
+      && msg.M.shape_anchor = p.Step.anchor
+      && msg.M.shape_v0 = T.version st.t c0
+      && msg.M.shape_v1 = T.version st.t c1
+      && (c2 = T.nil || msg.M.shape_v2 = T.version st.t c2)
+    in
     msg.M.shape_c0 <- c0;
     msg.M.shape_c1 <- c1;
     msg.M.shape_c2 <- c2;
@@ -332,13 +314,65 @@ let untraced_turn st ~round (msg : M.t) =
     msg.M.shape_v0 <- T.version st.t c0;
     msg.M.shape_v1 <- T.version st.t c1;
     if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
-    if not (shape_conflict st ~round msg ~c0 ~c1 ~c2 ~anchor:p.Step.anchor)
-    then begin
+    let v =
+      Shape_class.verdict st.claims ~round ~c0 ~c1 ~c2 ~anchor:p.Step.anchor
+    in
+    if v <> Shape_class.no_verdict then begin
+      charge_conflict st msg v;
+      (not cached) || park_in_class st msg
+    end
+    else begin
       Step.resolve_into p st.config st.t;
-      contend st ~round msg p
+      if contend st ~round msg p then not msg.M.delivered
+      else (not cached) || park_in_class st msg
     end
   end
-  else finish st msg
+  else begin
+    finish st msg;
+    false
+  end
+
+(* A shape class's turn at its frontier.  A stale shape sends the
+   frontier back to a normal turn (it re-probes); a verdict charges the
+   frontier and every member after it in bulk; otherwise only the
+   anchor's claim (or no claim) stands in the way and the frontier
+   resolves its own step — staying parked if that step conflicts. *)
+let class_turn st ~round id =
+  let cs = st.classes in
+  Shape_class.pop cs;
+  let v = Shape_class.class_verdict cs st.t st.claims ~round id in
+  if v >= 0 then Shape_class.charge cs id ~bit:v
+  else begin
+    let msg = Shape_class.frontier cs id in
+    st.cur_birth <- msg.M.birth;
+    if v = Shape_class.stale then begin
+      Shape_class.leave cs id;
+      if untraced_turn st ~round msg then Simkit.Pqueue.stage st.queue msg
+    end
+    else begin
+      (* The shape is current and the message has not acted: the probe
+         reproduces it and has no protocol side effects. *)
+      Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
+      Step.resolve_into st.plan st.config st.t;
+      if contend st ~round msg st.plan then begin
+        Shape_class.leave cs id;
+        if not msg.M.delivered then Simkit.Pqueue.stage st.queue msg
+      end
+      else Shape_class.skip cs id
+    end
+  end
+
+(* Visit, in priority order, the classes whose frontier precedes
+   [next]. *)
+let visit_classes_before st ~round (next : M.t) =
+  while Shape_class.top_before st.classes next do
+    class_turn st ~round (Shape_class.top st.classes)
+  done
+
+let visit_remaining_classes st ~round =
+  while Shape_class.top st.classes >= 0 do
+    class_turn st ~round (Shape_class.top st.classes)
+  done
 (* lint: hot-end *)
 
 (* ------------------------------------------------------------------
@@ -389,8 +423,7 @@ let park st = Option.iter Faultkit.Injector.note_park st.faults
 let rearm (msg : M.t) =
   msg.M.current <- msg.M.src;
   msg.M.phase <- M.Climbing;
-  msg.M.up_credit <- T.nil;
-  msg.M.shape_c0 <- M.shape_none
+  msg.M.up_credit <- T.nil
 
 (* A duplicated data message: fresh identity, same endpoints and birth,
    forked at the original's current position.  It must never spawn a
@@ -430,8 +463,7 @@ let abort_rotation st inj ~round (msg : M.t) (plan : Step.t) =
   if Obskit.Sink.enabled st.sink then
     Obskit.Sink.record st.sink (fun () ->
         Obskit.Event.Repair_done { round; node = x });
-  if st.check then check_now st;
-  msg.M.shape_c0 <- M.shape_none
+  if st.check then check_now st
 
 (* A conflict-free step under a fault plan: the abort draw, then the
    commit draws in fixed order — loss, duplication, delay.  Each
@@ -525,19 +557,33 @@ let resolved_turn st ~round (msg : M.t) =
   else finish st msg
 
 (* lint: hot *)
-(* The round visit: every undelivered message takes its turn in
-   (birth, id) order, and the delivered are dropped in place.  [full]
-   selects the full-resolve turn (traced or fault-injected runs). *)
+(* The round visit, in (birth, id) order, dropping the delivered.  The
+   full-resolve turn (traced or fault-injected runs) visits every
+   undelivered message.  The untraced fault-free walk visits the active
+   messages merged with the shape classes' frontiers, then closes the
+   round's bulk charges and parks the messages that paused. *)
 let seq_visit st ~round ~full =
-  (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
-  Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
-      if msg.M.delivered then false
-      else begin
-        st.cur_birth <- msg.M.birth;
-        if full then resolved_turn st ~round msg
-        else untraced_turn st ~round msg;
-        not msg.M.delivered
-      end)
+  if full then
+    (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
+    Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
+        if msg.M.delivered then false
+        else begin
+          st.cur_birth <- msg.M.birth;
+          resolved_turn st ~round msg;
+          not msg.M.delivered
+        end)
+  else begin
+    (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
+    Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
+        if msg.M.delivered then false
+        else begin
+          visit_classes_before st ~round msg;
+          st.cur_birth <- msg.M.birth;
+          untraced_turn st ~round msg
+        end);
+    visit_remaining_classes st ~round;
+    Shape_class.end_round st.classes
+  end
 
 let tick st round =
   st.cur_round <- round;
@@ -617,6 +663,7 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
           }
     in
     if check_invariants then Bstnet.Check.assert_ok (Bstnet.Check.structural st.t);
+    Shape_class.flush st.classes;
     Run_stats.of_iter ~chaos ~config ~rounds (fun f -> Arena.iter st.arena f)
   in
   (st, sched, finalize)

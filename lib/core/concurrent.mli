@@ -82,8 +82,9 @@ val run :
     (docs/OBSERVABILITY.md): every round is partitioned exclusively
     and contiguously into fault-injection, inject, commit, delivery,
     invariant-check and other phases whose times accumulate into the
-    caller-owned {!Profkit.Profile.t}, alongside two counters
-    (shape-cache hits and claim conflicts).  Profiling is purely
+    caller-owned {!Profkit.Profile.t}, alongside three counters
+    (shape-class checks, claim conflicts, and the conflicts charged in
+    bulk to parked messages).  Profiling is purely
     observational: a profiled run's statistics, telemetry and final
     tree are bit-identical to an unprofiled one.
 

@@ -22,10 +22,10 @@ type t = {
      delay (Faultkit); 0 = not sleeping.  Untouched on fault-free
      runs. *)
   mutable asleep_until : int;
-  (* Step-shape cache for the concurrent executor's untraced fast
-     path: the last probed core cluster + anchor and the structure
-     versions of the core nodes at probe time (see
-     Bstnet.Topology.version).  shape_c0 = -2 means empty. *)
+  (* Step-shape cache for the concurrent executor's untraced walk: the
+     last probed core cluster + anchor and the structure versions of
+     the core nodes at probe time (see Bstnet.Topology.version); the
+     key of the shape class a paused message is parked in. *)
   mutable shape_c0 : int;
   mutable shape_c1 : int;
   mutable shape_c2 : int;
@@ -34,8 +34,6 @@ type t = {
   mutable shape_v1 : int;
   mutable shape_v2 : int;
 }
-
-let shape_none = -2
 
 let make ~id ~kind ~src ~dst ~birth =
   {
@@ -56,7 +54,7 @@ let make ~id ~kind ~src ~dst ~birth =
     pauses = 0;
     bypasses = 0;
     asleep_until = 0;
-    shape_c0 = shape_none;
+    shape_c0 = Bstnet.Topology.nil;
     shape_c1 = Bstnet.Topology.nil;
     shape_c2 = Bstnet.Topology.nil;
     shape_anchor = Bstnet.Topology.nil;
@@ -81,8 +79,7 @@ let reinit m ~kind ~src ~dst ~birth =
   m.steps <- 0;
   m.pauses <- 0;
   m.bypasses <- 0;
-  m.asleep_until <- 0;
-  m.shape_c0 <- shape_none
+  m.asleep_until <- 0
 
 let data ~id ~src ~dst ~birth = make ~id ~kind:Data ~src ~dst ~birth
 

@@ -47,19 +47,15 @@ type t = {
   mutable shape_v0 : int;
   mutable shape_v1 : int;
   mutable shape_v2 : int;
-      (** Step-shape cache owned by [Concurrent]'s untraced fast path:
-          the last probed core cluster nodes + rotation anchor
-          ([nil]-padded) and the {!Bstnet.Topology.version} stamps of
-          the core nodes at probe time.  While every stamped version
-          is unchanged and the message has not acted, re-probing would
-          reproduce exactly this shape, so the turn's conflict
-          pre-check can run straight off the cache.
-          [shape_c0 = {!shape_none}] marks an empty cache. *)
+      (** Step-shape cache owned by [Concurrent]'s untraced walk: the
+          core cluster nodes + rotation anchor ([nil]-padded) probed by
+          the message's last turn, and the {!Bstnet.Topology.version}
+          stamps of the core nodes at probe time.  While every stamped
+          version is unchanged and the message has not acted,
+          re-probing would reproduce exactly this shape; a message
+          that pauses off it is parked in the [Shape_class] keyed by
+          this cache. *)
 }
-
-val shape_none : int
-(** Sentinel for [shape_c0]: no cached shape (distinct from [nil],
-    which is legitimate tail padding in [shape_c1]/[shape_c2]). *)
 
 val data : id:int -> src:int -> dst:int -> birth:int -> t
 val weight_update : id:int -> origin:int -> birth:int -> t

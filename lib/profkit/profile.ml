@@ -62,6 +62,7 @@ type t = {
   mutable rounds : int;
   mutable shape_hits : int;
   mutable conflicts : int;
+  mutable parked : int;
 }
 
 let create () =
@@ -73,6 +74,7 @@ let create () =
     rounds = 0;
     shape_hits = 0;
     conflicts = 0;
+    parked = 0;
   }
 
 (* lint: allow no-alloc -- Clock.now_us returns a C-stub float whose box
@@ -118,6 +120,10 @@ let round_commit t =
 let shape_hit t = t.shape_hits <- t.shape_hits + 1
 let conflict t = t.conflicts <- t.conflicts + 1
 
+let charge_parked t k =
+  t.conflicts <- t.conflicts + k;
+  t.parked <- t.parked + k
+
 (* Accessors *)
 let rounds t = t.rounds
 let wall_us t = t.fs.(f_wall)
@@ -126,9 +132,14 @@ let hist t phase = t.hist.(phase_index phase)
 let wall_hist t = t.wall_hist
 let shape_hits t = t.shape_hits
 let conflicts t = t.conflicts
+let parked t = t.parked
 
 let counters t =
-  [ ("shape_hits", t.shape_hits); ("claim_conflicts", t.conflicts) ]
+  [
+    ("shape_hits", t.shape_hits);
+    ("claim_conflicts", t.conflicts);
+    ("parked", t.parked);
+  ]
 
 let pp fmt t =
   Format.fprintf fmt "rounds=%d wall=%.0fus" t.rounds (wall_us t);

@@ -1,5 +1,5 @@
 (** Phase-level self-profiling for the executors: exclusive wall-time
-    attribution per round phase plus two work counters.
+    attribution per round phase plus three work counters.
 
     Purely observational — a profile only reads {!Obskit.Clock.now_us}
     and bumps preallocated counters and {!Histogram}s, so enabling it
@@ -67,10 +67,16 @@ val round_commit : t -> unit
 (** {2 Work counters} *)
 
 val shape_hit : t -> unit
-(** A turn served from the per-message step-shape cache. *)
+(** A conflict check made off a cached step shape: one per shape-class
+    check of the concurrent executor's untraced walk. *)
 
 val conflict : t -> unit
 (** A pause or bypass caused by a cluster-claim conflict. *)
+
+val charge_parked : t -> int -> unit
+(** [charge_parked p k]: [k] pauses or bypasses charged in bulk to
+    parked messages, without a visit.  They count in {!conflicts} too,
+    so [conflicts] stays the run's pauses plus bypasses. *)
 
 (** {2 Accessors (export side)} *)
 
@@ -88,6 +94,7 @@ val wall_hist : t -> Histogram.t
 
 val shape_hits : t -> int
 val conflicts : t -> int
+val parked : t -> int
 val counters : t -> (string * int) list
 (** All work counters as [(name, value)] in a stable export order. *)
 

@@ -10,6 +10,11 @@
     [iter_filter] visits and compacts in place — no per-round list
     allocation, no re-sorting of the already-sorted bulk.
 
+    Elements may also leave through the visit and come back later
+    through [stage]: the concurrent executor keeps only its active
+    messages here, parks paused ones in shape classes, and stages a
+    parked message again once it acts.
+
     Ordering is {e stable}: elements that compare equal are visited in
     insertion order, with previously-committed elements before newly
     staged ones.  With a total order (unique keys) the visit order is

@@ -12,11 +12,25 @@ module Stats = Cbnet.Run_stats
 let workloads = [ "projector"; "skewed"; "datastructure"; "uniform" ]
 let seeds = [ 1; 2; 3; 4; 5 ]
 
+(* hpc with every request born at round 0, at the benchmark's tiny size
+   (n = 256, m = 600): the one saturated case.  Hundreds of messages
+   wait in a few shape classes at once, so bulk charges, splits at a
+   commit, anchor-flip resolves and stale classes all occur. *)
+let saturated = "hpc-saturated"
+
 let trace_of ~workload ~seed =
-  let entry = Workloads.Catalog.find workload in
-  ( entry.Workloads.Catalog.n,
-    Workloads.Trace.to_runs
-      (entry.Workloads.Catalog.generate Workloads.Catalog.Smoke ~seed) )
+  if String.equal workload saturated then
+    let trace = Workloads.Catalog.scaled "hpc" ~n:256 ~m:600 ~seed in
+    let trace =
+      Workloads.Trace.with_births trace
+        (Array.make (Workloads.Trace.length trace) 0)
+    in
+    (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
+  else
+    let entry = Workloads.Catalog.find workload in
+    ( entry.Workloads.Catalog.n,
+      Workloads.Trace.to_runs
+        (entry.Workloads.Catalog.generate Workloads.Catalog.Smoke ~seed) )
 
 let check_stats ctx (a : Stats.t) (b : Stats.t) =
   let s x = Format.asprintf "%a" Stats.pp x in
@@ -77,9 +91,10 @@ let test_pair ~workload ~seed () =
     (List.combine ea eb)
 
 (* The untraced hot path takes a different route through the executor
-   (shape probe + conflict pre-check, ΔΦ evaluated lazily), so it gets
-   its own pairwise check: stats, trees and latencies must match the
-   reference executor with the null sink too. *)
+   (shape probe + conflict pre-check, ΔΦ evaluated lazily, paused
+   messages parked in shape classes), so it gets its own pairwise
+   check: stats, trees and latencies must match the reference executor
+   with the null sink too. *)
 let test_pair_untraced ~workload ~seed () =
   let ctx = Printf.sprintf "untraced %s/seed %d" workload seed in
   let n, trace = trace_of ~workload ~seed in
@@ -206,10 +221,13 @@ let test_pair_configured ~workload ~seed ~label ?config ?window () =
     lb ld;
   check_events (ctx ^ " empty plan") ed eb
 
-(* Profiling is purely observational: a profiled traced run must stay
-   bit-identical to the oracle (stats, trees, latencies and the
+(* Profiling is purely observational: a profiled run must stay
+   bit-identical to the oracle (stats, trees, latencies and, traced, the
    payload stream), and the profile's own counters must obey the
-   executor's accounting identities. *)
+   executor's accounting identities.  The untraced profiled run takes
+   the parking walk, where pauses and bypasses are charged to whole
+   shape classes in bulk ([parked]): its conflict count must still be
+   the run's pauses plus bypasses. *)
 let test_profiled ~workload ~seed () =
   let module P = Profkit.Profile in
   let ctx = Printf.sprintf "profiled %s/seed %d" workload seed in
@@ -238,7 +256,26 @@ let test_profiled ~workload ~seed () =
   in
   let wall = P.wall_us profile in
   Alcotest.(check bool) (ctx ^ ": phases cover the wall") true
-    (Float.abs (covered -. wall) <= 1e-6 *. Float.max 1.0 wall)
+    (Float.abs (covered -. wall) <= 1e-6 *. Float.max 1.0 wall);
+  let ctx = ctx ^ " untraced" in
+  let profile = P.create () in
+  let tc = Build.balanced n in
+  let sc, lc = Conc.run_with_latencies ~profile tc trace in
+  check_stats ctx sc sb;
+  check_trees ctx tc tb;
+  Array.sort compare lc;
+  Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb lc;
+  Alcotest.(check int) (ctx ^ ": profiled rounds") sc.Stats.rounds
+    (P.rounds profile);
+  Alcotest.(check int)
+    (ctx ^ ": conflicts = pauses + bypasses")
+    (sc.Stats.pauses + sc.Stats.bypasses)
+    (P.conflicts profile);
+  Alcotest.(check bool) (ctx ^ ": parked <= conflicts") true
+    (P.parked profile <= P.conflicts profile);
+  if String.equal workload saturated then
+    Alcotest.(check bool) (ctx ^ ": some charges parked") true
+      (P.parked profile > 0)
 
 (* The scheduler finalizer must account for in-flight messages too:
    truncating both executors mid-run (before quiescence) must still
@@ -263,10 +300,11 @@ let test_truncated_finalize () =
    and on the fault-aware one (an empty plan routes every turn through
    it and the finalizer snapshots the injector's tallies), against the
    reference executor truncated at the same round.  Early cuts leave
-   weight updates staged for the next round: both finalizers must
+   weight updates staged for the next round, and cuts into the
+   saturated trace leave shape classes populated: both finalizers must
    count them. *)
-let test_truncated_finalize_cut_points () =
-  let n, trace = trace_of ~workload:"skewed" ~seed:2 in
+let test_truncated_finalize_cut_points ~workload ~seed cuts () =
+  let n, trace = trace_of ~workload ~seed in
   let empty = Faultkit.Plan.make ~seed:0 [] in
   List.iter
     (fun (label, faults) ->
@@ -280,9 +318,11 @@ let test_truncated_finalize_cut_points () =
             sched_a.Simkit.Engine.tick r;
             sched_b.Simkit.Engine.tick r
           done;
+          Alcotest.(check bool) (ctx ^ ": still in flight") false
+            (sched_a.Simkit.Engine.is_done ());
           check_stats ctx (fin_a rounds) (fin_b rounds);
           check_trees ctx ta tb)
-        [ 1; 7; 20; 40 ])
+        cuts)
     [ ("plain", None); ("fault path", Some empty) ]
 
 (* run and run_with_latencies must agree with each other: the stats
@@ -295,6 +335,9 @@ let test_run_vs_run_with_latencies () =
   Alcotest.(check int)
     "one latency per data message" s1.Stats.messages (Array.length lats)
 
+let seeds_of workload =
+  if String.equal workload saturated then [ 1; 2; 3 ] else seeds
+
 let pair_cases =
   List.concat_map
     (fun workload ->
@@ -304,8 +347,8 @@ let pair_cases =
             (Printf.sprintf "%s seed %d" workload seed)
             `Quick
             (test_pair ~workload ~seed))
-        seeds)
-    workloads
+        (seeds_of workload))
+    (saturated :: workloads)
 
 let untraced_cases =
   List.concat_map
@@ -316,8 +359,8 @@ let untraced_cases =
             (Printf.sprintf "%s seed %d" workload seed)
             `Quick
             (test_pair_untraced ~workload ~seed))
-        seeds)
-    workloads
+        (seeds_of workload))
+    (saturated :: workloads)
 
 let empty_plan_cases =
   List.concat_map
@@ -341,7 +384,7 @@ let profiled_cases =
             `Quick
             (test_profiled ~workload ~seed))
         [ 1; 2; 3 ])
-    workloads
+    (saturated :: workloads)
 
 let configured_cases =
   List.concat_map
@@ -371,7 +414,19 @@ let () =
           Alcotest.test_case "truncated finalize" `Quick
             test_truncated_finalize;
           Alcotest.test_case "truncated finalize, cut points" `Quick
-            test_truncated_finalize_cut_points;
+            (test_truncated_finalize_cut_points ~workload:"skewed" ~seed:2
+               [ 1; 7; 20; 40 ]);
+        ]
+        @ List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf "truncated finalize, cut points, %s seed %d"
+                   saturated seed)
+                `Quick
+                (test_truncated_finalize_cut_points ~workload:saturated ~seed
+                   [ 50; 200; 400 ]))
+            [ 1; 2; 3 ]
+        @ [
           Alcotest.test_case "run vs run_with_latencies" `Quick
             test_run_vs_run_with_latencies;
         ] );

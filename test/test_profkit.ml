@@ -213,15 +213,20 @@ let test_profile_counters () =
   P.shape_hit p;
   P.conflict p;
   P.conflict p;
+  P.charge_parked p 3;
   Alcotest.(check int) "shape" 1 (P.shape_hits p);
-  Alcotest.(check int) "conflicts" 2 (P.conflicts p);
+  (* Bulk charges to parked messages are conflicts too. *)
+  Alcotest.(check int) "conflicts" 5 (P.conflicts p);
+  Alcotest.(check int) "parked" 3 (P.parked p);
   (* The stable export list mirrors the accessors. *)
   let l = P.counters p in
   Alcotest.(check (option int)) "list shape_hits" (Some 1)
     (List.assoc_opt "shape_hits" l);
-  Alcotest.(check (option int)) "list claim_conflicts" (Some 2)
+  Alcotest.(check (option int)) "list claim_conflicts" (Some 5)
     (List.assoc_opt "claim_conflicts" l);
-  Alcotest.(check int) "2 counters exported" 2 (List.length l)
+  Alcotest.(check (option int)) "list parked" (Some 3)
+    (List.assoc_opt "parked" l);
+  Alcotest.(check int) "3 counters exported" 3 (List.length l)
 
 let test_profile_empty () =
   let p = P.create () in
