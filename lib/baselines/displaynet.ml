@@ -383,6 +383,7 @@ let make_scheduler st =
     Simkit.Engine.label = "dsn";
     tick = (fun round -> tick st round);
     is_done = (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
+    next_tick = Fun.id;
   }
 
 let scheduler ?(config = Cbnet.Config.default) t trace =

@@ -6,7 +6,6 @@ type t = {
   smallest : int array;
   largest : int array;
   weight : int array;
-  rank_memo : float array;  (* cached rank per node; < 0 = stale *)
   version : int array;  (* bumped when a node's structural fields change *)
   mutable root : int;
   mutable added : int;
@@ -31,8 +30,28 @@ let create ~n ~root =
     smallest = Array.init n (fun i -> i);
     largest = Array.init n (fun i -> i);
     weight = Array.make n 0;
-    rank_memo = Array.make n (-1.0);
     version = Array.make n 0;
+    root;
+    added = 0;
+  }
+
+let of_arrays ~root ~parent ~left ~right ~smallest ~largest ~version =
+  let n = Array.length parent in
+  if
+    n = 0 || root < 0 || root >= n
+    || Array.length left <> n || Array.length right <> n
+    || Array.length smallest <> n || Array.length largest <> n
+    || Array.length version <> n
+  then invalid_arg "Topology.of_arrays: inconsistent arrays";
+  {
+    n;
+    parent;
+    left;
+    right;
+    smallest;
+    largest;
+    weight = Array.make n 0;
+    version;
     root;
     added = 0;
   }
@@ -51,17 +70,11 @@ let counter t v =
   let wr = if t.right.(v) = nil then 0 else t.weight.(t.right.(v)) in
   t.weight.(v) - wl - wr
 
-let rank_memo t v = t.rank_memo.(v)
 let version t v = t.version.(v)
-let set_rank_memo t v r = t.rank_memo.(v) <- r
-
-let set_weight t v w =
-  t.weight.(v) <- w;
-  t.rank_memo.(v) <- -1.0
+let set_weight t v w = t.weight.(v) <- w
 
 let add_weight t v k =
   t.weight.(v) <- t.weight.(v) + k;
-  t.rank_memo.(v) <- -1.0;
   t.added <- t.added + k
 
 let weight_added t = t.added
@@ -86,8 +99,7 @@ let refresh_local t v =
   let c = max 0 (counter t v) in
   let wl = if l = nil then 0 else t.weight.(l) in
   let wr = if r = nil then 0 else t.weight.(r) in
-  t.weight.(v) <- c + wl + wr;
-  t.rank_memo.(v) <- -1.0
+  t.weight.(v) <- c + wl + wr
 
 let rec refresh_upward t v =
   if v <> nil then begin
@@ -151,14 +163,12 @@ let rotate_up t x =
   let wpl = if pl = nil then 0 else t.weight.(pl) in
   let wpr = if pr = nil then 0 else t.weight.(pr) in
   t.weight.(p) <- cp + wpl + wpr;
-  t.rank_memo.(p) <- -1.0;
   t.smallest.(x) <- old_interval_lo;
   t.largest.(x) <- old_interval_hi;
   let xl = t.left.(x) and xr = t.right.(x) in
   let wxl = if xl = nil then 0 else t.weight.(xl) in
   let wxr = if xr = nil then 0 else t.weight.(xr) in
-  t.weight.(x) <- cx + wxl + wxr;
-  t.rank_memo.(x) <- -1.0
+  t.weight.(x) <- cx + wxl + wxr
 
 (* The torn prefix of {!rotate_up}: the pair's local link surgery
    completes (B transferred, x over p), but the node "dies" before the
@@ -206,8 +216,7 @@ let repair_local t v ~counter =
   t.largest.(v) <- (if r = nil then v else t.largest.(r));
   let wl = if l = nil then 0 else t.weight.(l) in
   let wr = if r = nil then 0 else t.weight.(r) in
-  t.weight.(v) <- counter + wl + wr;
-  t.rank_memo.(v) <- -1.0
+  t.weight.(v) <- counter + wl + wr
 
 type direction = Up | Down_left | Down_right | Here
 
@@ -264,7 +273,6 @@ let copy t =
     smallest = Array.copy t.smallest;
     largest = Array.copy t.largest;
     weight = Array.copy t.weight;
-    rank_memo = Array.copy t.rank_memo;
     version = Array.copy t.version;
     root = t.root;
     added = t.added;

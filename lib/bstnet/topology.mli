@@ -22,6 +22,22 @@ val create : n:int -> root:int -> t
     must then be installed with {!set_child}.  Prefer the builders in
     {!Build}. *)
 
+val of_arrays :
+  root:int ->
+  parent:int array ->
+  left:int array ->
+  right:int array ->
+  smallest:int array ->
+  largest:int array ->
+  version:int array ->
+  t
+(** A topology over the given per-node arrays, taken over (not copied),
+    with every weight 0.  For builders that compute links, interval
+    labels and versions in one pass ({!Build}); the arrays must
+    already describe a consistent BST ({!Check.structural}).
+    @raise Invalid_argument if the lengths differ or [root] is out of
+    range. *)
+
 val n : t -> int
 val root : t -> int
 val parent : t -> int -> int
@@ -45,16 +61,6 @@ val add_weight : t -> int -> int -> unit
 val weight_added : t -> int
 (** Total weight ever applied through {!add_weight} — the protocol's
     increment budget, used by conservation tests. *)
-
-val rank_memo : t -> int -> float
-(** Per-node memo slot maintained for [Cbnet.Potential]'s cached node
-    ranks: the value last stored with {!set_rank_memo}, or a negative
-    sentinel when the node's weight has changed since (every weight
-    mutation — {!set_weight}, {!add_weight}, {!refresh_local},
-    {!rotate_up} — invalidates the slot).  {!copy} preserves memos. *)
-
-val set_rank_memo : t -> int -> float -> unit
-(** Store a (non-negative) memoized value for a node. *)
 
 val version : t -> int -> int
 (** Per-node structure version: a monotone counter bumped whenever the

@@ -17,14 +17,15 @@ let validate t trace =
         invalid_arg "Concurrent.run: endpoint out of range")
     trace
 
-(* Steady-state allocation-free executor: all messages live in a
-   preallocated arena (slot index = message id, handed out in the same
-   order the list-based executor minted ids), the active messages are
-   an array-backed priority buffer, and every turn fills one reusable
-   plan buffer.  The rhythm of a round is unchanged — newcomers
-   admitted, every undelivered message decided in (birth, id) order,
-   finished messages dropped — so statistics, telemetry and the final
-   tree are bit-identical to the list-based reference executor the
+(* Steady-state allocation-free executor: messages live in an arena of
+   recycled records (ids minted in the same order the list-based
+   executor minted them; a delivered message's record is reused once
+   its round is over), the active messages are an array-backed
+   priority buffer, and every turn fills one reusable plan buffer.  The
+   rhythm of a round is unchanged — newcomers admitted, every
+   undelivered message decided in (birth, id) order, finished messages
+   dropped — so statistics, telemetry and the final tree are
+   bit-identical to the list-based reference executor the
    equivalence suite checks it against.  On untraced fault-free runs a
    paused message is parked in its shape class (Shape_class) and the
    walk visits each class once, at its frontier, instead of every
@@ -46,7 +47,7 @@ type state = {
       (* fault injection (Faultkit); [None] keeps the executor on the
          plain hot path, bit-identical to pre-faultkit behaviour *)
   check : bool;  (* verify Bstnet.Check.structural after every repair *)
-  arena : Arena.t;  (* all messages ever created, by id *)
+  arena : Arena.t;  (* the live messages, by id; counts of the rest *)
   queue : M.t Simkit.Pqueue.t;  (* active (not parked), in priority order *)
   classes : Shape_class.t;  (* parked messages, by cached step shape *)
   plan : Step.t;  (* the reusable plan buffer *)
@@ -54,7 +55,7 @@ type state = {
   (* The spawn callback is allocated once; it reads the round and the
      parent's birth from these fields instead of capturing them. *)
   mutable spawn : Protocol.spawn;
-  mutable cur_round : int;
+  mutable cur_round : int;  (* the round last ticked; -1 before the first *)
   mutable cur_birth : int;
   (* Per-node claim words: claims.(v) = (r lsl 1) lor rotate when v is
      locked in round r by a step that rotates (1) or routes (0).
@@ -76,6 +77,7 @@ let prof_conflict st =
 let finish st (msg : M.t) =
   msg.M.delivered <- true;
   msg.M.end_time <- st.cur_round;
+  Arena.retire st.arena msg;
   st.live <- st.live - 1;
   if M.is_data msg then st.live_data <- st.live_data - 1;
   if Obskit.Sink.enabled st.sink then
@@ -104,14 +106,14 @@ let spawner st ~origin ~first_increment =
   else Simkit.Pqueue.stage st.queue u
 (* lint: hot-end *)
 
-let create config ~window ~sink ~profile ~faults ~check t trace =
+let create config ~window ~sink ~profile ~faults ~check ~latencies t trace =
   validate t trace;
   if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
-  (* Exactly one update per data message, so the arena never grows
-     (fault-injected duplicates take the amortized growth path). *)
+  (* Exactly one update per data message, so the arena's id map never
+     grows (fault-injected duplicates take the amortized growth path). *)
   let capacity = max 16 (2 * Array.length trace) in
   let dummy = M.data ~id:(-1) ~src:0 ~dst:0 ~birth:0 in
-  let arena = Arena.create ~capacity in
+  let arena = Arena.create ~capacity ~latencies in
   let st =
     {
       config;
@@ -131,7 +133,7 @@ let create config ~window ~sink ~profile ~faults ~check t trace =
       plan = Step.buffer ();
       next_inject = 0;
       spawn = (fun ~origin:_ ~first_increment:_ -> ());
-      cur_round = 0;
+      cur_round = -1;
       cur_birth = 0;
       claims = Array.make (T.n t) (-2);
       live = 0;
@@ -586,8 +588,13 @@ let seq_visit st ~round ~full =
   end
 
 let tick st round =
+  (match st.profile with
+  | None -> ()
+  | Some p ->
+      (* Rounds the engine skipped (see [next_tick]) count in bulk. *)
+      Prof.skip_rounds p (round - st.cur_round - 1);
+      Prof.round_begin p);
   st.cur_round <- round;
-  (match st.profile with None -> () | Some p -> Prof.round_begin p);
   (* Fault-window maintenance and scheduled crashes happen at the
      round boundary, before admission.  Without a plan the match is a
      single branch — the hot path allocates nothing. *)
@@ -614,6 +621,9 @@ let tick st round =
   prof st Prof.Commit;
   seq_visit st ~round ~full:(traced || Option.is_some st.faults);
   prof st Prof.Other;
+  (* The walk and the class settlement are over: nothing refers to the
+     round's delivered messages any more. *)
+  Arena.end_round st.arena;
   (* Φ is O(n) to compute, so it is sampled only on traced runs. *)
   if traced then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
@@ -624,10 +634,25 @@ let tick st round =
   | Some p ->
       Prof.round_close p;
       Prof.round_commit p
+
+(* The first round at or after [round] whose tick can change anything.
+   With no message live, every tick before the next birth admits and
+   visits nothing.  Traced and fault-plan runs tick every round: their
+   per-round events and fault draws are observable. *)
+let next_tick st round =
+  if
+    st.live > 0
+    || Obskit.Sink.enabled st.sink
+    || Option.is_some st.faults
+    || st.next_inject >= Array.length st.trace
+  then round
+  else
+    let birth, _, _ = st.trace.(st.next_inject) in
+    max round birth
 (* lint: hot-end *)
 
 let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
-    ?profile ?faults ?(check_invariants = false) t trace =
+    ?profile ?faults ?(check_invariants = false) ~latencies t trace =
   let window = match window with Some w -> w | None -> max 64 (T.n t) in
   let injector =
     match faults with
@@ -636,12 +661,13 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
   in
   let st =
     create config ~window ~sink ~profile ~faults:injector
-      ~check:check_invariants t trace
+      ~check:check_invariants ~latencies t trace
   in
   let sched =
     {
       Simkit.Engine.label = "cbn";
       tick = (fun round -> tick st round);
+      next_tick = (fun round -> next_tick st round);
       is_done =
         (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
     }
@@ -664,14 +690,16 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
     in
     if check_invariants then Bstnet.Check.assert_ok (Bstnet.Check.structural st.t);
     Shape_class.flush st.classes;
-    Run_stats.of_iter ~chaos ~config ~rounds (fun f -> Arena.iter st.arena f)
+    Run_stats.of_iter ~chaos ~base:(Arena.tally st.arena) ~config ~rounds
+      (fun f -> Arena.iter_live st.arena f)
   in
   (st, sched, finalize)
 
 let scheduler ?config ?window ?sink ?profile ?faults ?check_invariants t
     trace =
   let _, sched, finalize =
-    make ?config ?window ?sink ?profile ?faults ?check_invariants t trace
+    make ?config ?window ?sink ?profile ?faults ?check_invariants
+      ~latencies:false t trace
   in
   (sched, finalize)
 
@@ -685,18 +713,8 @@ let run ?config ?window ?max_rounds ?sink ?profile ?faults ?check_invariants t
 let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?faults
     ?check_invariants t trace =
   let st, sched, finalize =
-    make ?config ?window ?sink ?profile ?faults ?check_invariants t trace
+    make ?config ?window ?sink ?profile ?faults ?check_invariants
+      ~latencies:true t trace
   in
-  let rounds = Simkit.Engine.run_exn ?max_rounds sched in
-  let stats = finalize rounds in
-  let count = ref 0 in
-  Arena.iter st.arena (fun m ->
-      if M.is_data m && m.M.delivered then incr count);
-  let latencies = Array.make !count 0.0 in
-  let i = ref 0 in
-  Arena.iter st.arena (fun m ->
-      if M.is_data m && m.M.delivered then begin
-        latencies.(!i) <- float_of_int (m.M.end_time - m.M.birth);
-        incr i
-      end);
-  (stats, latencies)
+  let stats = finalize (Simkit.Engine.run_exn ?max_rounds sched) in
+  (stats, Arena.latencies st.arena)

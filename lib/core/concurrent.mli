@@ -15,9 +15,11 @@
     for the single round in which a step touches them.
 
     The executor is allocation-free in steady state: messages live in
-    a preallocated {!Arena}, the undelivered set is an array-backed
+    an {!Arena} of records recycled at the end of the round in which
+    they finish, the undelivered set is an array-backed
     {!Simkit.Pqueue}, and step planning fills one reusable
-    {!Step.buffer}.  The test suite keeps the original list-based
+    {!Step.buffer}.  Untraced fault-free runs skip the rounds in
+    which nothing is in flight (see {!scheduler}).  The test suite keeps the original list-based
     round loop as an executable specification; the two produce
     bit-identical statistics, telemetry payloads and final trees.
 
@@ -120,6 +122,13 @@ val scheduler :
   Simkit.Engine.scheduler * (int -> Run_stats.t)
 (** Lower-level access for embedding in a larger simulation: returns
     the engine scheduler plus a finalizer producing the statistics
-    given the executed round count.  The finalizer folds over {e all}
-    messages created so far (delivered or not), so it is meaningful
-    after a truncated embedding too. *)
+    given the executed round count.  The finalizer counts {e all}
+    messages created so far — the delivered ones, whose counts were
+    summed when their records were released, and the live ones — so
+    it is meaningful after a truncated embedding too.
+
+    The scheduler's [next_tick] names the next birth when no message
+    is live on an untraced fault-free run, and the current round
+    otherwise; {!Simkit.Engine} skips the idle rounds in between, and
+    a profile counts them ({!Profkit.Profile.skip_rounds}).  Ticking
+    an idle round anyway is a no-op. *)

@@ -2,7 +2,7 @@ type kind = Data | Weight_update
 type phase = Climbing | Descending
 
 type t = {
-  id : int;
+  mutable id : int;
   mutable kind : kind;
   mutable src : int;
   mutable dst : int;
@@ -63,7 +63,8 @@ let make ~id ~kind ~src ~dst ~birth =
     shape_v2 = 0;
   }
 
-let reinit m ~kind ~src ~dst ~birth =
+let reinit m ~id ~kind ~src ~dst ~birth =
+  m.id <- id;
   m.kind <- kind;
   m.src <- src;
   m.dst <- dst;
@@ -79,7 +80,14 @@ let reinit m ~kind ~src ~dst ~birth =
   m.steps <- 0;
   m.pauses <- 0;
   m.bypasses <- 0;
-  m.asleep_until <- 0
+  m.asleep_until <- 0;
+  m.shape_c0 <- Bstnet.Topology.nil;
+  m.shape_c1 <- Bstnet.Topology.nil;
+  m.shape_c2 <- Bstnet.Topology.nil;
+  m.shape_anchor <- Bstnet.Topology.nil;
+  m.shape_v0 <- 0;
+  m.shape_v1 <- 0;
+  m.shape_v2 <- 0
 
 let data ~id ~src ~dst ~birth = make ~id ~kind:Data ~src ~dst ~birth
 

@@ -13,7 +13,7 @@ type phase =
   | Descending  (** Past the LCA, heading for the destination. *)
 
 type t = {
-  id : int;  (** Unique; breaks priority ties deterministically. *)
+  mutable id : int;  (** Unique; breaks priority ties deterministically. *)
   mutable kind : kind;
   mutable src : int;
   mutable dst : int;
@@ -60,11 +60,12 @@ type t = {
 val data : id:int -> src:int -> dst:int -> birth:int -> t
 val weight_update : id:int -> origin:int -> birth:int -> t
 
-val reinit : t -> kind:kind -> src:int -> dst:int -> birth:int -> unit
-(** Reset a record to the state [data]/[weight_update] would build
-    (keeping its [id]), for preallocated-slot reuse in {!Arena}.  The
-    identity fields are mutable only to support this; once a message
-    is in flight they must not change. *)
+val reinit :
+  t -> id:int -> kind:kind -> src:int -> dst:int -> birth:int -> unit
+(** Reset a record to the state [data]/[weight_update] would build,
+    for slot reuse in {!Arena}: a released record takes on a fresh
+    message.  The identity fields are mutable only to support this;
+    once a message is in flight they must not change. *)
 
 val is_data : t -> bool
 val is_update : t -> bool

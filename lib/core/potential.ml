@@ -23,18 +23,7 @@ let rank w =
   else if w < table_size then Array.unsafe_get table w
   else log2 (float_of_int w)
 
-(* Node ranks are additionally memoized in the topology's per-node
-   slot: between weight changes a node's rank is read many times (each
-   neighbour's ΔΦ prediction touches it), and [Topology] invalidates
-   the slot on every weight mutation. *)
-let node_rank t v =
-  let r = T.rank_memo t v in
-  if r >= 0.0 then r
-  else begin
-    let r = rank (T.weight t v) in
-    T.set_rank_memo t v r;
-    r
-  end
+let node_rank t v = rank (T.weight t v)
 
 (* lint: hot-end *)
 

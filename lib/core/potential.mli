@@ -15,9 +15,7 @@ val rank : int -> float
     [Float.log2] computation); larger weights fall back to it. *)
 
 val node_rank : Bstnet.Topology.t -> int -> float
-(** [rank] of the node's current weight, memoized in the topology's
-    {!Bstnet.Topology.rank_memo} slot; any weight mutation of the node
-    invalidates the memo, so the value is always exact. *)
+(** [rank] of the node's current weight. *)
 
 val phi : Bstnet.Topology.t -> float
 (** Global potential [Φ(T)] — O(n), for analysis and tests only; the

@@ -39,45 +39,71 @@ type t = {
   chaos : chaos;
 }
 
-let of_iter ?(chaos = no_chaos) ~config ~rounds iter =
-  let messages = ref 0 in
-  let hops = ref 0 in
-  let rotations = ref 0 in
-  let steps = ref 0 in
-  let pauses = ref 0 in
-  let bypasses = ref 0 in
-  let updates = ref 0 in
-  let first_birth = ref max_int in
-  let last_end = ref 0 in
-  iter (fun (m : Message.t) ->
-      hops := !hops + m.hops;
-      rotations := !rotations + m.rotations;
-      steps := !steps + m.steps;
-      pauses := !pauses + m.pauses;
-      bypasses := !bypasses + m.bypasses;
-      match m.kind with
-      | Message.Data ->
-          incr messages;
-          if m.birth < !first_birth then first_birth := m.birth;
-          if m.end_time > !last_end then last_end := m.end_time
-      | Message.Weight_update -> incr updates);
-  let routing_cost = !hops + !messages in
-  let makespan = if !messages = 0 then 0 else max 1 (!last_end - !first_birth) in
+type tally = {
+  mutable acc_messages : int;
+  mutable acc_hops : int;
+  mutable acc_rotations : int;
+  mutable acc_steps : int;
+  mutable acc_pauses : int;
+  mutable acc_bypasses : int;
+  mutable acc_updates : int;
+  mutable acc_first_birth : int;
+  mutable acc_last_end : int;
+}
+
+let tally () =
   {
-    messages = !messages;
-    routing_hops = !hops;
+    acc_messages = 0;
+    acc_hops = 0;
+    acc_rotations = 0;
+    acc_steps = 0;
+    acc_pauses = 0;
+    acc_bypasses = 0;
+    acc_updates = 0;
+    acc_first_birth = max_int;
+    acc_last_end = 0;
+  }
+
+let copy a = { a with acc_messages = a.acc_messages }
+
+(* lint: hot *)
+let count a (m : Message.t) =
+  a.acc_hops <- a.acc_hops + m.hops;
+  a.acc_rotations <- a.acc_rotations + m.rotations;
+  a.acc_steps <- a.acc_steps + m.steps;
+  a.acc_pauses <- a.acc_pauses + m.pauses;
+  a.acc_bypasses <- a.acc_bypasses + m.bypasses;
+  match m.kind with
+  | Message.Data ->
+      a.acc_messages <- a.acc_messages + 1;
+      if m.birth < a.acc_first_birth then a.acc_first_birth <- m.birth;
+      if m.end_time > a.acc_last_end then a.acc_last_end <- m.end_time
+  | Message.Weight_update -> a.acc_updates <- a.acc_updates + 1
+(* lint: hot-end *)
+
+let of_iter ?(chaos = no_chaos) ?base ~config ~rounds iter =
+  let a = match base with None -> tally () | Some b -> copy b in
+  iter (count a);
+  let routing_cost = a.acc_hops + a.acc_messages in
+  let makespan =
+    if a.acc_messages = 0 then 0 else max 1 (a.acc_last_end - a.acc_first_birth)
+  in
+  {
+    messages = a.acc_messages;
+    routing_hops = a.acc_hops;
     routing_cost;
-    rotations = !rotations;
+    rotations = a.acc_rotations;
     work =
       float_of_int routing_cost
-      +. (config.Config.rotation_cost *. float_of_int !rotations);
+      +. (config.Config.rotation_cost *. float_of_int a.acc_rotations);
     makespan;
     throughput =
-      (if !messages = 0 then 0.0 else float_of_int !messages /. float_of_int makespan);
-    steps = !steps;
-    pauses = !pauses;
-    bypasses = !bypasses;
-    update_messages = !updates;
+      (if a.acc_messages = 0 then 0.0
+       else float_of_int a.acc_messages /. float_of_int makespan);
+    steps = a.acc_steps;
+    pauses = a.acc_pauses;
+    bypasses = a.acc_bypasses;
+    update_messages = a.acc_updates;
     rounds;
     chaos;
   }

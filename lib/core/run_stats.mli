@@ -37,15 +37,29 @@ type t = {
   chaos : chaos;  (** Fault-injection tallies; {!no_chaos} without faults. *)
 }
 
+type tally
+(** A running sum of the per-message counts {!of_iter} folds, for an
+    executor that recycles delivered messages' records: each message
+    is {!count}ed once, when its record is released. *)
+
+val tally : unit -> tally
+(** The empty sum. *)
+
+val count : tally -> Message.t -> unit
+(** Add one message's counts. *)
+
 val of_iter :
   ?chaos:chaos ->
+  ?base:tally ->
   config:Config.t ->
   rounds:int ->
   ((Message.t -> unit) -> unit) ->
   t
-(** Fold delivered messages into the aggregate, visiting them through
-    the given iterator (e.g. {!Arena.iter} partially applied) — every
-    accumulation is order-independent, so any visit order produces the
+(** Fold messages into the aggregate, visiting them through the given
+    iterator (e.g. {!Arena.iter_live} partially applied), on top of
+    the messages already summed in [base] (left unchanged; default
+    empty).  Every accumulation is order-independent, so any visit
+    order and any split between [base] and the iterator produce the
     same result.  Data messages contribute to [routing_cost]'s +1 term
     and to the makespan; update messages contribute hops and rotations
     only. *)

@@ -6,7 +6,6 @@ type result = {
   requests : int;
   intra : int;
   cross : int;
-  directory_hops : int;
 }
 
 (* Fold the per-shard statistics into one Run_stats.t on the global
@@ -119,7 +118,6 @@ let run_with_latencies ?(config = Cbnet.Config.default)
       requests = Array.length trace;
       intra = router.Router.intra;
       cross = router.Router.cross;
-      directory_hops = router.Router.cross;
     },
     latencies )
 

@@ -36,9 +36,9 @@ type result = {
   directory : Directory.t;
   requests : int;  (** End-to-end requests in the input trace. *)
   intra : int;  (** Requests served inside one shard. *)
-  cross : int;  (** Requests split across two shards. *)
-  directory_hops : int;
-      (** Directory hand-offs charged to routing (= [cross]). *)
+  cross : int;
+      (** Requests split across two shards; each charges one directory
+          hand-off hop to routing. *)
 }
 
 val run :

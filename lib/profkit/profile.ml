@@ -116,6 +116,8 @@ let round_commit t =
   t.fs.(f_round_wall) <- 0.;
   t.rounds <- t.rounds + 1
 
+let skip_rounds t k = if k > 0 then t.rounds <- t.rounds + k
+
 (* Work counters — plain field bumps, allocation-free. *)
 let shape_hit t = t.shape_hits <- t.shape_hits + 1
 let conflict t = t.conflicts <- t.conflicts + 1

@@ -64,6 +64,11 @@ val round_commit : t -> unit
 (** Fold the closed round into the whole-run totals and per-phase
     histograms, then reset the per-round state. *)
 
+val skip_rounds : t -> int -> unit
+(** [skip_rounds p k]: [k] idle rounds the executor skipped without
+    running them ([k <= 0] is a no-op).  They count in {!rounds} but
+    add no time and no histogram sample: nothing ran in them. *)
+
 (** {2 Work counters} *)
 
 val shape_hit : t -> unit

@@ -6,6 +6,7 @@ type scheduler = {
   label : string;
   tick : int -> unit;
   is_done : unit -> bool;
+  next_tick : int -> int;
 }
 
 type outcome = { rounds : int; completed : bool }
@@ -18,10 +19,13 @@ let run ?(max_rounds = default_budget) s =
   let rec go round =
     if s.is_done () then { rounds = round; completed = true }
     else if round >= max_rounds then { rounds = round; completed = false }
-    else begin
-      s.tick round;
-      go (round + 1)
-    end
+    else
+      let next = s.next_tick round in
+      if next > round then go (min next max_rounds)
+      else begin
+        s.tick round;
+        go (round + 1)
+      end
   in
   go 0
 

@@ -4,12 +4,20 @@
     round every independent node may take one local step.  Algorithms
     plug into the engine as a {!scheduler}: the engine repeatedly calls
     [tick] with the current round number until [is_done] holds, and
-    guards against livelock with a round budget. *)
+    guards against livelock with a round budget.  Rounds in which a
+    scheduler has nothing to do are skipped, not ticked: the round
+    count is the same either way. *)
 
 type scheduler = {
   label : string;  (** Short algorithm name, e.g. ["cbn"], for logs. *)
   tick : int -> unit;  (** Execute one synchronous round; the argument is the round number. *)
   is_done : unit -> bool;  (** All work delivered. *)
+  next_tick : int -> int;
+      (** [next_tick r] is the first round at or after [r] whose tick
+          could change anything; the engine jumps there (never past
+          its budget) instead of ticking the rounds before it.  Ticking
+          such an idle round anyway must be a no-op.  [Fun.id] ticks
+          every round. *)
 }
 
 type outcome = {

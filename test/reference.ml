@@ -214,6 +214,7 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null) t
       tick = (fun round -> tick st round);
       is_done =
         (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
+      next_tick = Fun.id;
     }
   in
   (* Updates spawned in the last executed round are still staged in

@@ -31,6 +31,40 @@ let test_balanced_sizes () =
         Alcotest.failf "n=%d: height %d exceeds %d" n !max_depth bound)
     [ 1; 2; 3; 7; 10; 100; 1024 ]
 
+(* The one-pass interval builder against the insertion builder, which
+   goes through Topology.set_child and the bottom-up refresh: inserting
+   the keys in the balanced tree's midpoint pre-order rebuilds the same
+   tree, so every per-node field must match, versions included. *)
+let test_balanced_matches_insertions () =
+  let rec midpoints lo hi acc =
+    if lo > hi then acc
+    else
+      let r = (lo + hi) / 2 in
+      r :: midpoints lo (r - 1) (midpoints (r + 1) hi acc)
+  in
+  List.iter
+    (fun n ->
+      let a = Build.balanced n in
+      let b = Build.of_insertions n (midpoints 0 (n - 1) []) in
+      Alcotest.(check int) (Printf.sprintf "n=%d: root" n) (T.root b) (T.root a);
+      for v = 0 to n - 1 do
+        let fields t =
+          [
+            T.parent t v;
+            T.left t v;
+            T.right t v;
+            T.smallest t v;
+            T.largest t v;
+            T.version t v;
+            T.weight t v;
+          ]
+        in
+        if fields a <> fields b then
+          Alcotest.failf "n=%d: node %d differs from the insertion build" n v
+      done;
+      check_all a)
+    [ 1; 2; 3; 7; 1023; 62500 ]
+
 let test_path_tree () =
   let t = Build.path 8 in
   check_all t;
@@ -327,6 +361,8 @@ let () =
         [
           Alcotest.test_case "balanced shape" `Quick test_balanced_shape;
           Alcotest.test_case "balanced sizes" `Quick test_balanced_sizes;
+          Alcotest.test_case "balanced = midpoint insertions" `Quick
+            test_balanced_matches_insertions;
           Alcotest.test_case "path" `Quick test_path_tree;
           Alcotest.test_case "of_insertions" `Quick test_of_insertions;
           Alcotest.test_case "rejects non-permutation" `Quick

@@ -202,6 +202,45 @@ let test_disjoint_clusters_progress_same_round () =
     true
     (stats.Cbnet.Run_stats.makespan <= 12)
 
+(* A round budget that runs out inside an idle gap: the executor skips
+   the gap, yet the run stops at the budget and raises exactly as one
+   ticking every round does, with the same statistics so far. *)
+let test_budget_in_idle_gap () =
+  let trace = [| (0, 1, 5); (2, 9, 3); (1000, 2, 9) |] in
+  Alcotest.check_raises "budget exhausted in the gap"
+    (Simkit.Engine.Budget_exhausted "scheduler cbn did not terminate")
+    (fun () -> ignore (Conc.run ~max_rounds:500 (Build.balanced 16) trace));
+  let ticks = ref 0 in
+  let run ~lockstep =
+    let sched, finalize = Conc.scheduler (Build.balanced 16) trace in
+    let sched =
+      {
+        sched with
+        Simkit.Engine.tick =
+          (fun r ->
+            incr ticks;
+            sched.Simkit.Engine.tick r);
+        next_tick =
+          (if lockstep then Fun.id else sched.Simkit.Engine.next_tick);
+      }
+    in
+    ticks := 0;
+    let o = Simkit.Engine.run ~max_rounds:500 sched in
+    (o, finalize o.Simkit.Engine.rounds, !ticks)
+  in
+  let o_skip, s_skip, ticks_skip = run ~lockstep:false in
+  let o_step, s_step, ticks_step = run ~lockstep:true in
+  Alcotest.(check bool) "not completed" false o_skip.Simkit.Engine.completed;
+  Alcotest.(check int) "rounds" o_step.Simkit.Engine.rounds
+    o_skip.Simkit.Engine.rounds;
+  Alcotest.(check int) "ticked every round" 500 ticks_step;
+  Alcotest.(check bool)
+    (Printf.sprintf "idle rounds skipped (%d ticks)" ticks_skip)
+    true (ticks_skip < 50);
+  Alcotest.(check bool) "same statistics" true (s_skip = s_step);
+  Alcotest.(check int) "both early requests delivered" 2
+    s_skip.Cbnet.Run_stats.messages
+
 let qcheck_tests =
   let open QCheck2 in
   [
@@ -237,6 +276,8 @@ let () =
           Alcotest.test_case "saturation" `Quick test_all_delivered_under_saturation;
           Alcotest.test_case "hot pair stress" `Quick test_priority_liveness_stress;
           Alcotest.test_case "makespan floor" `Quick test_makespan_not_smaller_than_optimal_floor;
+          Alcotest.test_case "budget in an idle gap" `Quick
+            test_budget_in_idle_gap;
         ] );
       ( "weights",
         [ Alcotest.test_case "drift bounded" `Quick test_root_weight_drift_bounded ] );

@@ -18,8 +18,19 @@ let seeds = [ 1; 2; 3; 4; 5 ]
    commit, anchor-flip resolves and stale classes all occur. *)
 let saturated = "hpc-saturated"
 
+(* Uniform requests on n = 64 with Poisson gaps of mean 50 rounds
+   between births, far longer than a message's few rounds of latency,
+   so most rounds have nothing in flight and the untraced executor
+   skips them. *)
+let sparse = "sparse-births"
+
 let trace_of ~workload ~seed =
-  if String.equal workload saturated then
+  if String.equal workload sparse then
+    let trace = Workloads.Catalog.scaled "uniform" ~n:64 ~m:150 ~seed in
+    let rng = Simkit.Rng.create (seed + 1000) in
+    let trace = Workloads.Trace.with_poisson_births rng ~lambda:50.0 trace in
+    (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
+  else if String.equal workload saturated then
     let trace = Workloads.Catalog.scaled "hpc" ~n:256 ~m:600 ~seed in
     let trace =
       Workloads.Trace.with_births trace
@@ -265,8 +276,15 @@ let test_profiled ~workload ~seed () =
   check_trees ctx tc tb;
   Array.sort compare lc;
   Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb lc;
+  (* Rounds the engine skipped count too, and take no time. *)
   Alcotest.(check int) (ctx ^ ": profiled rounds") sc.Stats.rounds
     (P.rounds profile);
+  let covered =
+    List.fold_left (fun acc ph -> acc +. P.total_us profile ph) 0.0 P.phases
+  in
+  let wall = P.wall_us profile in
+  Alcotest.(check bool) (ctx ^ ": phases cover the wall") true
+    (Float.abs (covered -. wall) <= 1e-6 *. Float.max 1.0 wall);
   Alcotest.(check int)
     (ctx ^ ": conflicts = pauses + bypasses")
     (sc.Stats.pauses + sc.Stats.bypasses)
@@ -325,6 +343,67 @@ let test_truncated_finalize_cut_points ~workload ~seed cuts () =
         cuts)
     [ ("plain", None); ("fault path", Some empty) ]
 
+(* Truncation through the engine on sparse births: its round budget
+   falls inside an idle gap, which the untraced executor skips, or just
+   after a round in which messages finish, whose records the executor
+   has released by then.  The reference ticks every round up to the
+   same cut; both finalizers must agree. *)
+let test_truncated_sparse ~seed () =
+  let n, trace = trace_of ~workload:sparse ~seed in
+  let _, events =
+    capture_payloads (fun sink -> Ref.run ~sink (Build.balanced n) trace)
+  in
+  let deliveries =
+    List.filter_map
+      (function
+        | Obskit.Event.Msg_delivered { round; birth; _ } -> Some (birth, round)
+        | _ -> None)
+      events
+  in
+  (* Idle at [cut] (rounds before it ticked): nothing born before it is
+     still in flight, and the next birth comes later. *)
+  let idle cut =
+    List.for_all (fun (b, r) -> b >= cut || r < cut) deliveries
+    && Array.exists (fun (b, _, _) -> b > cut) trace
+  in
+  let births = Array.map (fun (b, _, _) -> b) trace in
+  let gap_cut =
+    let found = ref None in
+    for i = Array.length births - 2 downto 0 do
+      let cut = births.(i + 1) - 1 in
+      if births.(i + 1) - births.(i) > 40 && idle (cut - 20) then
+        found := Some cut
+    done;
+    match !found with
+    | Some cut -> cut
+    | None -> Alcotest.fail "no idle gap in the sparse trace"
+  in
+  let finish_cut =
+    let rounds = List.map snd deliveries in
+    1 + List.nth rounds (List.length rounds / 2)
+  in
+  List.iter
+    (fun (label, cut) ->
+      let ctx = Printf.sprintf "sparse seed %d, %s cut at %d" seed label cut in
+      let ta = Build.balanced n and tb = Build.balanced n in
+      let sched_a, fin_a = Conc.scheduler ta trace in
+      let sched_b, fin_b = Ref.scheduler tb trace in
+      let o = Simkit.Engine.run ~max_rounds:cut sched_a in
+      Alcotest.(check bool) (ctx ^ ": cut before the end") false
+        o.Simkit.Engine.completed;
+      Alcotest.(check int) (ctx ^ ": rounds") cut o.Simkit.Engine.rounds;
+      for r = 0 to cut - 1 do
+        sched_b.Simkit.Engine.tick r
+      done;
+      check_stats ctx (fin_a cut) (fin_b cut);
+      check_trees ctx ta tb)
+    [ ("idle-gap", gap_cut); ("delivery-round", finish_cut) ];
+  (* The gap cut really is idle: the executor names a later round. *)
+  let sched, _ = Conc.scheduler (Build.balanced n) trace in
+  ignore (Simkit.Engine.run ~max_rounds:gap_cut sched);
+  Alcotest.(check bool) "idle gap skipped" true
+    (sched.Simkit.Engine.next_tick gap_cut > gap_cut)
+
 (* run and run_with_latencies must agree with each other: the stats
    path is shared, latencies are derived, not re-simulated. *)
 let test_run_vs_run_with_latencies () =
@@ -336,7 +415,9 @@ let test_run_vs_run_with_latencies () =
     "one latency per data message" s1.Stats.messages (Array.length lats)
 
 let seeds_of workload =
-  if String.equal workload saturated then [ 1; 2; 3 ] else seeds
+  if String.equal workload saturated || String.equal workload sparse then
+    [ 1; 2; 3 ]
+  else seeds
 
 let pair_cases =
   List.concat_map
@@ -348,7 +429,7 @@ let pair_cases =
             `Quick
             (test_pair ~workload ~seed))
         (seeds_of workload))
-    (saturated :: workloads)
+    (saturated :: sparse :: workloads)
 
 let untraced_cases =
   List.concat_map
@@ -360,7 +441,7 @@ let untraced_cases =
             `Quick
             (test_pair_untraced ~workload ~seed))
         (seeds_of workload))
-    (saturated :: workloads)
+    (saturated :: sparse :: workloads)
 
 let empty_plan_cases =
   List.concat_map
@@ -384,7 +465,7 @@ let profiled_cases =
             `Quick
             (test_profiled ~workload ~seed))
         [ 1; 2; 3 ])
-    (saturated :: workloads)
+    (saturated :: sparse :: workloads)
 
 let configured_cases =
   List.concat_map
@@ -425,6 +506,13 @@ let () =
                 `Quick
                 (test_truncated_finalize_cut_points ~workload:saturated ~seed
                    [ 50; 200; 400 ]))
+            [ 1; 2; 3 ]
+        @ List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf "truncated finalize, sparse births seed %d" seed)
+                `Quick
+                (test_truncated_sparse ~seed))
             [ 1; 2; 3 ]
         @ [
           Alcotest.test_case "run vs run_with_latencies" `Quick

@@ -169,9 +169,6 @@ let test_single_shard_oracle ~workload ~seed () =
     (ctx ^ ": requests")
     (Array.length runs) result.Overlay.requests;
   Alcotest.(check int) (ctx ^ ": cross") 0 result.Overlay.cross;
-  Alcotest.(check int)
-    (ctx ^ ": directory hops")
-    0 result.Overlay.directory_hops;
   Alcotest.(check int) (ctx ^ ": shard count") 1 (Array.length lat);
   Alcotest.(check (array (float 0.0))) (ctx ^ ": latencies") oracle_lat lat.(0);
   Alcotest.(check int)
@@ -289,9 +286,6 @@ let test_conservation () =
         (ctx ^ ": intra + cross")
         (Array.length runs)
         (r.Overlay.intra + r.Overlay.cross);
-      Alcotest.(check int)
-        (ctx ^ ": directory hops = cross")
-        r.Overlay.cross r.Overlay.directory_hops;
       Alcotest.(check int)
         (ctx ^ ": delivered legs")
         (r.Overlay.intra + (2 * r.Overlay.cross))

@@ -204,13 +204,19 @@ let test_engine_runs_to_completion () =
       Simkit.Engine.label = "count";
       tick = (fun _ -> decr remaining);
       is_done = (fun () -> !remaining = 0);
+      next_tick = Fun.id;
     }
   in
   Alcotest.(check int) "rounds" 5 (Simkit.Engine.run_exn sched)
 
 let test_engine_budget () =
   let sched =
-    { Simkit.Engine.label = "stuck"; tick = (fun _ -> ()); is_done = (fun () -> false) }
+    {
+      Simkit.Engine.label = "stuck";
+      tick = (fun _ -> ());
+      is_done = (fun () -> false);
+      next_tick = Fun.id;
+    }
   in
   let o = Simkit.Engine.run ~max_rounds:10 sched in
   Alcotest.(check bool) "not completed" false o.Simkit.Engine.completed;
@@ -218,6 +224,42 @@ let test_engine_budget () =
   Alcotest.check_raises "run_exn raises"
     (Simkit.Engine.Budget_exhausted "scheduler stuck did not terminate")
     (fun () -> ignore (Simkit.Engine.run_exn ~max_rounds:10 sched))
+
+(* A scheduler with work only at a few rounds: the engine ticks just
+   those, reports the same round count as ticking every round, and a
+   budget that runs out inside an idle gap stops at the budget. *)
+let sparse_scheduler events =
+  let pending = ref events and ticked = ref [] in
+  let sched =
+    {
+      Simkit.Engine.label = "sparse";
+      tick =
+        (fun r ->
+          ticked := r :: !ticked;
+          match !pending with
+          | e :: rest when e = r -> pending := rest
+          | _ -> ());
+      is_done = (fun () -> !pending = []);
+      next_tick =
+        (fun r -> match !pending with e :: _ when e > r -> e | _ -> r);
+    }
+  in
+  (sched, fun () -> List.rev !ticked)
+
+let test_engine_skips_idle_rounds () =
+  let sched, ticked = sparse_scheduler [ 3; 10; 11; 40 ] in
+  Alcotest.(check int) "rounds" 41 (Simkit.Engine.run_exn sched);
+  Alcotest.(check (list int)) "ticked" [ 3; 10; 11; 40 ] (ticked ());
+  let sched, ticked = sparse_scheduler [ 3; 10; 11; 40 ] in
+  let o = Simkit.Engine.run ~max_rounds:20 sched in
+  Alcotest.(check bool) "not completed" false o.Simkit.Engine.completed;
+  Alcotest.(check int) "stops at the budget" 20 o.Simkit.Engine.rounds;
+  Alcotest.(check (list int)) "ticked before the budget" [ 3; 10; 11 ]
+    (ticked ());
+  let sched, _ = sparse_scheduler [ 3; 10; 11; 40 ] in
+  Alcotest.check_raises "run_exn raises"
+    (Simkit.Engine.Budget_exhausted "scheduler sparse did not terminate")
+    (fun () -> ignore (Simkit.Engine.run_exn ~max_rounds:20 sched))
 
 let qcheck_tests =
   let open QCheck2 in
@@ -293,6 +335,8 @@ let () =
         [
           Alcotest.test_case "completion" `Quick test_engine_runs_to_completion;
           Alcotest.test_case "budget" `Quick test_engine_budget;
+          Alcotest.test_case "skips idle rounds" `Quick
+            test_engine_skips_idle_rounds;
         ] );
       ("properties", qcheck_tests);
     ]
