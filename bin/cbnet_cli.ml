@@ -20,11 +20,37 @@ let scale_arg =
           "Workload scale: $(b,smoke) (seconds), $(b,default) (minutes) or \
            $(b,full) (paper sizes).")
 
+(* A numeric flag outside its range is a usage error (exit 124 with
+   the usage line), not an exception out of the run. *)
+let bounded ~docv conv ~ok ~why =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S %s" s why))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv (parse, Arg.conv_printer conv)
+
+let int_at_least lo =
+  bounded ~docv:"INT" Arg.int
+    ~ok:(fun v -> v >= lo)
+    ~why:(Printf.sprintf "must be at least %d" lo)
+
 let seeds_arg =
-  Arg.(value & opt int 5 & info [ "seeds" ] ~doc:"Repetitions per cell (paper: 30).")
+  Arg.(
+    value
+    & opt (int_at_least 1) 5
+    & info [ "seeds" ] ~doc:"Repetitions per cell (paper: 30).")
 
 let lambda_arg =
-  Arg.(value & opt float 0.05 & info [ "lambda" ] ~doc:"Poisson arrival parameter (Sec. IX-B).")
+  let rate =
+    bounded ~docv:"NUM" Arg.float
+      ~ok:(fun v -> Float.is_finite v && v >= 0.)
+      ~why:"must be a finite number >= 0"
+  in
+  Arg.(
+    value & opt rate 0.05
+    & info [ "lambda" ] ~doc:"Poisson arrival parameter (Sec. IX-B).")
 
 let base_seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.")
@@ -32,7 +58,7 @@ let base_seed_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt (int_at_least 0) 1
     & info [ "jobs"; "j" ]
         ~doc:
           "Worker domains for multi-seed runs (results are bit-identical at \
@@ -91,22 +117,19 @@ let metrics_file_arg =
 let domains_arg =
   Arg.(
     value
-    & opt int 1
+    & opt (int_at_least 0) 1
     & info [ "domains"; "d" ]
         ~doc:
           "Domains that CBN-forest fans its shard executions out across \
            (results are bit-identical at every setting); 0 = all \
            recommended cores.  Other algorithms ignore it.")
 
-let resolve_domains d =
-  if d < 0 then failwith "--domains must be >= 0"
-  else if d = 0 then Domain.recommended_domain_count ()
-  else d
+let resolve_domains d = if d = 0 then Domain.recommended_domain_count () else d
 
 let shards_arg =
   Arg.(
     value
-    & opt int 1
+    & opt (int_at_least 1) 1
     & info [ "shards"; "k" ]
         ~doc:
           "Shards of the CBN-forest directory (contiguous key ranges; results \
@@ -132,6 +155,14 @@ let run_cmd =
         ~lambda:options.Runtime.Figures.lambda ~workload
         ~seed:options.Runtime.Figures.base_seed ()
     in
+    (* The shard count's upper limit depends on n: ask the directory. *)
+    (match algo with
+    | Runtime.Algo.CBN_FOREST -> (
+        try ignore (Forest.Directory.create ~n:trace.Workloads.Trace.n ~shards)
+        with Invalid_argument e ->
+          prerr_endline ("cbnet run: " ^ e);
+          exit 2)
+    | _ -> ());
     Format.printf "%a@." Workloads.Trace.pp_summary trace;
     let sink, write_telemetry =
       Runtime.Export.capture ~trace:trace_file ~metrics:metrics_file

@@ -167,7 +167,7 @@ let () =
       | None -> if Sys.file_exists default_baseline then Some default_baseline
                 else None
   in
-  let passes = [ Effectkit.Analyze.pass ] in
+  let passes = [ Effectkit.Analyze.pass; Effectkit.Unused.pass ] in
   if !update_baseline then begin
     let target =
       match !baseline_path with Some f -> f | None -> default_baseline

@@ -7,7 +7,6 @@ type t = {
   src_count : int array;
   dst_count : int array;
   messages : int;
-  self_messages : int;
 }
 
 let of_trace ~n trace =
@@ -15,15 +14,13 @@ let of_trace ~n trace =
   let w = Array.make (n * n) 0 in
   let src_count = Array.make n 0 in
   let dst_count = Array.make n 0 in
-  let self_messages = ref 0 in
   Array.iter
     (fun (_, s, d) ->
       if s < 0 || s >= n || d < 0 || d >= n then
         invalid_arg "Demand.of_trace: endpoint out of range";
       src_count.(s) <- src_count.(s) + 1;
       dst_count.(d) <- dst_count.(d) + 1;
-      if s = d then incr self_messages
-      else begin
+      if s <> d then begin
         w.((s * n) + d) <- w.((s * n) + d) + 1;
         w.((d * n) + s) <- w.((d * n) + s) + 1
       end)
@@ -60,14 +57,9 @@ let of_trace ~n trace =
     src_count;
     dst_count;
     messages = Array.length trace;
-    self_messages = !self_messages;
   }
 
 let n t = t.n
-let pair_weight t u v = if u = v then 0 else t.w.((u * t.n) + v)
-let degree t u = t.degree.(u)
-let messages t = t.messages
-let self_messages t = t.self_messages
 
 (* Σ_{u,v ∈ [lo..hi]} w(u,v), ordered pairs. *)
 let block_sum t ~lo ~hi =

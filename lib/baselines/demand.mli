@@ -8,22 +8,12 @@ val of_trace : n:int -> (int * int * int) array -> t
     are recorded separately (no tree affects their cost). *)
 
 val n : t -> int
-val pair_weight : t -> int -> int -> int
-(** Symmetric demand [f(u,v) + f(v,u)] between two distinct keys. *)
-
-val degree : t -> int -> int
-(** Total demand incident to a node (excluding self-traffic). *)
-
-val messages : t -> int
-(** Total requests counted, self-traffic included. *)
-
-val self_messages : t -> int
-
 val cut_cost : t -> lo:int -> hi:int -> int
 (** Traffic with exactly one endpoint inside the key interval
     [lo..hi] — the load of the link above a subtree spanning it.
     O(1) after construction (2-D prefix sums). *)
 
+(* lint: allow unused-export -- test_opt checks the dynamic program against it *)
 val routing_cost : t -> Bstnet.Topology.t -> int
 (** [Σ_pairs w(u,v) · d_T(u,v)]: the total routing distance of serving
     the whole demand on a static tree (excluding the per-message +1 and

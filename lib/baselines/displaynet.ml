@@ -362,22 +362,6 @@ let to_stats st config rounds =
     chaos = Cbnet.Run_stats.no_chaos;
   }
 
-let dump_active st fmt () =
-  let stage_name r =
-    match r.stage with
-    | Waiting -> "waiting"
-    | Handshake k -> Printf.sprintf "hs%d" k
-    | Splaying -> "splay"
-    | Delivered -> "done"
-  in
-  List.iter
-    (fun r ->
-      Format.fprintf fmt
-        "req %d (%d->%d) %s courier=%d src_act=%b dst_act=%b rot=%d@." r.id
-        r.src r.dst (stage_name r) r.courier r.src_active r.dst_active
-        r.rotations)
-    st.active
-
 let make_scheduler st =
   {
     Simkit.Engine.label = "dsn";
@@ -389,10 +373,6 @@ let make_scheduler st =
 let scheduler ?(config = Cbnet.Config.default) t trace =
   let st = create config t trace in
   (make_scheduler st, fun rounds -> to_stats st config rounds)
-
-let scheduler_debug ?(config = Cbnet.Config.default) t trace =
-  let st = create config t trace in
-  (make_scheduler st, (fun rounds -> to_stats st config rounds), dump_active st)
 
 let run ?(config = Cbnet.Config.default) ?max_rounds t trace =
   let sched, finalize = scheduler ~config t trace in

@@ -33,19 +33,3 @@ val run_with_latencies :
   Cbnet.Run_stats.t * float array
 (** Like {!run}, additionally returning per-request delivery latencies
     (rounds from birth to delivery, endpoint-lock waiting included). *)
-
-val scheduler :
-  ?config:Cbnet.Config.t ->
-  Bstnet.Topology.t ->
-  (int * int * int) array ->
-  Simkit.Engine.scheduler * (int -> Cbnet.Run_stats.t)
-
-val scheduler_debug :
-  ?config:Cbnet.Config.t ->
-  Bstnet.Topology.t ->
-  (int * int * int) array ->
-  Simkit.Engine.scheduler
-  * (int -> Cbnet.Run_stats.t)
-  * (Format.formatter -> unit -> unit)
-(** Like {!scheduler}, with a dumper of in-flight request states for
-    debugging liveness issues. *)

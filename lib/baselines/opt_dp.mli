@@ -29,15 +29,18 @@ type t
 val solve : ?knuth:bool -> Demand.t -> t
 (** Default [knuth = false] (exact).  O(n²) memory. *)
 
+(* lint: allow unused-export -- test_opt checks it against brute force *)
 val cost : t -> int
 (** The optimal total routing distance [Σ w(u,v) · d(u,v)]. *)
 
 val tree : t -> Bstnet.Topology.t
 (** Build the optimal topology. *)
 
+(* lint: allow unused-export -- test_opt checks it against brute force *)
 val root_of : t -> lo:int -> hi:int -> int
 (** Chosen root of the interval (for tests). *)
 
+(* lint: allow unused-export -- test_opt checks Knuth's window with it *)
 val roots_monotone : t -> bool
 (** Whether the solution's root matrix satisfies Knuth monotonicity,
     [root(a,b-1) <= root(a,b) <= root(a+1,b)] for every interval.  On

@@ -29,39 +29,6 @@ let splay_step t x ~guard =
     end
   end
 
-let splay_step_until t x ~stop =
-  if stop () then { rotations = 0; done_ = true }
-  else begin
-    let p = T.parent t x in
-    if p = T.nil then { rotations = 0; done_ = true }
-    else begin
-      let g = T.parent t p in
-      if g = T.nil then begin
-        T.rotate_up t x;
-        { rotations = 1; done_ = false }
-      end
-      else if T.is_left_child t x = T.is_left_child t p then begin
-        T.rotate_up t p;
-        T.rotate_up t x;
-        { rotations = 2; done_ = false }
-      end
-      else begin
-        T.rotate_up t x;
-        T.rotate_up t x;
-        { rotations = 2; done_ = false }
-      end
-    end
-  end
-
-let splay_until t x ~stop =
-  let rec go acc =
-    let r = splay_step_until t x ~stop in
-    if r.done_ then acc else go (acc + r.rotations)
-  in
-  go 0
-
-let splay_to_root t x = splay_until t x ~stop:(fun () -> T.is_root t x)
-
 let splay_until_ancestor_of t x ~target =
   (* x occupies the LCA position exactly when the target has entered
      its subtree (or x reached the root). *)

@@ -15,20 +15,6 @@ val splay_step : Bstnet.Topology.t -> int -> guard:int -> step_result
     node's parent is [guard].  This is the per-round unit of work of
     the DiSplayNet baseline. *)
 
-val splay_step_until :
-  Bstnet.Topology.t -> int -> stop:(unit -> bool) -> step_result
-(** Perform one full splay step (zig, zig-zig or zig-zag) moving the
-    node up to two levels towards the point where [stop] holds.  The
-    caller loops — or, in a concurrent setting, spends one round per
-    step.  When [stop ()] is already true, nothing is rotated. *)
-
-val splay_until : Bstnet.Topology.t -> int -> stop:(unit -> bool) -> int
-(** Iterate {!splay_step_until} to completion; returns the number of
-    elementary rotations. *)
-
-val splay_to_root : Bstnet.Topology.t -> int -> int
-(** Splay a node all the way to the root; returns rotations. *)
-
 val splay_until_ancestor_of : Bstnet.Topology.t -> int -> target:int -> int
 (** Splay a node until [target] lies in its subtree — i.e. until the
     node occupies the (original) LCA position (the first phase of a

@@ -24,8 +24,6 @@ let run ?config:(_ = Cbnet.Config.default) t trace =
     chaos = Cbnet.Run_stats.no_chaos;
   }
 
-let balanced_tree n = Bstnet.Build.balanced n
-
 let opt_tree ?knuth ~n trace =
   let demand = Demand.of_trace ~n trace in
   Opt_dp.tree (Opt_dp.solve ?knuth demand)

@@ -11,9 +11,6 @@ val run :
 (** Routing each request over its (fixed) tree path; [d + 1] per
     message per Def. 1. *)
 
-val balanced_tree : int -> Bstnet.Topology.t
-(** The BT baseline topology (re-exported from {!Bstnet.Build}). *)
-
 val opt_tree : ?knuth:bool -> n:int -> (int * int * int) array -> Bstnet.Topology.t
 (** The OPT baseline topology for a trace (requires knowing the whole
     demand in advance — the paper calls this unrealistic but uses it as

@@ -9,9 +9,11 @@ val path : int -> Topology.t
     the right child of its predecessor) — worst-case initial tree for
     adversarial tests. *)
 
+(* lint: allow unused-export -- random shapes for the property and equivalence suites *)
 val random : Simkit.Rng.t -> int -> Topology.t
 (** BST built by inserting keys in a uniformly random order. *)
 
+(* lint: allow unused-export -- exact shapes for the tree and baseline tests *)
 val of_insertions : int -> int list -> Topology.t
 (** [of_insertions n order] inserts the keys of [order] (a permutation
     of [0 .. n-1]) into an empty BST, first key becoming the root.

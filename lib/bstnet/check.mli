@@ -2,16 +2,20 @@
     debug mode.  Each check returns [Ok ()] or a description of the
     first violation found. *)
 
+(* lint: allow unused-export -- invariant oracle of the test suites *)
 val structure : Topology.t -> (unit, string) result
 (** Parent/child links are mutually consistent, every node is reachable
     from the root exactly once, and there are no cycles. *)
 
+(* lint: allow unused-export -- invariant oracle of the test suites *)
 val bst_order : Topology.t -> (unit, string) result
 (** In-order traversal yields [0, 1, ..., n-1]. *)
 
+(* lint: allow unused-export -- invariant oracle of the test suites *)
 val interval_labels : Topology.t -> (unit, string) result
 (** Every node's [smallest]/[largest] equal the true subtree min/max. *)
 
+(* lint: allow unused-export -- invariant oracle of the test suites *)
 val weights : ?counters:int array -> Topology.t -> (unit, string) result
 (** Every node's weight equals its counter plus its children's weights
     and counters are non-negative; when [counters] is given, the
@@ -25,6 +29,7 @@ val structural : Topology.t -> (unit, string) result
     even end-of-run) tree of a concurrent execution can legitimately
     fail {!weights} while being perfectly well-formed. *)
 
+(* lint: allow unused-export -- invariant oracle of the test suites *)
 val all : ?counters:int array -> Topology.t -> (unit, string) result
 (** All of the above in sequence ({!structural} then {!weights}). *)
 

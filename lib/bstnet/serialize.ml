@@ -73,15 +73,3 @@ let of_string s =
       t
   | _ -> failwith "Serialize.of_string: truncated input"
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let buf = really_input_string ic len in
-      of_string buf)

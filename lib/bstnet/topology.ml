@@ -101,15 +101,8 @@ let refresh_local t v =
   let wr = if r = nil then 0 else t.weight.(r) in
   t.weight.(v) <- c + wl + wr
 
-let rec refresh_upward t v =
-  if v <> nil then begin
-    refresh_local t v;
-    refresh_upward t t.parent.(v)
-  end
-
 let is_root t v = t.parent.(v) = nil
 let is_left_child t v = (not (is_root t v)) && t.left.(t.parent.(v)) = v
-let is_right_child t v = (not (is_root t v)) && t.right.(t.parent.(v)) = v
 
 let in_subtree t ~root:v u = t.smallest.(v) <= u && u <= t.largest.(v)
 
@@ -245,17 +238,6 @@ let lca t u v =
     else descend t.right.(x)
   in
   descend t.root
-
-let path_to_root t v =
-  let rec go v acc = if v = nil then List.rev acc else go t.parent.(v) (v :: acc) in
-  go v []
-
-let path t u v =
-  let a = lca t u v in
-  let rec climb x acc = if x = a then List.rev (x :: acc) else climb t.parent.(x) (x :: acc) in
-  let up = climb u [] in
-  let rec climb_v x acc = if x = a then acc else climb_v t.parent.(x) (x :: acc) in
-  up @ climb_v v []
 
 let distance t u v =
   let a = lca t u v in

@@ -17,6 +17,7 @@ type t
 val nil : int
 (** Sentinel for "no node" ([-1]). *)
 
+(* lint: allow unused-export -- Build.of_insertions and Serialize.of_string, both test support, start from it *)
 val create : n:int -> root:int -> t
 (** A topology shell with [n] isolated nodes and declared root; links
     must then be installed with {!set_child}.  Prefer the builders in
@@ -58,6 +59,7 @@ val add_weight : t -> int -> int -> unit
     responsible for the ancestor updates the protocol performs via
     travelling messages. *)
 
+(* lint: allow unused-export -- conservation oracle of the protocol tests *)
 val weight_added : t -> int
 (** Total weight ever applied through {!add_weight} — the protocol's
     increment budget, used by conservation tests. *)
@@ -83,16 +85,13 @@ val set_root : t -> int -> unit
     complete a torn rotation whose victim was promoted over the old
     root).  @raise Invalid_argument if the node has a parent. *)
 
+(* lint: allow unused-export -- Build.of_insertions and Serialize.of_string, both test support, use it *)
 val refresh_local : t -> int -> unit
 (** Recompute [smallest]/[largest]/[weight] of one node from its
     children (children must already be correct). *)
 
-val refresh_upward : t -> int -> unit
-(** {!refresh_local} on a node and all its ancestors. *)
-
 val is_root : t -> int -> bool
 val is_left_child : t -> int -> bool
-val is_right_child : t -> int -> bool
 
 val in_subtree : t -> root:int -> int -> bool
 (** [in_subtree t ~root:v u] — key-interval test, O(1). *)
@@ -144,12 +143,7 @@ val lca : t -> int -> int -> int
 val distance : t -> int -> int -> int
 (** Path length (number of links) between two nodes. *)
 
-val path : t -> int -> int -> int list
-(** Node sequence from [u] to [v] inclusive (through their LCA). *)
-
-val path_to_root : t -> int -> int list
-(** Node sequence from [v] up to and including the root. *)
-
+(* lint: allow unused-export -- Theorem 1 oracle of the tests: W(root) = 2m *)
 val total_weight : t -> int
 (** [W(root)] — equals [2m] after [m] delivered messages (Thm 1). *)
 

@@ -110,6 +110,7 @@ val run_with_latencies :
     for distribution analyses.  Latencies are in message-id (creation)
     order; distribution consumers sort or summarize anyway. *)
 
+(* lint: allow unused-export -- the equivalence and executor tests step it round by round *)
 val scheduler :
   ?config:Config.t ->
   ?window:int ->

@@ -9,13 +9,11 @@
     of a constant-size neighbourhood — these are the [delta_*]
     functions. *)
 
+(* lint: allow unused-export -- test_potential checks it against its definition *)
 val rank : int -> float
 (** [rank w = log2 w], and [0.] for [w <= 1].  Served from a
     precomputed table for [w < 2^16] (bit-identical to the direct
     [Float.log2] computation); larger weights fall back to it. *)
-
-val node_rank : Bstnet.Topology.t -> int -> float
-(** [rank] of the node's current weight. *)
 
 val phi : Bstnet.Topology.t -> float
 (** Global potential [Φ(T)] — O(n), for analysis and tests only; the

@@ -17,8 +17,6 @@ type chaos = {
 val no_chaos : chaos
 (** The all-zero tally. *)
 
-val chaos_is_zero : chaos -> bool
-
 type t = {
   messages : int;  (** [m], number of data messages in σ. *)
   routing_hops : int;

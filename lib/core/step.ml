@@ -308,11 +308,6 @@ let plan_up config t ~current ~dst =
   plan_up_into st config t ~current ~dst;
   st
 
-let plan_down config t ~current ~dst =
-  let st = buffer () in
-  plan_down_into st config t ~current ~dst;
-  st
-
 let plan config t ~current ~dst =
   let st = buffer () in
   if plan_into st config t ~current ~dst then Some st else None

@@ -75,6 +75,7 @@ val buffer : unit -> t
 val delta_phi : t -> float
 (** The plan's predicted [ΔΦ]. *)
 
+(* lint: allow unused-export -- test_step reads the planned passed nodes *)
 val passed : t -> int list
 (** The passed nodes as a list (allocates; for tests and telemetry). *)
 
@@ -101,31 +102,15 @@ val resolve_into : t -> Config.t -> Bstnet.Topology.t -> unit
     the cluster if the step rotates.  The topology must not have
     changed since the probe. *)
 
-val plan_up_into :
-  t -> Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> unit
-(** Fill the buffer with a bottom-up step plan (direction Up) —
-    {!probe_up_into} followed by {!resolve_into}.  The climb stops at
-    the LCA with [dst]; pass [dst = Bstnet.Topology.nil] for a
-    root-bound weight-update message, whose climb stops only at the
-    root.
-    @raise Invalid_argument when [current] is the root. *)
-
-val plan_down_into :
-  t -> Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> unit
-(** Fill the buffer with a top-down step plan toward [dst], which must
-    lie strictly inside the current node's subtree. *)
-
 val plan_into :
   t -> Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> bool
 (** Dispatch on {!Bstnet.Topology.direction_to}: [false] (buffer
     untouched) when the message already sits on its destination,
     otherwise fill the up/down plan and return [true]. *)
 
+(* lint: allow unused-export -- test_step plans climbs with no destination (dst = nil) *)
 val plan_up : Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> t
 (** {!plan_up_into} into a fresh buffer. *)
-
-val plan_down : Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> t
-(** {!plan_down_into} into a fresh buffer. *)
 
 val plan : Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> t option
 (** {!plan_into} into a fresh buffer; [None] when already at the

@@ -255,12 +255,3 @@ let pass ~enabled files =
     in
     List.sort Lintkit.Finding.compare (List.filter keep acc)
   end
-
-let analyze_strings files =
-  let files =
-    List.map
-      (fun (path, code) ->
-        (path, Lintkit.Source.of_string ~known:Lintkit.Rules.known ~path code))
-      files
-  in
-  pass ~enabled:(fun _ -> true) files

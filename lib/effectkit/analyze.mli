@@ -5,12 +5,6 @@
     lib/forest).  Semantics and annotation syntax: docs/LINTING.md,
     "Effect analysis". *)
 
-val rule_pure : string
-val rule_det : string
-
-val rules : string list
-(** The two rule ids, for CLI plumbing. *)
-
 val pass :
   enabled:(string -> bool) ->
   (string * Lintkit.Source.t) list ->
@@ -20,7 +14,3 @@ val pass :
     fixpoint effect summaries, and reports raw findings (suppression
     and baselining happen in the engine).  Skips all work when none of
     the rules is enabled. *)
-
-val analyze_strings : (string * string) list -> Lintkit.Finding.t list
-(** Run the pass over in-memory [(path, code)] fixtures with every
-    rule enabled, unsuppressed.  Test entry point. *)

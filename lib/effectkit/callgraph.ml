@@ -1,7 +1,10 @@
 (* Builds the module-qualified call graph over the lib/ tree: one
    {!Summary.info} per top-level (or nested-module) value binding,
    with its direct write facts and its calls resolved to canonical
-   in-tree names, externals, or [Unknown].
+   in-tree names, externals, or [Unknown].  Root and test files
+   (bin/, bench/, examples/, perfbench/, test/) define nothing; each
+   contributes the set of lib values it names, and so do a lib file's
+   top-level effects.
 
    Canonical names follow dune's wrapping: [lib/<dir>/<file>.ml]
    defines module [<Lib>.<File>] where [<Lib>] is the library name
@@ -11,9 +14,10 @@
 
    Resolution is two-phase: first every file is parsed and its
    definitions, per-file module aliases ([module T = Bstnet.Topology])
-   and raw facts are collected; then each raw call is resolved against
-   the full definition table — mutual recursion and cross-file cycles
-   need the whole map before the first lookup. *)
+   and raw facts (each name with the opens around it) are collected;
+   then each raw call is resolved against the full definition table —
+   mutual recursion and cross-file cycles need the whole map before
+   the first lookup. *)
 
 open Parsetree
 
@@ -61,6 +65,20 @@ let lib_module relpath =
 
 let lib_file relpath = Option.is_some (lib_module relpath)
 
+type role = Lib | Root of string | Test | Other
+
+let root_dirs = [ "bin"; "bench"; "examples"; "perfbench" ]
+
+(* A file's role by its first path component: bin/, bench/,
+   examples/ and perfbench/ are roots, test/ is a test root. *)
+let role relpath =
+  if lib_file relpath then Lib
+  else
+    match String.split_on_char '/' relpath with
+    | d :: _ :: _ when List.exists (String.equal d) root_dirs -> Root d
+    | "test" :: _ :: _ -> Test
+    | _ -> Other
+
 (* --- effect annotations -------------------------------------------- *)
 
 let is_separator tok =
@@ -99,7 +117,14 @@ let annotation_of_text text =
 
 (* --- phase A: per-file collection ---------------------------------- *)
 
-type raw = Rwrite of Summary.target | Rcall of string
+(* A name as written, with the module paths opened around it,
+   innermost first ([open M], [let open M in], [M.( ... )]). *)
+type scoped = { path : string; opens : string list }
+
+type raw =
+  | Rwrite of Summary.target
+  | Rcall of scoped
+  | Rinclude of scoped  (* [include M]: a use of all of [M] *)
 
 type def = {
   canon : string;
@@ -113,8 +138,7 @@ type def = {
 type t = {
   funs : (string, Summary.info) Hashtbl.t;
   order : string list;  (* canonical names, deterministic input order *)
-  mods : (string, string) Hashtbl.t;  (* canonical module -> file *)
-  libs : (string, unit) Hashtbl.t;  (* library wrapper names present *)
+  roots : (string * string list) list;  (* file -> values it always reaches *)
   errors : Lintkit.Finding.t list;  (* malformed/unattached annotations *)
 }
 
@@ -147,16 +171,23 @@ let ref_write_heads = [ ":="; "incr"; "decr" ]
 
 let mem_str xs s = List.exists (String.equal s) xs
 
-(* Walk one binding's expression, recording writes (with named
-   receivers where the AST shows one) and raw identifier occurrences.
-   Occurrences, not just application heads: a function passed as a
-   value ([Simkit.Pqueue.create M.priority_compare]) still contributes
-   its effects to the caller.  Locals and parameters surface as bare
-   names that resolve to nothing and are dropped — sound here because
-   a local [let] body's facts are already folded into the enclosing
-   binding; the known hole is a higher-order call through a parameter,
-   which the docs call out. *)
-let collect_facts add expr0 =
+let opened od =
+  match od.popen_expr.pmod_desc with
+  | Pmod_ident { txt; _ } -> Some (lid_str txt)
+  | _ -> None
+
+(* Walk one expression, recording writes (with named receivers where
+   the AST shows one) and raw identifier occurrences, each with the
+   opens in scope.  Occurrences, not just application heads: a
+   function passed as a value ([Simkit.Pqueue.create
+   M.priority_compare]) still contributes its effects to the caller.
+   Locals and parameters surface as bare names that resolve to nothing
+   and are dropped — sound here because a local [let] body's facts are
+   already folded into the enclosing binding; the known hole is a
+   higher-order call through a parameter, which the docs call out. *)
+let collect_facts ~opens add expr0 =
+  let opens = ref opens in
+  let call name loc = add (Rcall { path = name; opens = !opens }) loc in
   let super = Ast_iterator.default_iterator in
   let expr (self : Ast_iterator.iterator) e =
     match e.pexp_desc with
@@ -191,7 +222,20 @@ let collect_facts add expr0 =
         else super.expr self e)
     | Pexp_ident { txt; _ } ->
         let n = strip_stdlib (lid_str txt) in
-        if not (String.equal n "") then add (Rcall n) e.pexp_loc
+        if not (String.equal n "") then call n e.pexp_loc
+    | Pexp_open (od, body) -> (
+        match opened od with
+        | Some m ->
+            let saved = !opens in
+            opens := m :: saved;
+            self.expr self body;
+            opens := saved
+        | None -> super.expr self e)
+    | Pexp_letop { let_; ands; _ } ->
+        List.iter
+          (fun op -> call op.pbop_op.txt op.pbop_loc)
+          (let_ :: ands);
+        super.expr self e
     | _ -> super.expr self e
   in
   let it = { super with expr } in
@@ -199,17 +243,23 @@ let collect_facts add expr0 =
 
 type file_state = {
   relpath : string;
-  modroot : string;  (* "Cbnet.Potential" *)
-  curlib : string;  (* "Cbnet" *)
+  modroot : string;  (* "Cbnet.Potential"; "" outside lib/ *)
+  curlib : string;  (* "Cbnet"; "" outside lib/ *)
+  whole : bool;  (* a root file: every binding is a root *)
   aliases : (string, string) Hashtbl.t;  (* T -> "Bstnet.Topology" *)
   by_line : (int, string) Hashtbl.t;  (* def line -> canonical name *)
+  mutable rraw : (string * raw) list;
+      (* (enclosing module, fact) of the file's roots, reversed *)
 }
 
-let collect_binding st defs order vb ~modpath =
+let add_root st ~dmod r = st.rraw <- (dmod, r) :: st.rraw
+
+(* A named lib binding becomes a definition; anything else — an
+   unnamed [let () =], a whole root file — feeds the file's roots. *)
+let collect_binding st defs order vb ~modpath ~opens =
+  let dmod = String.concat "." (st.modroot :: modpath) in
   match binding_name vb.pvb_pat with
-  | None -> ()
-  | Some fname ->
-      let dmod = String.concat "." (st.modroot :: modpath) in
+  | Some fname when not st.whole ->
       let canon = dmod ^ "." ^ fname in
       let dline = (site_of vb.pvb_loc).Summary.line in
       let d =
@@ -222,32 +272,55 @@ let collect_binding st defs order vb ~modpath =
           dreq = None;
         }
       in
-      collect_facts
+      collect_facts ~opens
         (fun r loc -> d.draw <- (r, site_of loc) :: d.draw)
         vb.pvb_expr;
       if not (Hashtbl.mem defs canon) then order := canon :: !order;
       Hashtbl.replace defs canon d;
       if not (Hashtbl.mem st.by_line dline) then
         Hashtbl.replace st.by_line dline canon
+  | _ -> collect_facts ~opens (fun r _ -> add_root st ~dmod r) vb.pvb_expr
 
 let rec strip_module_expr me =
   match me.pmod_desc with
   | Pmod_constraint (me, _) -> strip_module_expr me
   | _ -> me
 
-let rec walk_items st defs order ~modpath items =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter (fun vb -> collect_binding st defs order vb ~modpath) vbs
-      | Pstr_module mb -> walk_module_binding st defs order ~modpath mb
-      | Pstr_recmodule mbs ->
-          List.iter (walk_module_binding st defs order ~modpath) mbs
-      | _ -> ())
-    items
+(* Top-level [open M] scopes over the items after it. *)
+let rec walk_items st defs mods order ~modpath ~opens items =
+  let dmod = String.concat "." (st.modroot :: modpath) in
+  ignore
+    (List.fold_left
+       (fun opens item ->
+         match item.pstr_desc with
+         | Pstr_open od -> (
+             match opened od with Some m -> m :: opens | None -> opens)
+         | Pstr_value (_, vbs) ->
+             List.iter
+               (fun vb -> collect_binding st defs order vb ~modpath ~opens)
+               vbs;
+             opens
+         | Pstr_eval (e, _) ->
+             collect_facts ~opens (fun r _ -> add_root st ~dmod r) e;
+             opens
+         | Pstr_include { pincl_mod; _ } ->
+             (match (strip_module_expr pincl_mod).pmod_desc with
+             | Pmod_ident { txt; _ } ->
+                 add_root st ~dmod (Rinclude { path = lid_str txt; opens })
+             | _ -> ());
+             opens
+         | Pstr_module mb ->
+             walk_module_binding st defs mods order ~modpath ~opens mb;
+             opens
+         | Pstr_recmodule mbs ->
+             List.iter
+               (walk_module_binding st defs mods order ~modpath ~opens)
+               mbs;
+             opens
+         | _ -> opens)
+       opens items)
 
-and walk_module_binding st defs order ~modpath mb =
+and walk_module_binding st defs mods order ~modpath ~opens mb =
   match mb.pmb_name.txt with
   | None -> ()
   | Some name -> (
@@ -256,14 +329,19 @@ and walk_module_binding st defs order ~modpath mb =
           if List.is_empty modpath then
             Hashtbl.replace st.aliases name (lid_str txt)
       | Pmod_structure items ->
-          walk_items st defs order ~modpath:(modpath @ [ name ]) items
+          let modpath = modpath @ [ name ] in
+          if not st.whole then
+            Hashtbl.replace mods
+              (String.concat "." (st.modroot :: modpath))
+              ();
+          walk_items st defs mods order ~modpath ~opens items
       | _ -> ())
 
 (* --- phase B: resolution ------------------------------------------- *)
 
 let expand_alias st name =
   match String.index_opt name '.' with
-  | None -> name
+  | None -> Option.value (Hashtbl.find_opt st.aliases name) ~default:name
   | Some i -> (
       let s0 = String.sub name 0 i in
       match Hashtbl.find_opt st.aliases s0 with
@@ -283,100 +361,129 @@ let module_prefixes dmod =
   in
   dmod :: up [] dmod
 
+(* An opened module path, canonical when it names an in-tree module:
+   relative to the opens outside it (resolved, innermost first), the
+   enclosing modules, then the current library. *)
+let resolve_module ~is_mod st ~dmod ~opens path =
+  let path = expand_alias st path in
+  let candidates =
+    List.map (fun p -> p ^ "." ^ path) (opens @ module_prefixes dmod)
+    @ [ st.curlib ^ "." ^ path; path ]
+  in
+  Option.value (List.find_opt is_mod candidates) ~default:path
+
+let resolve_opens ~is_mod st ~dmod opens =
+  List.fold_right
+    (fun o outer -> resolve_module ~is_mod st ~dmod ~opens:outer o :: outer)
+    opens []
+
 (* [mem] looks a canonical name up in the full definition table;
-   [is_lib] recognises library wrapper names ("Bstnet", "Simkit"). *)
-let resolve ~mem ~is_lib st ~dmod name =
-  let name = expand_alias st name in
-  if not (String.contains name '.') then
-    let candidate =
-      List.find_opt (fun p -> mem (p ^ "." ^ name)) (module_prefixes dmod)
-    in
-    match candidate with
-    | Some p -> Some (Summary.Known (p ^ "." ^ name))
-    | None -> Extern.classify name
-  else
-    let root = String.sub name 0 (String.index name '.') in
-    if is_lib root then
-      if mem name then Some (Summary.Known name)
-      else Some (Summary.Unknown name)
-    else
-      let in_tree =
-        List.find_opt mem [ st.curlib ^ "." ^ name; dmod ^ "." ^ name ]
-      in
-      match in_tree with
-      | Some c -> Some (Summary.Known c)
-      | None -> Extern.classify name
+   [is_lib] recognises library wrapper names ("Bstnet", "Simkit").  A
+   name in the scope of [open M] means [M.name] when that exists. *)
+let resolve ~mem ~is_lib ~is_mod st ~dmod { path; opens } =
+  let name = expand_alias st path in
+  let opened =
+    List.find_opt
+      (fun o -> mem (o ^ "." ^ name))
+      (resolve_opens ~is_mod st ~dmod opens)
+  in
+  match opened with
+  | Some o -> Some (Summary.Known (o ^ "." ^ name))
+  | None ->
+      if not (String.contains name '.') then
+        let candidate =
+          List.find_opt (fun p -> mem (p ^ "." ^ name)) (module_prefixes dmod)
+        in
+        match candidate with
+        | Some p -> Some (Summary.Known (p ^ "." ^ name))
+        | None -> Extern.classify name
+      else
+        let root = String.sub name 0 (String.index name '.') in
+        if is_lib root then
+          if mem name then Some (Summary.Known name)
+          else Some (Summary.Unknown name)
+        else
+          let in_tree =
+            List.find_opt mem [ st.curlib ^ "." ^ name; dmod ^ "." ^ name ]
+          in
+          match in_tree with
+          | Some c -> Some (Summary.Known c)
+          | None -> Extern.classify name
 
 (* --- build --------------------------------------------------------- *)
 
+(* Attach the effect annotations of a lib file: a comment governs the
+   definition starting on its own last line (trailing placement) or
+   the line right after it. *)
+let attach_annotations st defs src errors =
+  List.iter
+    (fun (c : Lintkit.Source.comment) ->
+      let error msg =
+        errors :=
+          Lintkit.Finding.v ~file:st.relpath ~line:c.start_line ~col:1
+            ~rule:Lintkit.Engine.meta_directive msg
+          :: !errors
+      in
+      match annotation_of_text c.text with
+      | None -> ()
+      | Some (Error msg) -> error msg
+      | Some (Ok req) -> (
+          let target =
+            match Hashtbl.find_opt st.by_line c.end_line with
+            | Some canon -> Some canon
+            | None -> Hashtbl.find_opt st.by_line (c.end_line + 1)
+          in
+          match target with
+          | Some canon ->
+              let d = Hashtbl.find defs canon in
+              d.dreq <- Some req
+          | None ->
+              error
+                "effect annotation attaches to no definition (it must sit \
+                 on, or directly above, a let binding)"))
+    (Lintkit.Source.comments src)
+
 let build files =
-  let g =
-    {
-      funs = Hashtbl.create 512;
-      order = [];
-      mods = Hashtbl.create 64;
-      libs = Hashtbl.create 16;
-      errors = [];
-    }
-  in
   let defs = Hashtbl.create 512 in
+  let mods = Hashtbl.create 64 in
+  let libs = Hashtbl.create 16 in
   let order = ref [] in
   let errors = ref [] in
   let states = ref [] in
   (* Phase A: parse, collect defs + aliases + raw facts. *)
   List.iter
     (fun (relpath, src) ->
-      match lib_module relpath with
+      let scope =
+        match (lib_module relpath, role relpath) with
+        | Some (lib, filemod), _ -> Some (lib, lib ^ "." ^ filemod)
+        | None, (Root _ | Test) when Filename.check_suffix relpath ".ml" ->
+            Some ("", "")
+        | _ -> None
+      in
+      match scope with
       | None -> ()
-      | Some (lib, filemod) -> (
-          let modroot = lib ^ "." ^ filemod in
+      | Some (lib, modroot) -> (
           let st =
             {
               relpath;
               modroot;
               curlib = lib;
+              whole = String.equal lib "";
               aliases = Hashtbl.create 8;
               by_line = Hashtbl.create 64;
+              rraw = [];
             }
           in
           let lexbuf = Lexing.from_string (Lintkit.Source.code src) in
           Location.init lexbuf relpath;
           match Parse.implementation lexbuf with
           | items ->
-              Hashtbl.replace g.libs lib ();
-              Hashtbl.replace g.mods modroot relpath;
-              walk_items st defs order ~modpath:[] items;
-              (* Attach the effect annotations: a comment governs the
-                 definition starting on its own last line (trailing
-                 placement) or the line right after it. *)
-              List.iter
-                (fun (c : Lintkit.Source.comment) ->
-                  match annotation_of_text c.text with
-                  | None -> ()
-                  | Some (Error msg) ->
-                      errors :=
-                        Lintkit.Finding.v ~file:relpath ~line:c.start_line
-                          ~col:1 ~rule:Lintkit.Engine.meta_directive msg
-                        :: !errors
-                  | Some (Ok req) -> (
-                      let target =
-                        match Hashtbl.find_opt st.by_line c.end_line with
-                        | Some canon -> Some canon
-                        | None -> Hashtbl.find_opt st.by_line (c.end_line + 1)
-                      in
-                      match target with
-                      | Some canon ->
-                          let d = Hashtbl.find defs canon in
-                          d.dreq <- Some req
-                      | None ->
-                          errors :=
-                            Lintkit.Finding.v ~file:relpath ~line:c.start_line
-                              ~col:1 ~rule:Lintkit.Engine.meta_directive
-                              "effect annotation attaches to no definition \
-                               (it must sit on, or directly above, a let \
-                               binding)"
-                            :: !errors))
-                (Lintkit.Source.comments src);
+              if not st.whole then begin
+                Hashtbl.replace libs lib ();
+                Hashtbl.replace mods modroot ()
+              end;
+              walk_items st defs mods order ~modpath:[] ~opens:[] items;
+              if not st.whole then attach_annotations st defs src errors;
               states := (relpath, st) :: !states
           | exception (Syntaxerr.Error _ | Lexer.Error _) ->
               (* The per-file lint already reports parse errors; the
@@ -384,11 +491,13 @@ let build files =
                  resolve as Unknown. *)
               ()))
     files;
-  let states = !states in
+  let states = List.rev !states in
   (* Phase B: resolve raw facts against the full definition table. *)
   let order = List.rev !order in
   let mem = Hashtbl.mem defs in
-  let is_lib = Hashtbl.mem g.libs in
+  let is_lib = Hashtbl.mem libs in
+  let is_mod m = is_lib m || Hashtbl.mem mods m in
+  let funs = Hashtbl.create 512 in
   List.iter
     (fun canon ->
       let d = Hashtbl.find defs canon in
@@ -399,13 +508,14 @@ let build files =
             match r with
             | Rwrite tgt -> Some (Summary.Write tgt, site)
             | Rcall n -> (
-                match resolve ~mem ~is_lib st ~dmod:d.dmod n with
+                match resolve ~mem ~is_lib ~is_mod st ~dmod:d.dmod n with
                 | Some c -> Some (Summary.Call c, site)
-                | None -> None))
+                | None -> None)
+            | Rinclude _ -> None)
           d.draw
         |> List.filter_map Fun.id
       in
-      Hashtbl.replace g.funs canon
+      Hashtbl.replace funs canon
         {
           Summary.name = canon;
           modname = d.dmod;
@@ -415,4 +525,30 @@ let build files =
           facts;
         })
     order;
-  { g with order; errors = List.rev !errors }
+  (* An include reaches every value of the included module. *)
+  let members m =
+    let prefix = m ^ "." in
+    List.filter
+      (fun c -> starts_with ~prefix ((Hashtbl.find defs c).dmod ^ "."))
+      order
+  in
+  let roots =
+    List.map
+      (fun (relpath, st) ->
+        let reached =
+          List.rev st.rraw
+          |> List.concat_map (fun (dmod, r) ->
+                 match r with
+                 | Rwrite _ -> []
+                 | Rcall n -> (
+                     match resolve ~mem ~is_lib ~is_mod st ~dmod n with
+                     | Some (Summary.Known c) -> [ c ]
+                     | _ -> [])
+                 | Rinclude { path; opens } ->
+                     let opens = resolve_opens ~is_mod st ~dmod opens in
+                     members (resolve_module ~is_mod st ~dmod ~opens path))
+        in
+        (relpath, reached))
+      states
+  in
+  { funs; order; roots; errors = List.rev !errors }

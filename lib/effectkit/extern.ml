@@ -202,5 +202,3 @@ let classify name : Summary.resolved option =
             then Some Ext_pure
             else if String.contains name '.' then Some (Unknown name)
             else None)
-
-let nondet_why name = List.assoc_opt name nondets

@@ -8,6 +8,3 @@ val classify : string -> Summary.resolved option
     resolve to an in-tree definition.  [None] means a bare name with
     no entry — a local or parameter, invisible to the untyped
     analysis, which the caller drops. *)
-
-val nondet_why : string -> string option
-(** Why [name] is banned by the determinism rule, when it is. *)

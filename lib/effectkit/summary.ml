@@ -38,5 +38,3 @@ let target_to_string = function
   | Arr a -> Printf.sprintf "array %s" a
   | Ref r -> Printf.sprintf "ref %s" r
   | Opaque w -> Printf.sprintf "state via %s" w
-
-let requirement_to_string = function Pure -> "pure"

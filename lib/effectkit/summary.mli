@@ -33,4 +33,3 @@ type info = {
 }
 
 val target_to_string : target -> string
-val requirement_to_string : requirement -> string

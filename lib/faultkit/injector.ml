@@ -90,7 +90,6 @@ let create (plan : Plan.t) ~n =
     repairs = 0;
   }
 
-let plan inj = inj.plan
 let is_down inj v = inj.up_at.(v) > inj.cur_round
 let any_down inj = inj.down_count > 0
 

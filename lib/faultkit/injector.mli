@@ -29,8 +29,6 @@ type snapshot = {
 val create : Plan.t -> n:int -> t
 (** [n] is the topology size; node picks stay in [0, n). *)
 
-val plan : t -> Plan.t
-
 val begin_round : t -> Bstnet.Topology.t -> Obskit.Sink.t -> round:int -> unit
 (** Advance the injector's clock to [round]: close crash windows that
     expire now (emitting [Node_up]) and fire the plan's crash

@@ -10,11 +10,9 @@ type clause =
 
 type t = { seed : int; clauses : clause list }
 
-let at_round r = At_round r
 let periodic ?(offset = 0) every = Every { every; offset }
 let deepest = Deepest
 let random_nodes ~rate = Random_nodes rate
-let node v = Node v
 let crash ~at ~duration pick = Crash { pick; at; duration }
 let lose ~rate = Lose rate
 let duplicate ~rate = Duplicate rate
@@ -53,7 +51,6 @@ let make ~seed clauses =
   List.iter check_clause clauses;
   { seed; clauses }
 
-let is_empty t = match t.clauses with [] -> true | _ :: _ -> false
 
 (* Shortest float rendering that re-parses to the exact same value, so
    the text form is bit-faithful. *)
@@ -83,153 +80,3 @@ let clause_to_string = function
 let to_string t =
   String.concat " "
     (Printf.sprintf "seed=%d" t.seed :: List.map clause_to_string t.clauses)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-(* --- parsing --- *)
-
-let ( let* ) = Result.bind
-
-(* ["round(5)"] with callee ["round"] -> [Some "5"]. *)
-let inside ~callee s =
-  let cl = String.length callee and sl = String.length s in
-  if
-    sl >= cl + 2
-    && String.equal (String.sub s 0 cl) callee
-    && Char.equal s.[cl] '('
-    && Char.equal s.[sl - 1] ')'
-  then Some (String.sub s (cl + 1) (sl - cl - 2))
-  else None
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: expected an integer, got %S" what s)
-
-let parse_rate what s =
-  match float_of_string_opt s with
-  | Some r when Float.is_finite r && r >= 0.0 && r <= 1.0 -> Ok r
-  | _ -> Error (Printf.sprintf "%s: expected a rate in [0, 1], got %S" what s)
-
-let parse_pick s =
-  match inside ~callee:"random" s with
-  | Some r ->
-      let* r = parse_rate "random pick" r in
-      Ok (Random_nodes r)
-  | None -> (
-      match inside ~callee:"node" s with
-      | Some v ->
-          let* v = parse_int "node pick" v in
-          Ok (Node v)
-      | None ->
-          if String.equal s "deepest" then Ok Deepest
-          else Error (Printf.sprintf "unknown pick %S" s))
-
-let parse_schedule s =
-  match inside ~callee:"round" s with
-  | Some r ->
-      let* r = parse_int "round schedule" r in
-      Ok (At_round r)
-  | None -> (
-      match inside ~callee:"every" s with
-      | Some body -> (
-          match String.split_on_char ',' body with
-          | [ e ] ->
-              let* every = parse_int "period" e in
-              Ok (Every { every; offset = 0 })
-          | [ e; o ] ->
-              let* every = parse_int "period" e in
-              let* offset = parse_int "offset" o in
-              Ok (Every { every; offset })
-          | _ -> Error (Printf.sprintf "bad schedule arguments %S" body))
-      | None -> Error (Printf.sprintf "unknown schedule %S" s))
-
-let parse_crash body =
-  (* body = SCHED:PICK*DURATION *)
-  match String.index_opt body ':' with
-  | None -> Error (Printf.sprintf "crash clause %S: missing ':'" body)
-  | Some i -> (
-      let sched = String.sub body 0 i in
-      let rest = String.sub body (i + 1) (String.length body - i - 1) in
-      match String.rindex_opt rest '*' with
-      | None -> Error (Printf.sprintf "crash clause %S: missing duration" body)
-      | Some j ->
-          let pick = String.sub rest 0 j in
-          let dur = String.sub rest (j + 1) (String.length rest - j - 1) in
-          let* at = parse_schedule sched in
-          let* pick = parse_pick pick in
-          let* duration = parse_int "crash duration" dur in
-          Ok (Crash { pick; at; duration }))
-
-let key_value tok =
-  match String.index_opt tok '=' with
-  | Some i ->
-      Some
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-  | None -> None
-
-let parse_clause tok =
-  let crash_prefix = "crash@" in
-  if
-    String.length tok > String.length crash_prefix
-    && String.equal (String.sub tok 0 (String.length crash_prefix)) crash_prefix
-  then
-    parse_crash
-      (String.sub tok (String.length crash_prefix)
-         (String.length tok - String.length crash_prefix))
-  else
-    match key_value tok with
-    | Some ("lose", v) ->
-        let* r = parse_rate "lose" v in
-        Ok (Lose r)
-    | Some ("dup", v) ->
-        let* r = parse_rate "dup" v in
-        Ok (Duplicate r)
-    | Some ("abort", v) ->
-        let* r = parse_rate "abort" v in
-        Ok (Abort_rotations r)
-    | Some ("delay", v) -> (
-        match String.index_opt v 'x' with
-        | None -> Error (Printf.sprintf "delay clause %S: missing xROUNDS" v)
-        | Some i ->
-            let* rate = parse_rate "delay" (String.sub v 0 i) in
-            let* rounds =
-              parse_int "delay rounds"
-                (String.sub v (i + 1) (String.length v - i - 1))
-            in
-            Ok (Delay { rate; rounds }))
-    | Some (k, _) -> Error (Printf.sprintf "unknown clause %S" k)
-    | None -> Error (Printf.sprintf "unparseable token %S" tok)
-
-let of_string s =
-  let tokens =
-    List.filter
-      (fun tok -> not (String.equal tok ""))
-      (String.split_on_char ' ' (String.trim s))
-  in
-  match tokens with
-  | [] -> Error "empty plan text"
-  | seed_tok :: clause_toks -> (
-      let* seed =
-        match key_value seed_tok with
-        | Some ("seed", v) -> parse_int "seed" v
-        | _ -> Error (Printf.sprintf "plan must start with seed=N, got %S" seed_tok)
-      in
-      let* clauses =
-        List.fold_left
-          (fun acc tok ->
-            let* acc = acc in
-            let* c = parse_clause tok in
-            Ok (c :: acc))
-          (Ok []) clause_toks
-      in
-      let plan = { seed; clauses = List.rev clauses } in
-      match List.iter check_clause plan.clauses with
-      | () -> Ok plan
-      | exception Invalid_argument msg -> Error msg)
-
-let of_string_exn s =
-  match of_string s with
-  | Ok p -> p
-  | Error msg -> invalid_arg (Printf.sprintf "Faultkit.Plan.of_string: %s" msg)

@@ -7,7 +7,7 @@
     seed, never from wall-clock or global state.
 
     Clauses come in two families.  {e Scheduled} crashes fire at round
-    boundaries ({!at_round} once, {!periodic} repeatedly) and pick
+    boundaries ([At_round] once, {!periodic} repeatedly) and pick
     their victims with a {!pick} strategy; {e rate} clauses ([lose],
     [duplicate], [delay], [abort_rotations]) are Bernoulli draws
     consulted at step-commit time.  The root is never crashed (it
@@ -15,8 +15,8 @@
     live: crash windows are finite, lost messages re-arm rather than
     die, and the run still drains.
 
-    {!to_string}/{!of_string} round-trip a plan through one line of
-    text, so a failing chaos run is reproducible from its log line. *)
+    {!to_string} prints a plan as one line of text, so a chaos run's
+    log line names its faults exactly. *)
 
 type pick =
   | Deepest  (** The currently deepest non-root node (ties: smallest key). *)
@@ -50,37 +50,25 @@ val make : seed:int -> clause list -> t
     >= 1, rounds and offsets >= 0.  @raise Invalid_argument otherwise.
     [make ~seed []] is a valid empty plan (no faults ever fire). *)
 
-val is_empty : t -> bool
-
 (** {2 Combinators} *)
 
-val at_round : int -> schedule
 val periodic : ?offset:int -> int -> schedule
 val deepest : pick
 val random_nodes : rate:float -> pick
-val node : int -> pick
 val crash : at:schedule -> duration:int -> pick -> clause
 val lose : rate:float -> clause
 val duplicate : rate:float -> clause
 val delay : rate:float -> rounds:int -> clause
 val abort_rotations : rate:float -> clause
 
-(** {2 Text round-trip}
+(** {2 Text form}
 
     Grammar (single line, space-separated clauses):
     {v
     seed=42 crash@round(5):deepest*12 crash@every(40,0):random(0.1)*8
     crash@round(9):node(3)*4 lose=0.05 dup=0.01 delay=0.02x3 abort=0.1
     v}
-    Rates are printed with enough digits to re-parse to the exact same
-    float, so [of_string (to_string p)] always yields [p]. *)
+    Rates are printed with enough digits to re-read as the exact same
+    float. *)
 
 val to_string : t -> string
-
-val of_string : string -> (t, string) result
-(** Parse failures return [Error] with a human-readable reason. *)
-
-val of_string_exn : string -> t
-(** @raise Invalid_argument on a parse failure. *)
-
-val pp : Format.formatter -> t -> unit

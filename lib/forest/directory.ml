@@ -24,8 +24,6 @@ let lo t s =
   if s < t.rem then s * (t.base + 1)
   else (t.rem * (t.base + 1)) + ((s - t.rem) * t.base)
 
-let hi t s = lo t s + size t s - 1
-
 let shard_of t g =
   (* The first [rem] shards are (base + 1) wide and cover the prefix
      [0, rem * (base + 1)); the rest are [base] wide. *)
@@ -33,4 +31,3 @@ let shard_of t g =
   if g < wide then g / (t.base + 1) else t.rem + ((g - wide) / t.base)
 
 let local_of t g = g - lo t (shard_of t g)
-let global_of t ~shard l = lo t shard + l

@@ -26,12 +26,6 @@ val shards : t -> int
 val size : t -> int -> int
 (** [size t s] is the number of keys shard [s] owns. *)
 
-val lo : t -> int -> int
-(** [lo t s] is the smallest global key of shard [s]. *)
-
-val hi : t -> int -> int
-(** [hi t s] is the largest global key of shard [s] (inclusive). *)
-
 val shard_of : t -> int -> int
 (** [shard_of t g] is the shard owning global key [g].  O(1); the
     caller guarantees [0 <= g < n t]. *)
@@ -39,7 +33,3 @@ val shard_of : t -> int -> int
 val local_of : t -> int -> int
 (** [local_of t g] is [g]'s key within its owning shard's local key
     space [[0, size (shard_of t g))]. *)
-
-val global_of : t -> shard:int -> int -> int
-(** [global_of t ~shard l] maps shard-local key [l] back to its global
-    key: the inverse of {!local_of} on shard [shard]. *)

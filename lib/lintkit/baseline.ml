@@ -57,8 +57,6 @@ let stale t =
       | None -> false)
     t.order
 
-let size t = List.length t.order
-
 let header =
   [
     "# lintkit baseline — grandfathered findings, one key per line.";

@@ -5,6 +5,7 @@ type t
 
 val empty : unit -> t
 
+(* lint: allow unused-export -- the ratchet tests build baselines in memory *)
 val of_lines : string list -> t
 (** Parse baseline content: one {!Finding.key} per line, [#] comments
     and blank lines ignored. *)
@@ -19,8 +20,6 @@ val matches : t -> string -> bool
 val stale : t -> string list
 (** Entries that matched no finding — the ratchet violation: their
     findings are fixed, so the entries must be removed. *)
-
-val size : t -> int
 
 val save : string -> string list -> unit
 (** Write a baseline file with the standard header and the given

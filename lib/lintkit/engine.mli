@@ -2,12 +2,10 @@
     the baseline ratchet.  [bin/cbnet_lint.ml] is a thin CLI over
     {!run}; tests exercise {!lint_string} on inline fixtures. *)
 
-val meta_parse_error : string
-(** Rule id reported when a file fails to parse. *)
-
 val meta_directive : string
 (** Rule id reported for malformed [(* lint: ... *)] directives. *)
 
+(* lint: allow unused-export -- in-memory entry point of the rule tests *)
 val lint_string :
   enabled:(string -> bool) ->
   path:string ->
@@ -18,10 +16,6 @@ val lint_string :
     rules scope on (e.g. ["lib/core/foo.ml"]); [mli_exists] (default
     true) feeds the [mli-coverage] rule.  Returns the kept findings
     (sorted) and the count suppressed by allow comments. *)
-
-val discover : string list -> string list
-(** All [.ml]/[.mli] files under the given files/directories, skipping
-    [_build] and dot-directories, in deterministic order. *)
 
 type outcome = {
   findings : Finding.t list;  (** kept: not suppressed, not baselined *)
@@ -52,6 +46,7 @@ val run :
 (** Lint every file under the given paths.  [enabled] toggles rules by
     id (default: all on). *)
 
+(* lint: allow unused-export -- in-memory entry point of the pass tests *)
 val lint_strings :
   enabled:(string -> bool) ->
   ?passes:pass list ->

@@ -22,7 +22,7 @@ let all =
     ("no-stdout", "printing to stdout from lib/ (use Obskit or Runtime.Export)");
     ("mli-coverage", "lib/ module without an interface file");
     ("whitespace", "tab characters or trailing whitespace");
-    (* The two effectkit rules (interprocedural; implemented as an
+    (* The effectkit rules (interprocedural; implemented as an
        engine pass in lib/effectkit, plugged in by bin/cbnet_lint). *)
     ( "effect-pure",
       "(* effect: pure *) function with a transitive write, \
@@ -31,6 +31,9 @@ let all =
       "clock/RNG/poly-hash/domain-identity source in lib/core, lib/bstnet, \
        lib/forest or lib/servekit (Servekit.Vclock reads wall time only \
        through Obskit.Clock, outside the scope)" );
+    ( "unused-export",
+      "lib/ .mli value that bin/, bench/, examples/ and perfbench/ never \
+       reach from outside its module" );
   ]
 
 let known rule = List.exists (fun (r, _) -> String.equal r rule) all

@@ -22,7 +22,6 @@ let path t = t.path
 let code t = t.code
 let lines t = t.lines
 let comments t = t.comments
-let hot_ranges t = t.hot
 let directive_errors t = t.errors
 
 let split_lines code =

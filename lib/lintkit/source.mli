@@ -15,6 +15,7 @@
 type comment = { text : string; start_line : int; end_line : int }
 type t
 
+(* lint: allow unused-export -- the engine's in-memory entry points and the rule tests start from it *)
 val of_string : ?known:(string -> bool) -> path:string -> string -> t
 (** Scan [code].  [known] validates rule names appearing in
     [lint: allow] directives (default: accept anything); failures are
@@ -28,9 +29,6 @@ val comments : t -> comment list
 
 val allowed : t -> line:int -> rule:string -> bool
 (** Is [rule] suppressed on [line] by an allow directive? *)
-
-val hot_ranges : t -> (int * int) list
-(** Inclusive 1-based line ranges marked hot. *)
 
 val in_hot : t -> line:int -> bool
 

@@ -89,15 +89,8 @@ type payload =
 type t = { ts_us : float; domain : int; payload : payload }
 
 val conflict_to_string : conflict -> string
-val pool_phase_to_string : pool_phase -> string
 val fault_to_string : fault -> string
 
+(* lint: allow unused-export -- the trace-diff tests name payload kinds with it *)
 val name : payload -> string
 (** Constructor name in snake case ("round_begin", "pool_task", ...). *)
-
-val to_json : t -> string
-(** One-line JSON object (no trailing newline):
-    [{"ts_us":..,"domain":..,"type":"..",...payload fields}].  Suitable
-    for JSONL streaming via {!Sink.channel}. *)
-
-val pp : Format.formatter -> t -> unit

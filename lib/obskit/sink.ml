@@ -25,12 +25,6 @@ let stream f =
   let lock = Mutex.create () in
   Fn (fun ev -> with_lock lock (fun () -> f ev))
 
-let channel oc =
-  stream (fun ev ->
-      output_string oc (Event.to_json ev);
-      output_char oc '\n';
-      flush oc)
-
 let tee sinks =
   match List.filter enabled sinks with
   | [] -> Null

@@ -20,6 +20,7 @@ val enabled : t -> bool
     constructing an event (or any argument of it), so the null sink
     costs one branch and zero allocation. *)
 
+(* lint: allow unused-export -- the sink tests emit events by hand *)
 val emit : t -> Event.t -> unit
 (** Deliver an already-built event.  No-op on {!null}. *)
 
@@ -33,11 +34,6 @@ val stream : (Event.t -> unit) -> t
 (** Deliver every event to a callback, serialized by a private mutex
     (events from concurrent domains arrive one at a time, in emission
     order as seen by the mutex). *)
-
-val channel : out_channel -> t
-(** Stream every event to a channel as one JSON object per line
-    ({!Event.to_json}).  The channel is flushed on every event, so a
-    crashed run still leaves a readable prefix. *)
 
 val tee : t list -> t
 (** Deliver to every enabled sink in list order.  [tee []] and a list

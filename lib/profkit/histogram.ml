@@ -26,8 +26,7 @@ let n_buckets = 2048
 let f_sum = 0
 let f_min = 1
 let f_max = 2
-let f_sumsq = 3
-let fs_len = 4
+let fs_len = 3
 
 type t = {
   pos : int array;
@@ -45,22 +44,9 @@ let create ?(scale = 1000.) () =
   fs.(f_max) <- Float.neg_infinity;
   { pos = Array.make n_buckets 0; neg = Array.make n_buckets 0; fs; count = 0; scale }
 
-let scale t = t.scale
 let count t = t.count
-let is_empty t = t.count = 0
 let sum t = t.fs.(f_sum)
-let min t = if t.count = 0 then 0. else t.fs.(f_min)
 let max t = if t.count = 0 then 0. else t.fs.(f_max)
-let mean t = if t.count = 0 then 0. else t.fs.(f_sum) /. float_of_int t.count
-
-let variance t =
-  if t.count < 2 then 0.
-  else
-    let n = float_of_int t.count in
-    let v = (t.fs.(f_sumsq) -. (t.fs.(f_sum) *. t.fs.(f_sum) /. n)) /. (n -. 1.) in
-    if v > 0. then v else 0.
-
-let std t = sqrt (variance t)
 
 (* Position of the most significant set bit of [m > 0], by constant-step
    binary search.  [Stdlib] has no clz and [Float.frexp] allocates a
@@ -118,33 +104,8 @@ let record t v =
     counts.(i) <- counts.(i) + 1;
     t.count <- t.count + 1;
     t.fs.(f_sum) <- t.fs.(f_sum) +. v;
-    t.fs.(f_sumsq) <- t.fs.(f_sumsq) +. (v *. v);
     if v < t.fs.(f_min) then t.fs.(f_min) <- v;
     if v > t.fs.(f_max) then t.fs.(f_max) <- v
-  end
-
-let reset t =
-  Array.fill t.pos 0 n_buckets 0;
-  Array.fill t.neg 0 n_buckets 0;
-  t.count <- 0;
-  t.fs.(f_sum) <- 0.;
-  t.fs.(f_sumsq) <- 0.;
-  t.fs.(f_min) <- Float.infinity;
-  t.fs.(f_max) <- Float.neg_infinity
-
-let merge_into ~dst src =
-  if not (Float.abs (dst.scale -. src.scale) <= 1e-9 *. Float.abs dst.scale) then
-    invalid_arg "Histogram.merge_into: scale mismatch";
-  for i = 0 to n_buckets - 1 do
-    dst.pos.(i) <- dst.pos.(i) + src.pos.(i);
-    dst.neg.(i) <- dst.neg.(i) + src.neg.(i)
-  done;
-  dst.count <- dst.count + src.count;
-  dst.fs.(f_sum) <- dst.fs.(f_sum) +. src.fs.(f_sum);
-  dst.fs.(f_sumsq) <- dst.fs.(f_sumsq) +. src.fs.(f_sumsq);
-  if src.count > 0 then begin
-    if src.fs.(f_min) < dst.fs.(f_min) then dst.fs.(f_min) <- src.fs.(f_min);
-    if src.fs.(f_max) > dst.fs.(f_max) then dst.fs.(f_max) <- src.fs.(f_max)
   end
 
 (* Midpoint of a bucket's tick range, back in value units. *)
@@ -210,6 +171,3 @@ let buckets t =
   done;
   List.rev !acc
 
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.3f min=%.3f max=%.3f p50=%.3f p95=%.3f p99=%.3f"
-    t.count (mean t) (min t) (max t) (p50 t) (p95 t) (p99 t)

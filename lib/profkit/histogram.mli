@@ -10,9 +10,7 @@
     [record] is O(1) and allocation-free in native code — unlike
     {!Simkit.Stats.summary}'s sample-retaining accumulator, a histogram
     can sit on a hot path and absorb millions of observations at a
-    fixed memory footprint.  Histograms with equal [scale] merge
-    exactly (bucket-wise sums), so per-domain or per-run instances
-    aggregate without error beyond the bucketing itself. *)
+    fixed memory footprint. *)
 
 type t
 
@@ -29,23 +27,12 @@ val record : t -> float -> unit
 (** O(1), no steady-state allocation. *)
 
 val count : t -> int
-val is_empty : t -> bool
 val sum : t -> float
-val min : t -> float
-(** Exact observed minimum (0 when empty). *)
 
 val max : t -> float
 (** Exact observed maximum (0 when empty). *)
 
-val mean : t -> float
-
-val variance : t -> float
-(** Unbiased sample variance from exact running sums (not bucketed);
-    0 for fewer than two observations. *)
-
-val std : t -> float
-val scale : t -> float
-
+(* lint: allow unused-export -- the histogram tests probe arbitrary ranks, q0 and q1 included *)
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [0;1] — nearest-rank quantile
     reconstructed from bucket midpoints, clamped to the exact observed
@@ -55,16 +42,8 @@ val p50 : t -> float
 val p95 : t -> float
 val p99 : t -> float
 
-val merge_into : dst:t -> t -> unit
-(** Bucket-wise sum: exact, associative and commutative for equal
-    scales.  @raise Invalid_argument on a scale mismatch. *)
-
-val reset : t -> unit
-
 val buckets : t -> (float * int) list
 (** Non-empty buckets as [(le, cumulative_count)] pairs in ascending
     [le] order, where [le] is the bucket's inclusive upper edge in
     value units — exactly the series a Prometheus histogram exposition
     needs (the caller appends the [+Inf] bucket with {!count}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -134,7 +134,6 @@ let hist t phase = t.hist.(phase_index phase)
 let wall_hist t = t.wall_hist
 let shape_hits t = t.shape_hits
 let conflicts t = t.conflicts
-let parked t = t.parked
 
 let counters t =
   [
@@ -142,12 +141,3 @@ let counters t =
     ("claim_conflicts", t.conflicts);
     ("parked", t.parked);
   ]
-
-let pp fmt t =
-  Format.fprintf fmt "rounds=%d wall=%.0fus" t.rounds (wall_us t);
-  List.iter
-    (fun p ->
-      let us = total_us t p in
-      if us > 0. then Format.fprintf fmt " %s=%.0fus" (phase_name p) us)
-    phases;
-  List.iter (fun (k, v) -> if v <> 0 then Format.fprintf fmt " %s=%d" k v) (counters t)

@@ -52,11 +52,3 @@ let deep_access t =
   let v = deepest_leaf t in
   let r = T.root t in
   if v = r then (v, (v + 1) mod T.n t) else (v, r)
-
-let run_deep_access_sequential ?config ~m t =
-  online_worst_case ~m t ~next:deep_access (fun trace ->
-      Cbnet.Sequential.run ?config t trace)
-
-let run_deep_access_concurrent ?config ?window ~m t =
-  online_worst_case ~m t ~next:deep_access (fun trace ->
-      Cbnet.Concurrent.run ?config ?window t trace)

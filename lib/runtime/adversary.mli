@@ -4,6 +4,7 @@
     and are used to stress the formal bounds (a heuristic like
     move-to-root degenerates here; semi-splaying must not). *)
 
+(* lint: allow unused-export -- test_adversary pins its tie-breaking *)
 val deepest_leaf : Bstnet.Topology.t -> int
 (** A node of maximum depth (ties broken by smallest key). *)
 
@@ -21,17 +22,3 @@ val online_worst_case :
 val deep_access : Bstnet.Topology.t -> int * int
 (** Adversary strategy: route from the current deepest leaf to the
     current root's key — maximal path length every time. *)
-
-val run_deep_access_sequential :
-  ?config:Cbnet.Config.t -> m:int -> Bstnet.Topology.t -> Cbnet.Run_stats.t
-(** Convenience: sequential CBNet under the {!deep_access} adversary. *)
-
-val run_deep_access_concurrent :
-  ?config:Cbnet.Config.t ->
-  ?window:int ->
-  m:int ->
-  Bstnet.Topology.t ->
-  Cbnet.Run_stats.t
-(** Convenience: the concurrent executor under the {!deep_access}
-    adversary, one single-request trace at a time (so every request
-    reacts to the tree the previous one left behind). *)

@@ -12,17 +12,6 @@ let name = function
   | CBN -> "CBN"
   | CBN_FOREST -> "CBN-forest"
 
-let of_name s =
-  match String.uppercase_ascii s with
-  | "BT" -> BT
-  | "OPT" -> OPT
-  | "SN" -> SN
-  | "DSN" -> DSN
-  | "SCBN" -> SCBN
-  | "CBN" | "CBNET" -> CBN
-  | "CBN-FOREST" | "CBNFOREST" | "FOREST" -> CBN_FOREST
-  | _ -> invalid_arg (Printf.sprintf "Algo.of_name: unknown algorithm %S" s)
-
 let is_static = function BT | OPT -> true | _ -> false
 
 let run ?(config = Cbnet.Config.default) ?(sink = Obskit.Sink.null) ?profile

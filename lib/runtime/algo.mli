@@ -20,8 +20,6 @@ val dynamic : t list
 (** The four self-adjusting algorithms (Fig. 4 excludes BT and OPT). *)
 
 val name : t -> string
-val of_name : string -> t
-(** @raise Invalid_argument for an unknown name. *)
 
 val is_static : t -> bool
 

@@ -31,6 +31,7 @@ type check =
   | Advisory of better  (** Worse than {!bound}: a [trend] line. *)
   | Gate of better  (** Worse than {!bound}: a failure. *)
 
+(* lint: allow unused-export -- test_bench_row pins how each suite reads its metrics *)
 val check : suite:string -> string -> check
 (** How {!compare} reads a metric of a suite.  Rates ([throughput],
     [*_per_sec]) and delivered counts ([messages], [admitted]) are
@@ -38,10 +39,6 @@ val check : suite:string -> string -> check
     legs of cross-shard requests; every other metric is
     lower-is-better.  Only [rounds_per_sec] in the ["perf"] suite is
     gated. *)
-
-val bound : float
-(** The relative change in the worse direction that {!compare}
-    tolerates: 20%. *)
 
 val make : suite:string -> commit:string -> timestamp:string -> row list -> t
 (** A file of this process's host (core count and OCaml version). *)

@@ -327,24 +327,3 @@ let capture ~trace ~metrics =
     | _ -> ()
   in
   (sink, write)
-
-let latencies_csv latencies path =
-  with_out path (fun oc ->
-      output_string oc "latency\n";
-      Array.iter (fun l -> Printf.fprintf oc "%f\n" l) latencies;
-      if Array.length latencies > 0 then begin
-        let s = Simkit.Stats.of_array latencies in
-        let sum = Simkit.Stats.summary s in
-        Printf.fprintf oc "# n = %d\n" sum.Simkit.Stats.n;
-        Printf.fprintf oc "# mean = %f\n" sum.Simkit.Stats.mean;
-        Printf.fprintf oc "# std = %f\n" sum.Simkit.Stats.std;
-        Printf.fprintf oc "# min = %f\n" sum.Simkit.Stats.min;
-        Printf.fprintf oc "# max = %f\n" sum.Simkit.Stats.max;
-        List.iter
-          (fun (label, v) -> Printf.fprintf oc "# %s = %f\n" label v)
-          [
-            ("p50", sum.Simkit.Stats.p50);
-            ("p95", sum.Simkit.Stats.p95);
-            ("p99", sum.Simkit.Stats.p99);
-          ]
-      end)

@@ -9,10 +9,7 @@ val measurements_csv : Experiment.measurement list -> string -> unit
     then p50/p95/p99 for routing, work, makespan and throughput, and
     the mean round count). *)
 
-val latencies_csv : float array -> string -> unit
-(** One latency per row, plus a summary block as trailing comment
-    lines: n, mean, std, min, max, p50, p95, p99. *)
-
+(* lint: allow unused-export -- test_obskit checks the written trace file *)
 val chrome_trace : ?dropped:int -> Obskit.Event.t list -> string -> unit
 (** Write telemetry events (oldest first) as Chrome trace-event JSON,
     loadable in Perfetto ({:https://ui.perfetto.dev}) or
@@ -26,6 +23,7 @@ val chrome_trace : ?dropped:int -> Obskit.Event.t list -> string -> unit
     the last event's timestamp, so a truncated trace is detectable
     instead of silent. *)
 
+(* lint: allow unused-export -- test_obskit checks the written exposition file *)
 val prometheus : ?events_dropped:int -> Simkit.Metrics.t -> string -> unit
 (** Write a metrics registry in the Prometheus text exposition format:
     counters (with any labels embedded in the registry key) and one

@@ -9,19 +9,6 @@
     emits verbatim.  Streams use plain (unlabelled) names and are
     exported as summaries with [quantile] labels. *)
 
-val recorder : Simkit.Metrics.t -> Obskit.Event.t -> unit
-(** Fold one event into the registry.  Counters:
-    [cbnet_rounds_total], [cbnet_steps_planned_total],
-    [cbnet_clusters_claimed_total], [cbnet_rotations_total],
-    [cbnet_conflicts_total{kind="pause"|"bypass"}],
-    [cbnet_messages_delivered_total{kind="data"|"update"}],
-    [cbnet_pool_tasks_total], [cbnet_spans_total],
-    [cbnet_pool_busy_us_total{domain="<id>"}] (per-domain utilization).
-    Streams: [cbnet_delta_phi] (per planned step), [cbnet_phi],
-    [cbnet_delivery_latency_rounds] (data messages),
-    [cbnet_active_messages], [cbnet_pool_queue_depth],
-    [cbnet_pool_task_us]. *)
-
 val metrics_sink : Simkit.Metrics.t -> Obskit.Sink.t
 (** [Obskit.Sink.stream (recorder reg)]: a sink feeding [reg],
     serialized so concurrent domains can share it. *)

@@ -27,7 +27,6 @@ let disabled () = create ~factor:0. ()
 let enabled t =
   Option.is_some t.every_rounds || Option.is_some t.every_us
 
-let factor t = t.factor
 let decays t = t.count
 
 let due t ~clock =

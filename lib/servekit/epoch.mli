@@ -19,9 +19,6 @@ val create : ?every_rounds:int -> ?every_us:float -> factor:float -> unit -> t
 (** @raise Invalid_argument unless [0 <= factor < 1],
     [every_rounds >= 1] and [every_us > 0] (when given). *)
 
-val enabled : t -> bool
-val factor : t -> float
-
 val decays : t -> int
 (** Decay passes applied so far. *)
 

@@ -3,12 +3,7 @@
     a Prometheus scraper or [curl].  The response builders are pure
     (and unit-tested as such); only {!handle} touches the socket. *)
 
-val response : ?status:string -> ?content_type:string -> string -> string
-(** [response body] renders a full HTTP/1.0 response with
-    [Content-Length] and [Connection: close] headers.  Defaults:
-    status ["200 OK"], content type ["text/plain; version=0.0.4"]
-    (the Prometheus exposition type). *)
-
+(* lint: allow unused-export -- test_servekit routes requests without a socket *)
 val route : string -> path:string -> body:(unit -> string) -> string
 (** [route request_line ~path ~body] dispatches a request line
     ("GET /metrics HTTP/1.1"): [body ()] wrapped as 200 when the

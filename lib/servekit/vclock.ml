@@ -12,7 +12,6 @@ let read_wall_us () = Obskit.Clock.now_us ()
 
 let virtual_ () = { rounds = 0; start_us = None }
 let wall () = { rounds = 0; start_us = Some (read_wall_us ()) }
-let is_virtual t = Option.is_none t.start_us
 let rounds t = t.rounds
 
 let advance t k =

@@ -20,8 +20,6 @@ val wall : unit -> t
 (** A wall-backed clock: rounds still advance via {!advance}, but
     {!elapsed_us} reads real time since creation. *)
 
-val is_virtual : t -> bool
-
 val rounds : t -> int
 (** Rounds advanced so far (executor work plus idle jumps). *)
 

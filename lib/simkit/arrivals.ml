@@ -1,14 +1,3 @@
-let poisson rng ~lambda ~count =
-  if count < 0 then invalid_arg "Arrivals.poisson: negative count";
-  let times = Array.make count 0 in
-  let t = ref 0.0 in
-  for i = 0 to count - 1 do
-    let gap = Float.max 1.0 (Float.ceil (Rng.exponential rng lambda)) in
-    t := !t +. gap;
-    times.(i) <- int_of_float !t
-  done;
-  times
-
 let poisson_discrete rng ~lambda ~count =
   if count < 0 then invalid_arg "Arrivals.poisson_discrete: negative count";
   let times = Array.make count 0 in
@@ -18,13 +7,3 @@ let poisson_discrete rng ~lambda ~count =
     times.(i) <- !t
   done;
   times
-
-let uniform_spacing ~gap ~count =
-  if gap < 1 then invalid_arg "Arrivals.uniform_spacing: gap must be >= 1";
-  Array.init count (fun i -> i * gap)
-
-let batched ~batch ~gap ~count =
-  if batch < 1 || gap < 1 then invalid_arg "Arrivals.batched: bad parameters";
-  Array.init count (fun i -> i / batch * gap)
-
-let all_at_once ~count = Array.make count 0

@@ -4,24 +4,9 @@
     [lambda = 0.05] per time slot (Sec. IX-B); the model additionally
     requires at least one slot between successive arrivals (Sec. II). *)
 
-val poisson : Rng.t -> lambda:float -> count:int -> int array
-(** [poisson rng ~lambda ~count] returns [count] strictly increasing
-    integer arrival slots with exponential inter-arrival times of rate
-    [lambda], rounded up and floored at one slot. *)
-
 val poisson_discrete : Rng.t -> lambda:float -> count:int -> int array
 (** The paper's literal spacing (Sec. IX-B): successive gaps drawn
     from a discrete Poisson distribution with mean [lambda], floored
     at the model's one-slot minimum.  With [lambda = 0.05] almost all
     gaps are a single slot, which is what makes the workload heavily
     concurrent. *)
-
-val uniform_spacing : gap:int -> count:int -> int array
-(** Deterministic arrivals every [gap] slots, starting at slot 0. *)
-
-val batched : batch:int -> gap:int -> count:int -> int array
-(** [batch] simultaneous arrivals every [gap] slots — used to stress
-    concurrency (many messages born in the same round). *)
-
-val all_at_once : count:int -> int array
-(** Every message born at slot 0 (maximum concurrency pressure). *)

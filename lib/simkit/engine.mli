@@ -29,6 +29,7 @@ exception Budget_exhausted of string
 (** Raised by {!run_exn} when the round budget runs out — this always
     indicates a liveness bug in a scheduler, never a legitimate result. *)
 
+(* lint: allow unused-export -- the equivalence oracle and executor tests read the whole outcome *)
 val run : ?max_rounds:int -> scheduler -> outcome
 (** Drive [scheduler] to completion.  [max_rounds] defaults to
     100 million, far above any legitimate experiment in this repo. *)

@@ -2,9 +2,8 @@
    not sample-retaining accumulators: telemetry recorders observe once
    per event on paths that emit millions of events, so the registry
    must absorb observations at O(1) time and fixed memory.  Quantiles
-   in summaries and exports are therefore bucket-reconstructed, with
-   relative error bounded by the histogram's sub-bucket resolution
-   (~3.1%); count/mean/std/min/max/total stay exact. *)
+   in exports are therefore bucket-reconstructed, with relative error
+   bounded by the histogram's sub-bucket resolution (~3.1%). *)
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -34,53 +33,9 @@ let histogram_ref t name =
 
 let observe t name x = Profkit.Histogram.record (histogram_ref t name) x
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let summary_of_histogram h =
-  {
-    Stats.n = Profkit.Histogram.count h;
-    mean = Profkit.Histogram.mean h;
-    std = Profkit.Histogram.std h;
-    min = Profkit.Histogram.min h;
-    max = Profkit.Histogram.max h;
-    total = Profkit.Histogram.sum h;
-    p50 = Profkit.Histogram.p50 h;
-    p95 = Profkit.Histogram.p95 h;
-    p99 = Profkit.Histogram.p99 h;
-  }
-
-let stream t name =
-  Option.map summary_of_histogram (Hashtbl.find_opt t.streams name)
-
-let histogram t name = Hashtbl.find_opt t.streams name
-
 let sorted_bindings tbl f =
   Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters t = sorted_bindings t.counters ( ! )
-let streams t = sorted_bindings t.streams summary_of_histogram
 let histograms t = sorted_bindings t.streams Fun.id
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.streams
-
-let merge_into ~dst src =
-  Hashtbl.iter (fun name r -> add dst name !r) src.counters;
-  Hashtbl.iter
-    (fun name h ->
-      match Hashtbl.find_opt dst.streams name with
-      | Some d -> Profkit.Histogram.merge_into ~dst:d h
-      | None ->
-          let d = Profkit.Histogram.create ~scale:(Profkit.Histogram.scale h) () in
-          Profkit.Histogram.merge_into ~dst:d h;
-          Hashtbl.add dst.streams name d)
-    src.streams
-
-let pp fmt t =
-  List.iter (fun (k, v) -> Format.fprintf fmt "%s = %d@." k v) (counters t);
-  List.iter
-    (fun (k, s) -> Format.fprintf fmt "%s : %a@." k Stats.pp_summary s)
-    (streams t)

@@ -5,9 +5,7 @@
     Observation streams are backed by {!Profkit.Histogram}s — O(1)
     allocation-free recording at a fixed memory footprint — so the
     registry can sit behind a telemetry sink on paths that emit
-    millions of events.  Summary percentiles are bucket-reconstructed
-    (bounded relative error, ~3.1%); the other summary fields are
-    exact. *)
+    millions of events. *)
 
 type t
 
@@ -22,29 +20,9 @@ val add : t -> string -> int -> unit
 val observe : t -> string -> float -> unit
 (** Feed a value into the named histogram stream. *)
 
-val counter : t -> string -> int
-(** Current counter value (0 if never touched). *)
-
-val stream : t -> string -> Stats.summary option
-(** Summary of an observation stream, if it exists.  Percentiles are
-    histogram-reconstructed, not exact order statistics. *)
-
-val histogram : t -> string -> Profkit.Histogram.t option
-(** The live histogram behind a stream — the input for
-    bucket-exposition exports. *)
-
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val streams : t -> (string * Stats.summary) list
-(** All streams, sorted by name. *)
-
 val histograms : t -> (string * Profkit.Histogram.t) list
-(** All stream histograms, sorted by name. *)
-
-val reset : t -> unit
-val merge_into : dst:t -> t -> unit
-(** Add all counters and merge all stream histograms of the source
-    into [dst] (bucket-wise, exact). *)
-
-val pp : Format.formatter -> t -> unit
+(** All stream histograms, sorted by name; quantiles are
+    bucket-reconstructed (bounded relative error, ~3.1%). *)

@@ -82,8 +82,6 @@ let create ?num_domains ?(sink = Obskit.Sink.null) () =
   t.workers <- List.init size (fun _ -> Domain.spawn (worker t));
   t
 
-let num_domains t = Stdlib.max 1 t.size
-
 let reserve_ids t n =
   with_lock t.mutex (fun () ->
       let base = t.next_task_id in

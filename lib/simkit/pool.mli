@@ -18,23 +18,22 @@
 
 type t
 
+(* lint: allow unused-export -- the lock-safety rule's sanctioned idiom; test_pool checks its release contract *)
 val with_lock : Mutex.t -> (unit -> 'a) -> 'a
 (** [with_lock m f] runs [f ()] with [m] held and always releases [m],
     also when [f] raises.  This is the only locking idiom the codebase
     uses (enforced by the [lock-safety] lint rule); bare
     [Mutex.lock]/[Mutex.unlock] pairs leak the lock on exceptions. *)
 
-val default_num_domains : unit -> int
-(** [Domain.recommended_domain_count () - 1] (one core left for the
-    submitting domain), never below 1. *)
-
 val default_jobs : unit -> int
 (** Parallelism requested by the environment: [CBNET_JOBS] when set to
-    a positive integer, {!default_num_domains} otherwise. *)
+    a positive integer, [Domain.recommended_domain_count () - 1] (one
+    core left for the submitting domain, never below 1) otherwise. *)
 
+(* lint: allow unused-export -- test_pool drives the lifecycle that with_pool wraps *)
 val create : ?num_domains:int -> ?sink:Obskit.Sink.t -> unit -> t
 (** Spawn a pool of [num_domains] workers (default
-    {!default_num_domains}).  [num_domains <= 1] spawns nothing and
+    [Domain.recommended_domain_count () - 1], at least 1).  [num_domains <= 1] spawns nothing and
     runs all work in the caller.
 
     [sink] (default {!Obskit.Sink.null}) receives one
@@ -46,9 +45,6 @@ val create : ?num_domains:int -> ?sink:Obskit.Sink.t -> unit -> t
     at every pool size.  Task ids are unique per pool and assigned in
     submission (index) order.  With the null sink no event is
     constructed — the hot path stays allocation-free. *)
-
-val num_domains : t -> int
-(** Worker count of [t]; 1 for an in-caller (sequential) pool. *)
 
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map t n f] computes [[| f 0; ...; f (n - 1) |]], distributing the
@@ -65,9 +61,11 @@ val map : t -> int -> (int -> 'a) -> 'a array
     next batch wait instead of being dropped.  Workers survive either
     kind of failure, so the pool stays usable afterwards. *)
 
+(* lint: allow unused-export -- test_pool checks its ordering and exception contract *)
 val run : t -> (unit -> 'a) list -> 'a list
 (** {!map} over a list of thunks, preserving list order. *)
 
+(* lint: allow unused-export -- test_pool drives the lifecycle that with_pool wraps *)
 val shutdown : t -> unit
 (** Close the queue and join all workers.  Idempotent.  Outstanding
     {!map} batches finish first; subsequent {!map} calls raise

@@ -20,7 +20,6 @@ let create ?(capacity = 64) ~dummy cmp =
 
 let length q = q.size
 let staged q = q.staged
-let is_empty q = q.size = 0 && q.staged = 0
 
 let grow a dummy needed =
   let cap = ref (max 1 (Array.length a)) in
@@ -81,21 +80,7 @@ let iter_filter q f =
   if !w < q.size then Array.fill q.data !w (q.size - !w) q.dummy;
   q.size <- !w
 
-let iter q f =
-  for i = 0 to q.size - 1 do
-    f q.data.(i)
-  done
-
-let get q i =
-  if i < 0 || i >= q.size then invalid_arg "Pqueue.get: index out of bounds";
-  q.data.(i)
 (* lint: hot-end *)
-
-let clear q =
-  Array.fill q.data 0 q.size q.dummy;
-  Array.fill q.batch 0 q.staged q.dummy;
-  q.size <- 0;
-  q.staged <- 0
 
 let to_list q =
   let rec go i acc = if i < 0 then acc else go (i - 1) (q.data.(i) :: acc) in

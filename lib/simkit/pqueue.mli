@@ -28,14 +28,13 @@ val create : ?capacity:int -> dummy:'a -> ('a -> 'a -> int) -> 'a t
     retained against the GC.  [capacity] (default 64) is a hint; the
     arrays grow by doubling. *)
 
+(* lint: allow unused-export -- test_pqueue's model checks observe it *)
 val length : 'a t -> int
 (** Committed elements only; staged newcomers are not counted. *)
 
+(* lint: allow unused-export -- test_pqueue's model checks observe it *)
 val staged : 'a t -> int
 (** Newcomers staged since the last [commit]. *)
-
-val is_empty : 'a t -> bool
-(** No committed and no staged elements. *)
 
 val stage : 'a t -> 'a -> unit
 (** Add a newcomer to the pending batch.  O(batch) worst case (the
@@ -55,15 +54,6 @@ val iter_filter : 'a t -> ('a -> bool) -> unit
     elements are compacted in place (one pass, no allocation) and
     vacated slots are reset to [dummy]. *)
 
-val iter : 'a t -> ('a -> unit) -> unit
-(** Visit all committed elements in priority order. *)
-
-val get : 'a t -> int -> 'a
-(** [get q i] — the [i]-th committed element in priority order.
-    @raise Invalid_argument when [i] is out of bounds. *)
-
-val clear : 'a t -> unit
-(** Drop all committed and staged elements (slots reset to [dummy]). *)
-
+(* lint: allow unused-export -- test_pqueue's model checks observe it *)
 val to_list : 'a t -> 'a list
 (** Committed elements in priority order — tests and debugging. *)

@@ -17,8 +17,6 @@ let split t =
   let s = bits64 t in
   { state = mix64 s }
 
-let copy t = { state = t.state }
-
 (* Non-negative int from the top 62 bits (OCaml ints are 63-bit). *)
 let bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
@@ -32,21 +30,10 @@ let int t bound =
   in
   go ()
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   (* 53 random bits into [0, 1). *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r /. 9007199254740992.0 *. bound
-
-let bool t = Int64.compare (bits64 t) 0L < 0
-
-let exponential t lambda =
-  if lambda <= 0.0 then invalid_arg "Rng.exponential: lambda must be positive";
-  let u = 1.0 -. float t 1.0 in
-  -.log u /. lambda
 
 let normal t ~mean ~std =
   let u1 = 1.0 -. float t 1.0 in
@@ -63,13 +50,6 @@ let poisson t lambda =
   in
   go 0 1.0
 
-let geometric t p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p >= 1.0 then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -78,19 +58,3 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let choice t a =
-  if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
-  a.(int t (Array.length a))
-
-let choose_weighted t w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if total <= 0.0 then invalid_arg "Rng.choose_weighted: weights sum to zero";
-  let x = float t total in
-  let n = Array.length w in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.0

@@ -17,26 +17,11 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Used to give each workload/run its own stream without correlation. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
-
-val exponential : t -> float -> float
-(** [exponential t lambda] draws from Exp(lambda), mean [1/lambda]. *)
 
 val normal : t -> mean:float -> std:float -> float
 (** Gaussian via Box-Muller. *)
@@ -45,17 +30,5 @@ val poisson : t -> float -> int
 (** [poisson t lambda] draws from a Poisson distribution with mean
     [lambda] (Knuth's product method; intended for small [lambda]). *)
 
-val geometric : t -> float -> int
-(** [geometric t p] is the number of failures before the first success
-    of a Bernoulli(p) sequence (support 0, 1, 2, ...). *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
-val choose_weighted : t -> float array -> int
-(** [choose_weighted t w] samples index [i] with probability
-    [w.(i) / sum w].  Weights must be non-negative with positive sum.
-    Linear scan; use {!Discrete_dist} for repeated sampling. *)

@@ -29,13 +29,11 @@ let add t x =
   t.total <- t.total +. x;
   t.samples <- x :: t.samples
 
-let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 let std t = sqrt (variance t)
 let min t = if t.n = 0 then 0.0 else t.min
 let max t = if t.n = 0 then 0.0 else t.max
-let total t = t.total
 
 type summary = {
   n : int;
@@ -49,15 +47,15 @@ type summary = {
   p99 : float;
 }
 
-let of_list xs =
-  let t = create () in
-  List.iter (add t) xs;
-  t
-
-let of_array xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  t
+(* Linear interpolation between the order statistics of [sorted]. *)
+let interpolate sorted p =
+  let rank = p /. 100.0 *. float_of_int (Array.length sorted - 1) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = int_of_float (Float.ceil rank) in
+  if lo = hi then sorted.(lo)
+  else
+    let frac = rank -. float_of_int lo in
+    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
 let percentile data p =
   let n = Array.length data in
@@ -65,13 +63,7 @@ let percentile data p =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   let sorted = Array.copy data in
   Array.sort compare sorted;
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor rank) in
-  let hi = int_of_float (Float.ceil rank) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+  interpolate sorted p
 
 let summary (acc : t) =
   (* Percentiles need the retained samples; a single sorted copy
@@ -81,15 +73,7 @@ let summary (acc : t) =
     else begin
       let data = Array.of_list acc.samples in
       Array.sort compare data;
-      let n = acc.n in
-      fun p ->
-        let rank = p /. 100.0 *. float_of_int (n - 1) in
-        let lo = int_of_float (Float.floor rank) in
-        let hi = int_of_float (Float.ceil rank) in
-        if lo = hi then data.(lo)
-        else
-          let frac = rank -. float_of_int lo in
-          data.(lo) +. (frac *. (data.(hi) -. data.(lo)))
+      interpolate data
     end
   in
   {
@@ -104,11 +88,3 @@ let summary (acc : t) =
     p99 = pct 99.0;
   }
 
-let confidence95 (acc : t) =
-  if acc.n < 2 then 0.0 else 1.96 *. std acc /. sqrt (float_of_int acc.n)
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.3f std=%.3f min=%.3f max=%.3f total=%.3f p50=%.3f p95=%.3f \
-     p99=%.3f"
-    s.n s.mean s.std s.min s.max s.total s.p50 s.p95 s.p99

@@ -6,20 +6,11 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
-val mean : t -> float
-val variance : t -> float
-(** Unbiased sample variance; 0 for fewer than two observations. *)
-
-val std : t -> float
-val min : t -> float
-val max : t -> float
-val total : t -> float
 
 type summary = {
   n : int;
   mean : float;
-  std : float;
+  std : float;  (** Unbiased sample deviation; 0 below two samples. *)
   min : float;
   max : float;
   total : float;
@@ -34,15 +25,6 @@ val summary : t -> summary
     computed from samples the accumulator retains — O(n log n) per
     call, so summarize once per stream, not per observation. *)
 
-val of_list : float list -> t
-val of_array : float array -> t
-
 val percentile : float array -> float -> float
 (** [percentile data p] with [p] in [0,100]; linear interpolation
     between order statistics.  Sorts a copy of [data]. *)
-
-val confidence95 : t -> float
-(** Half-width of the normal-approximation 95% confidence interval of
-    the mean ([1.96 * std / sqrt n]); 0 for fewer than two samples. *)
-
-val pp_summary : Format.formatter -> summary -> unit

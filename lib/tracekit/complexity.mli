@@ -21,6 +21,7 @@ type result = {
   complexity : float;  (** Ψ(σ). *)
 }
 
+(* lint: allow unused-export -- test_tracekit pins the symbol serialization *)
 val encode : Workloads.Trace.t -> int array
 (** Symbol serialization: each request becomes one symbol, its pair
     identifier [src * n + dst], so the compressor sees exactly the

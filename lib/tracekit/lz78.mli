@@ -22,9 +22,11 @@ val compressed_bits : ?alphabet:int -> int array -> int
 val compressed_bytes : ?alphabet:int -> int array -> int
 (** [compressed_bits / 8], rounded up. *)
 
+(* lint: allow unused-export -- the LZ78 tests count phrases directly *)
 val phrase_count : int array -> int
 (** Number of LZ78 phrases (for tests: sub-linear growth on
     structured input, near-linear on noise). *)
 
+(* lint: allow unused-export -- the LZ78 tests pin the code width *)
 val bits_for : int -> int
 (** ⌈log2 n⌉ with a minimum of 1 (exposed for tests). *)

@@ -16,9 +16,6 @@ type entry = {
   generate : scale -> seed:int -> Trace.t;
 }
 
-val all : entry list
-(** projector, skewed, pfabric, bursty, hpc, datastructure, uniform. *)
-
 val find : string -> entry
 (** @raise Not_found for an unknown key. *)
 

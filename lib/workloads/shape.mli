@@ -45,25 +45,19 @@ type t = {
   m : int;
 }
 
-val families : string list
-(** The request families a shape can draw from: the catalog's scaled
-    families plus ["drifting"] (the counter-reset ablation stream). *)
-
-val make : kind:kind -> family:string -> n:int -> m:int -> t
-(** @raise Invalid_argument on an unknown family, [n < 2], [m < 1] or
-    out-of-range shape parameters. *)
-
 val of_string : string -> (t, string) result
 (** Parse the grammar above.  Defaults: [n = 256], [m = 10_000],
     [peak = 4.0], [rate = 4.0], [on = 50], [off = 200] and a
     flash-crowd [seg] for [shaped]. *)
 
+(* lint: allow unused-export -- the DSL tests round-trip specs through it *)
 val to_string : t -> string
 (** Canonical round-trippable form ([of_string (to_string t) = Ok t]). *)
 
 val label : t -> string
 (** Short ["kind:family"] tag for report rows. *)
 
+(* lint: allow unused-export -- test_servekit checks the birth schedules directly *)
 val births : t -> int array
 (** The arrival schedule alone: [m] sorted, non-negative round
     numbers.  Pure shape arithmetic — no RNG — so it is identical

@@ -31,9 +31,3 @@ let generate ?(n = 1024) ?(m = 10_000) ?(alpha = 2.0) ?(support = 4096) ~seed ()
         pairs.(rank))
   in
   Trace.make ~name:"skewed" ~n requests
-
-let generate_with_entropy ?n ?m ?(support = 4096) ~entropy ~seed () =
-  (* The paper fixes the Zipf parameters analytically from a target
-     entropy (Sec. VIII): invert H(alpha) by bisection. *)
-  let alpha = Zipf.alpha_for_entropy ~k:support ~target:entropy in
-  generate ?n ?m ~alpha ~support ~seed ()

@@ -14,10 +14,3 @@ val generate :
 
     @raise Invalid_argument if [n < 2] or [support] falls outside
     [[n, n * (n - 1)]]. *)
-
-val generate_with_entropy :
-  ?n:int -> ?m:int -> ?support:int -> entropy:float -> seed:int -> unit ->
-  Trace.t
-(** The paper's parameterization (Sec. VIII): the Zipf exponent is
-    solved analytically so the pair distribution has the requested
-    Shannon entropy (bits, in [(0, log2 support)]). *)

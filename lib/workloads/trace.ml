@@ -37,16 +37,6 @@ let to_runs t =
       let s, d = t.requests.(i) in
       (t.births.(i), s, d))
 
-let sub t k =
-  if k < 0 || k > length t then invalid_arg "Trace.sub: bad length";
-  {
-    t with
-    requests = Array.sub t.requests 0 k;
-    births = Array.sub t.births 0 k;
-  }
-
-let concat_name t suffix = { t with name = t.name ^ suffix }
-
 let shuffled rng t =
   let requests = Array.copy t.requests in
   Simkit.Rng.shuffle rng requests;
@@ -68,35 +58,6 @@ let save_csv t path =
       Array.iteri
         (fun i (s, d) -> Printf.fprintf oc "%d,%d,%d\n" t.births.(i) s d)
         t.requests)
-
-let load_csv ~name ~n path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let header = input_line ic in
-      if not (String.length header >= 5 && String.sub header 0 5 = "birth") then
-        failwith "Trace.load_csv: missing header";
-      let rows = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match String.split_on_char ',' line with
-             | [ b; s; d ] ->
-                 rows :=
-                   (int_of_string (String.trim b),
-                    int_of_string (String.trim s),
-                    int_of_string (String.trim d))
-                   :: !rows
-             | _ -> failwith "Trace.load_csv: malformed row"
-         done
-       with End_of_file -> ());
-      let rows = Array.of_list (List.rev !rows) in
-      let requests = Array.map (fun (_, s, d) -> (s, d)) rows in
-      let births = Array.map (fun (b, _, _) -> b) rows in
-      validate ~n requests;
-      { name; n; requests; births })
 
 let pp_summary fmt t =
   Format.fprintf fmt "%s: n=%d m=%d span=[%d..%d]" t.name t.n (length t)

@@ -30,12 +30,6 @@ val with_poisson_births : Simkit.Rng.t -> lambda:float -> t -> t
 val to_runs : t -> (int * int * int) array
 (** [(birth, src, dst)] triples, the executor input format. *)
 
-val sub : t -> int -> t
-(** Prefix of the first [k] requests. *)
-
-val concat_name : t -> string -> t
-(** Rename (e.g. to tag a transformation). *)
-
 val shuffled : Simkit.Rng.t -> t -> t
 (** The Γ(σ) transformation of Sec. VIII: same multiset of requests in
     a uniformly random order (temporal structure destroyed);
@@ -47,9 +41,5 @@ val uniform_like : Simkit.Rng.t -> t -> t
 
 val save_csv : t -> string -> unit
 (** Write "birth,src,dst" lines (with a header) to a file. *)
-
-val load_csv : name:string -> n:int -> string -> t
-(** Inverse of {!save_csv}.
-    @raise Failure on malformed input. *)
 
 val pp_summary : Format.formatter -> t -> unit

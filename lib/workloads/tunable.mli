@@ -9,6 +9,7 @@
     ([alpha = 0] = uniform matrix).  Sweeping the two knobs traces out
     the whole plane of Fig. 2. *)
 
+(* lint: allow unused-export -- test_extensions sweeps both knobs directly *)
 val generate :
   ?n:int ->
   ?m:int ->

@@ -27,21 +27,3 @@ let sample t rng =
   !lo
 
 let probability t i = t.pmf.(i)
-
-let entropy t =
-  Array.fold_left
-    (fun acc p -> if p > 0.0 then acc -. (p *. Float.log2 p) else acc)
-    0.0 t.pmf
-
-let alpha_for_entropy ~k ~target =
-  let max_h = Float.log2 (float_of_int k) in
-  if target <= 0.0 || target >= max_h then
-    invalid_arg "Zipf.alpha_for_entropy: target outside (0, log2 k)";
-  (* Entropy decreases monotonically in alpha: bisect. *)
-  let h_of alpha = entropy (create ~alpha ~k) in
-  let lo = ref 0.0 and hi = ref 64.0 in
-  for _ = 1 to 60 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if h_of mid > target then lo := mid else hi := mid
-  done;
-  0.5 *. (!lo +. !hi)

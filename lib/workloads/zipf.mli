@@ -11,13 +11,6 @@ val create : alpha:float -> k:int -> t
 val sample : t -> Simkit.Rng.t -> int
 (** 0-based rank, by binary search over the CDF; O(log k). *)
 
+(* lint: allow unused-export -- the pmf the sampling tests check against *)
 val probability : t -> int -> float
 (** Probability of 0-based rank [i]. *)
-
-val entropy : t -> float
-(** Shannon entropy (bits) of the distribution. *)
-
-val alpha_for_entropy : k:int -> target:float -> float
-(** Invert {!entropy} over [alpha] by bisection: the paper generates
-    Skewed traces with an analytically chosen entropy (Sec. VIII).
-    [target] must lie in [(0, log2 k)]. *)

@@ -4,6 +4,15 @@
 module T = Bstnet.Topology
 module Adversary = Runtime.Adversary
 
+(* The deep-access adversary driving one executor over [m] requests. *)
+let deep_access_sequential ~m t =
+  Adversary.online_worst_case ~m t ~next:Adversary.deep_access (fun trace ->
+      Cbnet.Sequential.run t trace)
+
+let deep_access_concurrent ~m t =
+  Adversary.online_worst_case ~m t ~next:Adversary.deep_access (fun trace ->
+      Cbnet.Concurrent.run t trace)
+
 let test_deepest_leaf () =
   let t = Bstnet.Build.path 8 in
   Alcotest.(check int) "chain end" 7 (Adversary.deepest_leaf t);
@@ -22,7 +31,7 @@ let test_adversary_amortized_bound () =
   let n = 64 in
   let m = 2000 in
   let t = Bstnet.Build.balanced n in
-  let stats = Adversary.run_deep_access_sequential ~m t in
+  let stats = deep_access_sequential ~m t in
   Alcotest.(check int) "all delivered" m stats.Cbnet.Run_stats.messages;
   let bound = 8.0 *. float_of_int m *. Float.log2 (float_of_int n) in
   Alcotest.(check bool)
@@ -38,7 +47,7 @@ let test_adversary_on_degenerate_tree () =
   let n = 64 in
   let m = 1000 in
   let t = Bstnet.Build.path n in
-  let stats = Adversary.run_deep_access_sequential ~m t in
+  let stats = deep_access_sequential ~m t in
   let max_depth = ref 0 in
   T.iter_subtree t (T.root t) (fun v -> max_depth := max !max_depth (T.depth t v));
   Alcotest.(check bool)
@@ -55,7 +64,7 @@ let test_adversary_concurrent () =
   let n = 64 in
   let m = 1000 in
   let t = Bstnet.Build.balanced n in
-  let stats = Adversary.run_deep_access_concurrent ~m t in
+  let stats = deep_access_concurrent ~m t in
   Alcotest.(check int) "all delivered" m stats.Cbnet.Run_stats.messages;
   let bound = 8.0 *. float_of_int m *. Float.log2 (float_of_int n) in
   Alcotest.(check bool)

@@ -123,12 +123,13 @@ let test_static_run_costs () =
 
 let test_demand_counts () =
   let d = Baselines.Demand.of_trace ~n:8 (mk_trace [ (0, 1); (1, 0); (0, 1); (3, 3) ]) in
-  Alcotest.(check int) "pair weight symmetric" 3 (Baselines.Demand.pair_weight d 0 1);
-  Alcotest.(check int) "pair weight symmetric'" 3 (Baselines.Demand.pair_weight d 1 0);
-  Alcotest.(check int) "self excluded" 0 (Baselines.Demand.pair_weight d 3 3);
-  Alcotest.(check int) "messages" 4 (Baselines.Demand.messages d);
-  Alcotest.(check int) "self messages" 1 (Baselines.Demand.self_messages d);
-  Alcotest.(check int) "degree" 3 (Baselines.Demand.degree d 0)
+  (* A singleton interval's cut is its node's degree: both directions
+     of a pair count, self-traffic does not. *)
+  let cut lo hi = Baselines.Demand.cut_cost d ~lo ~hi in
+  Alcotest.(check int) "degree of 0" 3 (cut 0 0);
+  Alcotest.(check int) "symmetric degree of 1" 3 (cut 1 1);
+  Alcotest.(check int) "self excluded" 0 (cut 3 3);
+  Alcotest.(check int) "pair inside [0..1]" 0 (cut 0 1)
 
 let test_demand_cut_cost () =
   let d = Baselines.Demand.of_trace ~n:8 (mk_trace [ (0, 5); (1, 2); (6, 7) ]) in

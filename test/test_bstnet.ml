@@ -127,8 +127,6 @@ let test_lca_and_paths () =
   Alcotest.(check int) "lca across root" 7 (T.lca t 2 12);
   Alcotest.(check int) "lca with ancestor" 3 (T.lca t 3 4);
   Alcotest.(check int) "lca self" 5 (T.lca t 5 5);
-  Alcotest.(check (list int)) "path" [ 0; 1; 3; 5; 4 ] (T.path t 0 4);
-  Alcotest.(check (list int)) "path to root" [ 0; 1; 3; 7 ] (T.path_to_root t 0);
   Alcotest.(check int) "distance" 4 (T.distance t 0 4)
 
 let test_rotate_up_shapes () =
@@ -233,28 +231,6 @@ let test_check_detects_bad_interval () =
   Alcotest.(check bool) "weights violation detected" true
     (Result.is_error (Check.weights t'))
 
-let test_dot_rendering () =
-  let t = Build.balanced 7 in
-  let dot = Bstnet.Dot.to_dot ~highlight:[ 3 ] t in
-  Alcotest.(check bool) "digraph" true (String.length dot > 0);
-  let contains needle =
-    let n = String.length needle and h = String.length dot in
-    let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "has root node" true (contains "n3 [label=");
-  Alcotest.(check bool) "highlights" true (contains "fillcolor=lightblue");
-  Alcotest.(check bool) "left edges" true (contains "label=\"L\"");
-  (* 6 edges for 7 nodes. *)
-  let edge_count = ref 0 in
-  String.iteri (fun i c -> if c = '>' && i > 0 && dot.[i-1] = '-' then incr edge_count) dot;
-  Alcotest.(check int) "n-1 edges" 6 !edge_count;
-  (* Weighted variant switches labels. *)
-  T.set_weight t 3 5;
-  let dot2 = Bstnet.Dot.to_dot t in
-  Alcotest.(check bool) "weight label" true
-    (String.length dot2 > String.length dot - 100)
-
 let test_serialize_roundtrip () =
   let rng = Simkit.Rng.create 51 in
   for _ = 1 to 20 do
@@ -339,9 +315,8 @@ let qcheck_tests =
            let t = Build.random rng n in
            let u = a mod n and v = b mod n in
            let l = T.lca t u v in
-           l = T.lca t v u
-           && List.mem l (T.path_to_root t u)
-           && List.mem l (T.path_to_root t v)));
+           let rec on_root_path x = x = l || (x <> T.nil && on_root_path (T.parent t x)) in
+           l = T.lca t v u && on_root_path u && on_root_path v));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"distance is a metric on the tree" ~count:100
          Gen.(quad (int_range 2 48) (int_bound 999) (int_bound 999) (int_bound 999))
@@ -393,7 +368,6 @@ let () =
           Alcotest.test_case "weight_added" `Quick test_weight_added_accounting;
           Alcotest.test_case "checker detects corruption" `Quick
             test_check_detects_bad_interval;
-          Alcotest.test_case "dot rendering" `Quick test_dot_rendering;
           Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
           Alcotest.test_case "serialize rejects garbage" `Quick
             test_serialize_rejects_garbage;

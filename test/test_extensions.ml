@@ -133,34 +133,6 @@ let test_measurements_csv () =
       Alcotest.(check bool) "row tagged" true
         (String.length row > 10 && String.sub row 0 7 = "uniform"))
 
-let test_latencies_csv () =
-  let path = Filename.temp_file "lat" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Runtime.Export.latencies_csv [| 1.0; 2.0; 3.0 |] path;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Alcotest.(check int) "header + 3 rows + 8 summary lines" 12
-        (List.length !lines);
-      List.iter
-        (fun prefix ->
-          Alcotest.(check bool)
-            (Printf.sprintf "summary line %s present" prefix)
-            true
-            (List.exists
-               (fun l ->
-                 String.length l >= String.length prefix
-                 && String.sub l 0 (String.length prefix) = prefix)
-               !lines))
-        [ "# p50 = "; "# p95 = "; "# p99 = "; "# mean = " ])
-
 (* ---------------- latency capture ---------------- *)
 
 let test_run_with_latencies () =
@@ -200,7 +172,6 @@ let () =
       ( "export",
         [
           Alcotest.test_case "measurements csv" `Quick test_measurements_csv;
-          Alcotest.test_case "latencies csv" `Quick test_latencies_csv;
         ] );
       ( "latency",
         [ Alcotest.test_case "capture" `Quick test_run_with_latencies ] );

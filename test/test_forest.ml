@@ -55,14 +55,6 @@ let test_directory_partition () =
         Alcotest.(check bool)
           (Printf.sprintf "n=%d k=%d shard %d has >= 2 keys" n k s)
           true (size >= 2);
-        Alcotest.(check int)
-          (Printf.sprintf "n=%d k=%d shard %d contiguous" n k s)
-          (Dir.lo d s + size - 1) (Dir.hi d s);
-        if s > 0 then
-          Alcotest.(check int)
-            (Printf.sprintf "n=%d k=%d shard %d starts after %d" n k s (s - 1))
-            (Dir.hi d (s - 1) + 1)
-            (Dir.lo d s);
         Alcotest.(check bool)
           (Printf.sprintf "n=%d k=%d sizes near-equal" n k)
           true
@@ -70,14 +62,18 @@ let test_directory_partition () =
         total := !total + size
       done;
       Alcotest.(check int) (Printf.sprintf "n=%d k=%d sizes sum" n k) n !total;
+      (* Walking the global keys in order visits shard 0's local keys
+         0 .. size - 1, then shard 1's, and so on: contiguous shards in
+         key order, each a bijection onto its local key space. *)
+      let expect = ref (0, 0) in
       for g = 0 to n - 1 do
-        let s = Dir.shard_of d g in
-        if g < Dir.lo d s || g > Dir.hi d s then
-          Alcotest.failf "n=%d k=%d key %d mapped outside shard %d" n k g s;
-        Alcotest.(check int)
-          (Printf.sprintf "n=%d k=%d key %d roundtrip" n k g)
-          g
-          (Dir.global_of d ~shard:s (Dir.local_of d g))
+        let s, l = !expect in
+        let s, l = if l = Dir.size d s then (s + 1, 0) else (s, l) in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "n=%d k=%d key %d placement" n k g)
+          (s, l)
+          (Dir.shard_of d g, Dir.local_of d g);
+        expect := (s, l + 1)
       done)
     [ (2, 1); (7, 3); (16, 4); (100, 7); (1024, 16); (1000, 13) ]
 

@@ -26,7 +26,6 @@ let test_map_runs_each_task_once () =
 
 let test_map_inline_at_one_domain () =
   Pool.with_pool ~num_domains:1 (fun pool ->
-      Alcotest.(check int) "no workers" 1 (Pool.num_domains pool);
       (* In-caller execution: tasks run on the calling domain. *)
       let caller = Domain.self () in
       let results =
@@ -115,7 +114,6 @@ let test_shutdown_is_idempotent_and_final () =
       ignore (Pool.map pool 1 (fun i -> i)))
 
 let test_default_num_domains_positive () =
-  Alcotest.(check bool) "at least one" true (Pool.default_num_domains () >= 1);
   Alcotest.(check bool) "jobs at least one" true (Pool.default_jobs () >= 1)
 
 (* Each task writes only its own slice; after [map] returns the caller

@@ -54,7 +54,7 @@ let test_iter_filter_compacts () =
     (keys q);
   Q.iter_filter q (fun _ -> false);
   Alcotest.(check int) "all dropped" 0 (Q.length q);
-  Alcotest.(check bool) "empty" true (Q.is_empty q)
+  Alcotest.(check int) "nothing staged" 0 (Q.staged q)
 
 let test_stage_during_iter_filter () =
   (* Elements staged from inside the callback must not join the
@@ -74,20 +74,16 @@ let test_stage_during_iter_filter () =
   Alcotest.(check (list int)) "newcomer first after commit" [ 0; 1; 2; 3 ]
     (keys q)
 
-let test_growth_and_get () =
+let test_growth () =
   let q = make_q ~capacity:2 () in
   for i = 0 to 99 do
     Q.stage q { key = 100 - i; seq = i }
   done;
   Q.commit q;
   Alcotest.(check int) "all there" 100 (Q.length q);
-  Alcotest.(check int) "min first" 1 (Q.get q 0).key;
-  Alcotest.(check int) "max last" 100 (Q.get q 99).key;
-  Alcotest.check_raises "get out of bounds"
-    (Invalid_argument "Pqueue.get: index out of bounds") (fun () ->
-      ignore (Q.get q 100));
-  Q.clear q;
-  Alcotest.(check bool) "cleared" true (Q.is_empty q)
+  Alcotest.(check (list int)) "sorted across growth"
+    (List.init 100 (fun i -> i + 1))
+    (keys q)
 
 let test_interleaved_rounds () =
   (* Round-loop rhythm: repeated stage/commit/filter cycles keep the
@@ -121,7 +117,7 @@ let () =
       ( "ordering",
         [
           Alcotest.test_case "sorted commit" `Quick test_sorted_commit;
-          Alcotest.test_case "growth and get" `Quick test_growth_and_get;
+          Alcotest.test_case "growth" `Quick test_growth;
         ] );
       ( "stability",
         [

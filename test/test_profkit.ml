@@ -1,6 +1,6 @@
 (* Profkit: the log-bucketed histogram primitive and the phase-level
    profile built on it.  The histogram's contract — O(1) allocation-free
-   record, bounded relative error, exact mergeability — is what lets it
+   record, bounded relative error — is what lets it
    sit on the executor's hot path; the profile's contract is exclusive
    contiguous time attribution (phases sum to the round wall exactly)
    plus exact work counters. *)
@@ -22,7 +22,6 @@ let test_unit_buckets_exact () =
   Alcotest.(check (float 0.0)) "p50 exact in unit buckets" 3.0 (H.p50 h);
   Alcotest.(check (float 0.0)) "q0 is min" 1.0 (H.quantile h 0.0);
   Alcotest.(check (float 0.0)) "q1 is max" 5.0 (H.quantile h 1.0);
-  Alcotest.(check (float 0.0)) "mean exact" 3.0 (H.mean h);
   Alcotest.(check (float 0.0)) "sum exact" 15.0 (H.sum h)
 
 let test_log_bucket_width () =
@@ -69,7 +68,6 @@ let test_percentiles_against_exact () =
 
 let test_negative_and_zero () =
   let h = of_list [ -5.0; 0.0; 5.0 ] in
-  Alcotest.(check (float 0.0)) "min exact" (-5.0) (H.min h);
   Alcotest.(check (float 0.0)) "max exact" 5.0 (H.max h);
   Alcotest.(check (float 0.0)) "q0 negative" (-5.0) (H.quantile h 0.0);
   Alcotest.(check (float 0.0)) "p50 zero" 0.0 (H.p50 h);
@@ -87,10 +85,9 @@ let test_nan_skipped_extremes_clamped () =
 
 let test_empty_histogram () =
   let h = H.create () in
-  Alcotest.(check bool) "is_empty" true (H.is_empty h);
+  Alcotest.(check int) "count 0" 0 (H.count h);
   Alcotest.(check (float 0.0)) "quantile 0" 0.0 (H.quantile h 0.5);
-  Alcotest.(check (float 0.0)) "mean 0" 0.0 (H.mean h);
-  Alcotest.(check (float 0.0)) "variance 0" 0.0 (H.variance h);
+  Alcotest.(check (float 0.0)) "max 0" 0.0 (H.max h);
   Alcotest.(check bool) "no buckets" true (H.buckets h = [])
 
 let test_buckets_cumulative () =
@@ -103,45 +100,6 @@ let test_buckets_cumulative () =
     (List.sort compare counts = counts);
   Alcotest.(check int) "last cumulative = count" (H.count h)
     (List.nth counts (List.length counts - 1))
-
-(* --- histogram: merge --------------------------------------------- *)
-
-let fingerprint h = (H.count h, H.sum h, H.min h, H.max h, H.buckets h)
-
-let test_merge_associative_commutative () =
-  let a () = of_list [ 1.0; 2.0; 3.0 ] in
-  let b () = of_list [ 100.0; 200.0 ] in
-  let c () = of_list [ -7.0; 0.5; 4096.0 ] in
-  (* (a + b) + c *)
-  let left = a () in
-  H.merge_into ~dst:left (b ());
-  H.merge_into ~dst:left (c ());
-  (* a + (b + c) *)
-  let bc = b () in
-  H.merge_into ~dst:bc (c ());
-  let right = a () in
-  H.merge_into ~dst:right bc;
-  Alcotest.(check bool) "merge associative" true
-    (fingerprint left = fingerprint right);
-  (* c + b + a: commuted order, same fingerprint. *)
-  let comm = c () in
-  H.merge_into ~dst:comm (b ());
-  H.merge_into ~dst:comm (a ());
-  Alcotest.(check bool) "merge commutative" true
-    (fingerprint left = fingerprint comm)
-
-let test_merge_scale_mismatch () =
-  let a = H.create ~scale:1.0 () and b = H.create ~scale:1000.0 () in
-  Alcotest.check_raises "scale mismatch rejected"
-    (Invalid_argument "Histogram.merge_into: scale mismatch") (fun () ->
-      H.merge_into ~dst:a b)
-
-let test_reset () =
-  let h = of_list [ 1.0; 2.0 ] in
-  H.reset h;
-  Alcotest.(check bool) "empty after reset" true (H.is_empty h);
-  H.record h 9.0;
-  Alcotest.(check (float 0.0)) "usable after reset" 9.0 (H.max h)
 
 (* --- histogram: allocation-free record ---------------------------- *)
 
@@ -217,7 +175,6 @@ let test_profile_counters () =
   Alcotest.(check int) "shape" 1 (P.shape_hits p);
   (* Bulk charges to parked messages are conflicts too. *)
   Alcotest.(check int) "conflicts" 5 (P.conflicts p);
-  Alcotest.(check int) "parked" 3 (P.parked p);
   (* The stable export list mirrors the accessors. *)
   let l = P.counters p in
   Alcotest.(check (option int)) "list shape_hits" (Some 1)
@@ -243,10 +200,6 @@ let test_profile_empty () =
 
 let test_phase_names_and_indices () =
   Alcotest.(check int) "six phases" 6 (List.length P.phases);
-  List.iteri
-    (fun i ph ->
-      Alcotest.(check int) "index matches order" i (P.phase_index ph))
-    P.phases;
   Alcotest.(check (list string)) "stable export names"
     [
       "fault_injection";
@@ -276,13 +229,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_histogram;
           Alcotest.test_case "buckets cumulative" `Quick
             test_buckets_cumulative;
-        ] );
-      ( "histogram merge",
-        [
-          Alcotest.test_case "associative and commutative" `Quick
-            test_merge_associative_commutative;
-          Alcotest.test_case "scale mismatch" `Quick test_merge_scale_mismatch;
-          Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "histogram allocation",
         [

@@ -4,13 +4,22 @@ module T = Bstnet.Topology
 module Build = Bstnet.Build
 module Splay = Baselines.Splay
 
+(* Splay all the way to the root: one guarded step at a time, with the
+   whole tree ([nil]) as the guard.  Returns the rotations. *)
+let splay_to_root t v =
+  let rec go acc =
+    let r = Splay.splay_step t v ~guard:T.nil in
+    if r.Splay.done_ then acc else go (acc + r.Splay.rotations)
+  in
+  go 0
+
 let test_splay_to_root () =
   let rng = Simkit.Rng.create 3 in
   for _ = 1 to 20 do
     let n = 2 + Simkit.Rng.int rng 100 in
     let t = Build.random rng n in
     let v = Simkit.Rng.int rng n in
-    let rotations = Splay.splay_to_root t v in
+    let rotations = splay_to_root t v in
     Alcotest.(check int) "is root" v (T.root t);
     Alcotest.(check bool) "rotation count sane" true (rotations <= 2 * n);
     Bstnet.Check.assert_ok (Bstnet.Check.structure t);
@@ -22,7 +31,7 @@ let test_splay_halves_depth () =
   (* Splaying the deep end of a chain roughly halves the depths along
      the path — the property move-to-root lacks. *)
   let t = Build.path 64 in
-  ignore (Splay.splay_to_root t 63);
+  ignore (splay_to_root t 63);
   Alcotest.(check int) "splayed to root" 63 (T.root t);
   let max_depth = ref 0 in
   T.iter_subtree t (T.root t) (fun v -> max_depth := max !max_depth (T.depth t v));
@@ -91,7 +100,7 @@ let qcheck_tests =
          (fun (n, pick, seed) ->
            let rng = Simkit.Rng.create seed in
            let t = Build.random rng n in
-           ignore (Splay.splay_to_root t (pick mod n));
+           ignore (splay_to_root t (pick mod n));
            T.root t = pick mod n && Result.is_ok (Bstnet.Check.all t)));
   ]
 

@@ -88,7 +88,14 @@ let test_complexity_ratios_in_unit_interval () =
     (fun key ->
       let e = Workloads.Catalog.find key in
       let t = e.Workloads.Catalog.generate Workloads.Catalog.Default ~seed:5 in
-      let t = Trace.sub t (min 5_000 (Trace.length t)) in
+      let k = min 5_000 (Trace.length t) in
+      let t =
+        {
+          t with
+          Trace.requests = Array.sub t.Trace.requests 0 k;
+          births = Array.sub t.Trace.births 0 k;
+        }
+      in
       let r = Complexity.measure ~seed:9 t in
       let ok v = v >= 0.0 && v <= 1.0 in
       if
