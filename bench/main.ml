@@ -24,10 +24,6 @@
    Exit status: 0 on success, 1 on a failed overhead check, 2 on a bad
    flag or artifact name. *)
 
-(* --check-invariants: audit every final tree with Bstnet.Check.structural
-   (and, in chaos runs, after every repair).  Set once at startup. *)
-let check_invariants_flag = ref false
-
 (* --profile FILE: phase-level self-profiling of the CBN executor
    (Profkit).  perf runs a dedicated profiled pass, prints the phase
    attribution table and writes the machine-readable profile JSON. *)
@@ -111,7 +107,7 @@ let micro fmt =
    each cell's wall clock.  Seeds fan out across the pool inside each
    cell; the measurements are bit-identical to a sequential run. *)
 let timed_matrix ?(sink = Obskit.Sink.null) ?profile
-    (options : Runtime.Figures.options) =
+    (options : Runtime.Experiment.options) =
   let run pool =
     List.concat_map
       (fun workload ->
@@ -119,11 +115,8 @@ let timed_matrix ?(sink = Obskit.Sink.null) ?profile
           (fun algo ->
             let t0 = Unix.gettimeofday () in
             let c =
-              Runtime.Experiment.run_cell ?pool ~scale:options.Runtime.Figures.scale
-                ~seeds:options.Runtime.Figures.seeds
-                ~lambda:options.Runtime.Figures.lambda
-                ~base_seed:options.Runtime.Figures.base_seed ~sink ?profile
-                ~check_invariants:!check_invariants_flag ~workload ~algo ()
+              Runtime.Experiment.run_cell ?pool ~sink ?profile options
+                ~workload ~algo
             in
             (c, Unix.gettimeofday () -. t0))
           Runtime.Algo.all)
@@ -132,10 +125,9 @@ let timed_matrix ?(sink = Obskit.Sink.null) ?profile
   (* Traced runs always go through a pool (in-caller when jobs <= 1)
      so the trace carries the Pool_task lifecycle even on one core;
      results are bit-identical either way. *)
-  if options.Runtime.Figures.jobs <= 1 && not (Obskit.Sink.enabled sink) then
-    run None
+  if options.jobs <= 1 && not (Obskit.Sink.enabled sink) then run None
   else
-    Simkit.Pool.with_pool ~num_domains:options.Runtime.Figures.jobs ~sink
+    Simkit.Pool.with_pool ~num_domains:options.jobs ~sink
       (fun p -> run (Some p))
 
 let detect_commit () =
@@ -229,7 +221,7 @@ let export_csv ?sink dir options =
 let overhead_check options =
   (* Serial execution for every gated leg: identical code path, no
      pool scheduling noise, and run_cell forbids ?profile with ?pool. *)
-  let options = { options with Runtime.Figures.jobs = 1 } in
+  let options = { options with Runtime.Experiment.jobs = 1 } in
   let time f =
     let t0 = Unix.gettimeofday () in
     let cells = f () in
@@ -317,18 +309,14 @@ let overhead_check options =
    round wall (attribution is exclusive and contiguous, so they sum to
    100% by construction — a shortfall means an executor path stopped
    driving the round lifecycle). *)
-let perf_profile (options : Runtime.Figures.options) path fmt =
+let perf_profile (options : Runtime.Experiment.options) path fmt =
   let open Profkit in
   let profile = Profile.create () in
   List.iter
     (fun workload ->
       ignore
-        (Runtime.Experiment.run_cell ~scale:Workloads.Catalog.Smoke
-           ~seeds:options.Runtime.Figures.seeds
-           ~lambda:options.Runtime.Figures.lambda
-           ~base_seed:options.Runtime.Figures.base_seed ~profile
-           ~check_invariants:!check_invariants_flag ~workload
-           ~algo:Runtime.Algo.CBN ()))
+        (Runtime.Experiment.run_cell ~profile options ~workload
+           ~algo:Runtime.Algo.CBN))
     Workloads.Catalog.paper_six;
   let wall = Profile.wall_us profile in
   let covered =
@@ -340,7 +328,7 @@ let perf_profile (options : Runtime.Figures.options) path fmt =
     ~title:
       (Printf.sprintf
          "PERF --profile: CBN phase attribution (smoke matrix, seeds=%d)"
-         options.Runtime.Figures.seeds)
+         options.seeds)
     profile fmt;
   let coverage = if wall > 0.0 then covered /. wall else 0.0 in
   Format.fprintf fmt "phase coverage: %.1f%% of round wall@."
@@ -363,7 +351,7 @@ let perf_profile (options : Runtime.Figures.options) path fmt =
    the CI throughput gate diffs against the baseline.  Runs without a
    pool on purpose: the metric is single-run executor speed, not
    fan-out capacity. *)
-let perf ?(reps = 3) (options : Runtime.Figures.options) fmt =
+let perf ?(reps = 3) (options : Runtime.Experiment.options) fmt =
   let cells =
     List.map
       (fun workload ->
@@ -371,11 +359,8 @@ let perf ?(reps = 3) (options : Runtime.Figures.options) fmt =
         for _ = 1 to reps do
           let t0 = Unix.gettimeofday () in
           let c =
-            Runtime.Experiment.run_cell ~scale:Workloads.Catalog.Smoke
-              ~seeds:options.Runtime.Figures.seeds
-              ~lambda:options.Runtime.Figures.lambda
-              ~base_seed:options.Runtime.Figures.base_seed ~workload
-              ~algo:Runtime.Algo.CBN ()
+            Runtime.Experiment.run_cell options ~workload
+              ~algo:Runtime.Algo.CBN
           in
           let w = Unix.gettimeofday () -. t0 in
           if w < !best then best := w;
@@ -387,7 +372,7 @@ let perf ?(reps = 3) (options : Runtime.Figures.options) fmt =
   Format.fprintf fmt
     "== PERF: concurrent executor throughput (smoke matrix, seeds=%d, \
      min-of-%d walls, single domain) ==@."
-    options.Runtime.Figures.seeds reps;
+    options.seeds reps;
   let rows = List.map cell_row cells in
   print_rows fmt
     [ "rounds_per_sec"; "msgs_per_sec"; "hops_per_sec"; "wall_seconds" ]
@@ -415,7 +400,9 @@ let forest_trace ~workload ~n ~m ~seed =
 (* cells: (workload, n, m, shard counts, domain counts).  Cells with
    shards = 1 skip domains > 1 — there is nothing to fan out and the
    run would only repeat the domains = 1 cell. *)
-let forest_cells ~title ~reps ~cells ~seed fmt =
+let forest_cells ~title ~reps ~cells (options : Runtime.Experiment.options) fmt
+    =
+  let config = options.config and seed = options.base_seed in
   let host_cores = Domain.recommended_domain_count () in
   Format.fprintf fmt "== %s (min-of-%d walls, host cores=%d) ==@." title reps
     host_cores;
@@ -426,9 +413,7 @@ let forest_cells ~title ~reps ~cells ~seed fmt =
         let n = trace.Workloads.Trace.n in
         let runs = Workloads.Trace.to_runs trace in
         let oracle =
-          Cbnet.Concurrent.run
-            ~check_invariants:!check_invariants_flag
-            (Bstnet.Build.balanced n) runs
+          Cbnet.Concurrent.run ~config (Bstnet.Build.balanced n) runs
         in
         List.concat_map
           (fun shards ->
@@ -441,9 +426,7 @@ let forest_cells ~title ~reps ~cells ~seed fmt =
                   for _ = 1 to reps do
                     let t0 = Unix.gettimeofday () in
                     let r =
-                      Forest.Overlay.run
-                        ~check_invariants:!check_invariants_flag ~domains
-                        ~shards ~n runs
+                      Forest.Overlay.run ~config ~domains ~shards ~n runs
                     in
                     let w = Unix.gettimeofday () -. t0 in
                     if w < !best then best := w;
@@ -505,18 +488,18 @@ let forest_cells ~title ~reps ~cells ~seed fmt =
 (* CI smoke: small n, every routing/merging path exercised (uneven
    shards, shard counts that do and do not divide n, fan-out wider
    than the host). *)
-let forest_smoke (options : Runtime.Figures.options) fmt =
+let forest_smoke options fmt =
   forest_cells ~title:"FOREST-SMOKE: sharded overlay" ~reps:2
     ~cells:
       [
         ("pfabric", 512, 4_000, [ 1; 4; 7 ], [ 1; 2 ]);
         ("skewed", 512, 4_000, [ 1; 4 ], [ 1; 2 ]);
       ]
-    ~seed:options.Runtime.Figures.base_seed fmt
+    options fmt
 
 (* The acceptance sweep: pfabric-style cells from n = 1k to n = 1M,
    1-shard oracle checks included at every size. *)
-let forest_scaling (options : Runtime.Figures.options) fmt =
+let forest_scaling options fmt =
   forest_cells ~title:"FOREST-SCALING: sharded overlay, n from 1k to 1M"
     ~reps:1
     ~cells:
@@ -526,7 +509,7 @@ let forest_scaling (options : Runtime.Figures.options) fmt =
         ("pfabric", 100_000, 20_000, [ 1; 16 ], [ 1; 4 ]);
         ("pfabric", 1_000_000, 50_000, [ 1; 16 ], [ 1; 8 ]);
       ]
-    ~seed:options.Runtime.Figures.base_seed fmt
+    options fmt
 
 (* CI smoke for the serve loop: shaped streams through
    Servekit.Server.replay, one cell per load-shape kind.  Three
@@ -535,8 +518,8 @@ let forest_scaling (options : Runtime.Figures.options) fmt =
    the fixed shape with an unbounded batch and decay off must
    reproduce Concurrent.run exactly (the batch oracle), and the
    flash-crowd queue must never exceed its cap. *)
-let serve_smoke (options : Runtime.Figures.options) fmt =
-  let seed = options.Runtime.Figures.base_seed in
+let serve_smoke (options : Runtime.Experiment.options) fmt =
+  let seed = options.base_seed in
   let reps = 2 in
   (* (shape spec, queue cap, batch_max, decay cadence) *)
   let cells =
@@ -666,8 +649,8 @@ let chaos_plans =
    per plan with invariant checking after every repair and at the end.
    A run that fails to drain within the round budget or corrupts the
    tree raises — chaos is a correctness gate, not just a table. *)
-let chaos (options : Runtime.Figures.options) fmt =
-  let seed = options.Runtime.Figures.base_seed in
+let chaos (options : Runtime.Experiment.options) fmt =
+  let seed = options.base_seed in
   let i = float_of_int in
   Format.fprintf fmt
     "== CHAOS: concurrent executor under fault injection (smoke scale, \
@@ -676,20 +659,18 @@ let chaos (options : Runtime.Figures.options) fmt =
   let rows =
     List.concat_map
       (fun workload ->
-        let trace =
-          Runtime.Experiment.trace_for ~scale:Workloads.Catalog.Smoke
-            ~lambda:options.Runtime.Figures.lambda ~workload ~seed ()
-        in
+        let trace = Runtime.Experiment.trace_for options ~workload ~seed in
         let n = trace.Workloads.Trace.n in
         let runs = Workloads.Trace.to_runs trace in
         let clean = Cbnet.Concurrent.run (Bstnet.Build.balanced n) runs in
         List.map
           (fun (name, plan) ->
             let t0 = Unix.gettimeofday () in
-            let s =
-              Cbnet.Concurrent.run ~max_rounds:2_000_000 ~faults:plan
-                ~check_invariants:true (Bstnet.Build.balanced n) runs
+            let config =
+              Cbnet.Config.make ~max_rounds:2_000_000 ~faults:plan
+                ~check_invariants:true ()
             in
+            let s = Cbnet.Concurrent.run ~config (Bstnet.Build.balanced n) runs in
             let wall = Unix.gettimeofday () -. t0 in
             let c = s.Cbnet.Run_stats.chaos in
             let clean_makespan = clean.Cbnet.Run_stats.makespan in
@@ -768,6 +749,7 @@ let die fmt =
 
 let () =
   let full = ref false in
+  let check_invariants = ref false in
   let seeds = ref None in
   let jobs = ref None in
   let csv = ref None in
@@ -811,7 +793,7 @@ let () =
         profile_flag := Some file;
         parse rest
     | "--check-invariants" :: rest ->
-        check_invariants_flag := true;
+        check_invariants := true;
         parse rest
     | "--mode" :: name :: rest ->
         names := name :: !names;
@@ -826,18 +808,18 @@ let () =
   let names = List.rev !names in
   let options =
     {
-      Runtime.Figures.scale =
+      Runtime.Experiment.default_options with
+      config = Cbnet.Config.make ~check_invariants:!check_invariants ();
+      scale =
         (if !full then Workloads.Catalog.Full else Workloads.Catalog.Default);
       seeds = (match !seeds with Some s -> s | None -> if !full then 30 else 3);
-      lambda = Runtime.Figures.default_options.Runtime.Figures.lambda;
-      base_seed = Runtime.Figures.default_options.Runtime.Figures.base_seed;
       jobs = (match !jobs with Some j -> j | None -> Simkit.Pool.default_jobs ());
     }
   in
   let smoke_options =
     {
       options with
-      Runtime.Figures.scale = Workloads.Catalog.Smoke;
+      scale = Workloads.Catalog.Smoke;
       seeds = (match !seeds with Some s -> s | None -> 2);
     }
   in
@@ -847,20 +829,20 @@ let () =
   in
   let figures =
     [
-      ("fig2", fun () -> Runtime.Figures.fig2 ~options fmt);
-      ("fig3", fun () -> Runtime.Figures.fig3 ~options fmt);
-      ("fig4", fun () -> Runtime.Figures.fig4 ~options fmt);
-      ("thm1", fun () -> Runtime.Figures.thm1 ~options fmt);
-      ("thm2", fun () -> Runtime.Figures.thm2 ~options fmt);
+      ("fig2", fun () -> Runtime.Figures.fig2 options fmt);
+      ("fig3", fun () -> Runtime.Figures.fig3 options fmt);
+      ("fig4", fun () -> Runtime.Figures.fig4 options fmt);
+      ("thm1", fun () -> Runtime.Figures.thm1 options fmt);
+      ("thm2", fun () -> Runtime.Figures.thm2 options fmt);
       ( "ablation",
         fun () ->
-          Runtime.Figures.ablation_delta ~options fmt;
-          Runtime.Figures.ablation_reset ~options fmt;
-          Runtime.Figures.ablation_mtr ~options fmt;
-          Runtime.Figures.ablation_rcost ~options fmt );
-      ("timeline", fun () -> Runtime.Figures.timeline ~options fmt);
-      ("latency", fun () -> Runtime.Figures.latency ~options fmt);
-      ("trace-map", fun () -> Runtime.Figures.trace_map_sweep ~options fmt);
+          Runtime.Figures.ablation_delta options fmt;
+          Runtime.Figures.ablation_reset options fmt;
+          Runtime.Figures.ablation_mtr options fmt;
+          Runtime.Figures.ablation_rcost options fmt );
+      ("timeline", fun () -> Runtime.Figures.timeline options fmt);
+      ("latency", fun () -> Runtime.Figures.latency options fmt);
+      ("trace-map", fun () -> Runtime.Figures.trace_map_sweep options fmt);
       ("micro", fun () -> micro fmt);
       ("overhead-check", fun () -> overhead_check smoke_options);
     ]
@@ -872,14 +854,13 @@ let () =
         fun () ->
           Format.printf
             "== BENCH-SMOKE: tiny-scale matrix (seeds=%d, jobs=%d) ==@."
-            smoke_options.Runtime.Figures.seeds
-            smoke_options.Runtime.Figures.jobs;
+            smoke_options.seeds smoke_options.jobs;
           matrix ~sink smoke_options );
       ("chaos", fun () -> chaos smoke_options fmt);
       ( "perf",
         fun () ->
           let seeds = match !seeds with Some s -> s | None -> 3 in
-          perf { smoke_options with Runtime.Figures.seeds } fmt );
+          perf { smoke_options with seeds } fmt );
       ("forest-smoke", fun () -> forest_smoke options fmt);
       ("forest-scaling", fun () -> forest_scaling options fmt);
       ("serve-smoke", fun () -> serve_smoke options fmt);
@@ -907,7 +888,7 @@ let () =
   | [] ->
       if !csv = None && !json = None then begin
         (* Everything: figures share one matrix computation. *)
-        Runtime.Figures.all ~options fmt;
+        Runtime.Figures.all options fmt;
         micro fmt
       end
   | names ->

@@ -64,17 +64,33 @@ let jobs_arg =
           "Worker domains for multi-seed runs (results are bit-identical at \
            every setting); 0 = CBNET_JOBS or cores - 1.")
 
-let options_term =
-  let make scale seeds lambda base_seed jobs =
+let check_invariants_arg =
+  Arg.(
+    value & flag
+    & info [ "check-invariants" ]
+        ~doc:
+          "Audit the final tree with the structural invariant suite \
+           (parent/child links, BST order, interval labels) and fail on a \
+           violation.")
+
+(* The one run record every command builds from its flags; only the
+   commands given [check_invariants_arg] expose the audit. *)
+let options_term check_invariants =
+  let make scale seeds lambda base_seed jobs check_invariants =
     let jobs = if jobs <= 0 then Simkit.Pool.default_jobs () else jobs in
-    { Runtime.Figures.scale; seeds; lambda; base_seed; jobs }
+    let config = Cbnet.Config.make ~check_invariants () in
+    { Runtime.Experiment.config; scale; seeds; lambda; base_seed; jobs }
   in
-  Term.(const make $ scale_arg $ seeds_arg $ lambda_arg $ base_seed_arg $ jobs_arg)
+  Term.(
+    const make $ scale_arg $ seeds_arg $ lambda_arg $ base_seed_arg $ jobs_arg
+    $ check_invariants)
+
+let plain_options = options_term (Term.const false)
 
 let figure_cmd name doc
-    (render : ?options:Runtime.Figures.options -> Format.formatter -> unit) =
-  let run options = render ~options Format.std_formatter in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ options_term)
+    (render : Runtime.Experiment.options -> Format.formatter -> unit) =
+  let run options = render options Format.std_formatter in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ plain_options)
 
 let workload_arg =
   Arg.(
@@ -136,24 +152,13 @@ let shards_arg =
            are bit-identical at every shards x domains combination).  Other \
            algorithms ignore it.")
 
-let check_invariants_arg =
-  Arg.(
-    value & flag
-    & info [ "check-invariants" ]
-        ~doc:
-          "Audit the final tree with the structural invariant suite \
-           (parent/child links, BST order, interval labels) and fail on a \
-           violation.")
-
 let run_cmd =
   let doc = "Run one algorithm on one workload and print its statistics." in
-  let run workload algo trace_file metrics_file check_invariants domains
-      shards options =
+  let run workload algo trace_file metrics_file domains shards
+      (options : Runtime.Experiment.options) =
     let domains = resolve_domains domains in
     let trace =
-      Runtime.Experiment.trace_for ~scale:options.Runtime.Figures.scale
-        ~lambda:options.Runtime.Figures.lambda ~workload
-        ~seed:options.Runtime.Figures.base_seed ()
+      Runtime.Experiment.trace_for options ~workload ~seed:options.base_seed
     in
     (* The shard count's upper limit depends on n: ask the directory. *)
     (match algo with
@@ -168,7 +173,8 @@ let run_cmd =
       Runtime.Export.capture ~trace:trace_file ~metrics:metrics_file
     in
     let stats =
-      Runtime.Algo.run ~sink ~check_invariants ~domains ~shards algo trace
+      Runtime.Algo.run ~config:options.config ~sink ~domains ~shards algo
+        trace
     in
     Format.printf "%s: %a@." (Runtime.Algo.name algo) Cbnet.Run_stats.pp stats;
     write_telemetry Format.std_formatter
@@ -176,7 +182,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ workload_arg $ algo_arg $ trace_file_arg $ metrics_file_arg
-      $ check_invariants_arg $ domains_arg $ shards_arg $ options_term)
+      $ domains_arg $ shards_arg
+      $ options_term check_invariants_arg)
 
 let report_profile_cmd =
   let doc =
@@ -190,16 +197,14 @@ let report_profile_cmd =
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:"Also write the profile as bench rows to $(docv).")
   in
-  let run workload out check_invariants options =
+  let run workload out (options : Runtime.Experiment.options) =
     let trace =
-      Runtime.Experiment.trace_for ~scale:options.Runtime.Figures.scale
-        ~lambda:options.Runtime.Figures.lambda ~workload
-        ~seed:options.Runtime.Figures.base_seed ()
+      Runtime.Experiment.trace_for options ~workload ~seed:options.base_seed
     in
     Format.printf "%a@." Workloads.Trace.pp_summary trace;
     let profile = Profkit.Profile.create () in
     let stats =
-      Runtime.Algo.run ~profile ~check_invariants Runtime.Algo.CBN trace
+      Runtime.Algo.run ~config:options.config ~profile Runtime.Algo.CBN trace
     in
     Format.printf "CBN: %a@." Cbnet.Run_stats.pp stats;
     Runtime.Report.profile
@@ -216,7 +221,7 @@ let report_profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ workload_arg $ out_arg $ check_invariants_arg $ options_term)
+      const run $ workload_arg $ out_arg $ options_term check_invariants_arg)
 
 let report_cmd =
   let doc = "Self-profiling reports of the executors." in
@@ -224,52 +229,46 @@ let report_cmd =
 
 let complexity_cmd =
   let doc = "Measure the trace complexity (T, NT, Psi) of a workload." in
-  let run workload options =
+  let run workload (options : Runtime.Experiment.options) =
     let entry = Workloads.Catalog.find workload in
     let trace =
-      entry.Workloads.Catalog.generate options.Runtime.Figures.scale
-        ~seed:options.Runtime.Figures.base_seed
+      entry.Workloads.Catalog.generate options.scale ~seed:options.base_seed
     in
-    let r =
-      Tracekit.Complexity.measure ~seed:(options.Runtime.Figures.base_seed + 17) trace
-    in
+    let r = Tracekit.Complexity.measure ~seed:(options.base_seed + 17) trace in
     Format.printf "%s: %a@." workload Tracekit.Complexity.pp r
   in
-  Cmd.v (Cmd.info "complexity" ~doc) Term.(const run $ workload_arg $ options_term)
+  Cmd.v (Cmd.info "complexity" ~doc) Term.(const run $ workload_arg $ plain_options)
 
 let export_cmd =
   let doc = "Generate a workload and write it to a CSV file." in
   let out_arg =
     Arg.(required & opt (some string) None & info [ "out"; "o" ] ~doc:"Output path.")
   in
-  let run workload out options =
+  let run workload out (options : Runtime.Experiment.options) =
     let trace =
-      Runtime.Experiment.trace_for ~scale:options.Runtime.Figures.scale
-        ~lambda:options.Runtime.Figures.lambda ~workload
-        ~seed:options.Runtime.Figures.base_seed ()
+      Runtime.Experiment.trace_for options ~workload ~seed:options.base_seed
     in
     Workloads.Trace.save_csv trace out;
     Format.printf "wrote %a to %s@." Workloads.Trace.pp_summary trace out
   in
   Cmd.v (Cmd.info "export" ~doc)
-    Term.(const run $ workload_arg $ out_arg $ options_term)
+    Term.(const run $ workload_arg $ out_arg $ plain_options)
 
 let timeline_cmd =
   let doc = "Print the adaptation timeline of sequential CBNet on a workload." in
   let window_arg =
     Arg.(value & opt int 1000 & info [ "window" ] ~doc:"Messages per window.")
   in
-  let run workload window options =
+  let run workload window (options : Runtime.Experiment.options) =
     let entry = Workloads.Catalog.find workload in
     let trace =
-      entry.Workloads.Catalog.generate options.Runtime.Figures.scale
-        ~seed:options.Runtime.Figures.base_seed
+      entry.Workloads.Catalog.generate options.scale ~seed:options.base_seed
     in
     Runtime.Timeline.pp Format.std_formatter
       (Runtime.Timeline.sequential_cbnet ~window trace)
   in
   Cmd.v (Cmd.info "timeline" ~doc)
-    Term.(const run $ workload_arg $ window_arg $ options_term)
+    Term.(const run $ workload_arg $ window_arg $ plain_options)
 
 let matrix_cmd =
   let doc =
@@ -279,23 +278,15 @@ let matrix_cmd =
     Arg.(required & opt (some string) None & info [ "out"; "o" ] ~doc:"Output CSV path.")
   in
   let run out options =
-    let matrix pool =
-      Runtime.Experiment.run_matrix ?pool ~scale:options.Runtime.Figures.scale
-        ~seeds:options.Runtime.Figures.seeds
-        ~lambda:options.Runtime.Figures.lambda
-        ~base_seed:options.Runtime.Figures.base_seed
-        ~workloads:Workloads.Catalog.paper_six ~algos:Runtime.Algo.all ()
-    in
     let cells =
-      if options.Runtime.Figures.jobs <= 1 then matrix None
-      else
-        Simkit.Pool.with_pool ~num_domains:options.Runtime.Figures.jobs
-          (fun p -> matrix (Some p))
+      Runtime.Experiment.with_pool options (fun pool ->
+          Runtime.Experiment.run_matrix ?pool options
+            ~workloads:Workloads.Catalog.paper_six ~algos:Runtime.Algo.all)
     in
     Runtime.Export.measurements_csv cells out;
     Format.printf "wrote %d cells to %s@." (List.length cells) out
   in
-  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ out_arg $ options_term)
+  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ out_arg $ plain_options)
 
 (* --- serve: the streaming service mode (docs/SERVING.md) ----------- *)
 
@@ -479,7 +470,8 @@ let serve_cmd =
     let config ~n =
       try
         Servekit.Server.config ~queue_capacity ~policy ~batch_max ~batch_min
-          ?window ~check_invariants ~n ()
+          ~config:(Cbnet.Config.make ?window ~check_invariants ())
+          ~n ()
       with Invalid_argument e ->
         prerr_endline ("cbnet serve: " ^ e);
         exit 2

@@ -24,7 +24,8 @@ let () =
     List.map
       (fun window ->
         let t = Bstnet.Build.balanced n in
-        let stats = Cbnet.Concurrent.run ~window t trace_all_at_once in
+        let config = Cbnet.Config.make ~window () in
+        let stats = Cbnet.Concurrent.run ~config t trace_all_at_once in
         [
           string_of_int window;
           string_of_int stats.Cbnet.Run_stats.makespan;
@@ -43,7 +44,11 @@ let () =
   let t1 = Bstnet.Build.balanced n in
   let cbn = Cbnet.Concurrent.run t1 trace_all_at_once in
   let t2 = Bstnet.Build.balanced n in
-  let dsn = Baselines.Displaynet.run ~max_rounds:10_000_000 t2 trace_all_at_once in
+  let dsn =
+    Baselines.Displaynet.run
+      ~config:(Cbnet.Config.make ~max_rounds:10_000_000 ())
+      t2 trace_all_at_once
+  in
   let t3 = Bstnet.Build.balanced n in
   let scbn = Cbnet.Sequential.run t3 trace_all_at_once in
   Format.printf "@.";

@@ -7,7 +7,7 @@
 
 let () =
   let trace =
-    Runtime.Experiment.trace_for ~workload:"projector" ~seed:7 ()
+    Runtime.Experiment.(trace_for default_options ~workload:"projector" ~seed:7)
   in
   Format.printf "workload: %a@.@." Workloads.Trace.pp_summary trace;
 

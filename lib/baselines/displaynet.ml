@@ -341,26 +341,10 @@ let to_stats st config rounds =
       if r.birth < !first_birth then first_birth := r.birth;
       if r.end_time > !last_end then last_end := r.end_time)
     (st.finished @ st.active @ waiting);
-  let routing_cost = !hops + !m in
   let makespan = if !m = 0 then 0 else max 1 (!last_end - !first_birth) in
-  {
-    Cbnet.Run_stats.messages = !m;
-    routing_hops = !hops;
-    routing_cost;
-    rotations = !rotations;
-    work =
-      float_of_int routing_cost
-      +. (config.Cbnet.Config.rotation_cost *. float_of_int !rotations);
-    makespan;
-    throughput =
-      (if !m = 0 then 0.0 else float_of_int !m /. float_of_int makespan);
-    steps = !steps;
-    pauses = !pauses;
-    bypasses = !bypasses;
-    update_messages = 0;
-    rounds;
-    chaos = Cbnet.Run_stats.no_chaos;
-  }
+  Cbnet.Run_stats.of_counts ~config ~messages:!m ~hops:!hops
+    ~rotations:!rotations ~steps:!steps ~pauses:!pauses ~bypasses:!bypasses
+    ~updates:0 ~makespan ~rounds ()
 
 let make_scheduler st =
   {
@@ -374,14 +358,19 @@ let scheduler ?(config = Cbnet.Config.default) t trace =
   let st = create config t trace in
   (make_scheduler st, fun rounds -> to_stats st config rounds)
 
-let run ?(config = Cbnet.Config.default) ?max_rounds t trace =
+let run ?(config = Cbnet.Config.default) t trace =
   let sched, finalize = scheduler ~config t trace in
-  let rounds = Simkit.Engine.run_exn ?max_rounds sched in
+  let rounds =
+    Simkit.Engine.run_exn ~max_rounds:config.Cbnet.Config.max_rounds sched
+  in
   finalize rounds
 
-let run_with_latencies ?(config = Cbnet.Config.default) ?max_rounds t trace =
+let run_with_latencies ?(config = Cbnet.Config.default) t trace =
   let st = create config t trace in
-  let rounds = Simkit.Engine.run_exn ?max_rounds (make_scheduler st) in
+  let rounds =
+    Simkit.Engine.run_exn ~max_rounds:config.Cbnet.Config.max_rounds
+      (make_scheduler st)
+  in
   let latencies =
     List.map (fun r -> float_of_int (r.end_time - r.birth)) st.finished
     |> Array.of_list

@@ -19,7 +19,6 @@
 
 val run :
   ?config:Cbnet.Config.t ->
-  ?max_rounds:int ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Cbnet.Run_stats.t
@@ -27,7 +26,6 @@ val run :
 
 val run_with_latencies :
   ?config:Cbnet.Config.t ->
-  ?max_rounds:int ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Cbnet.Run_stats.t * float array

@@ -10,7 +10,6 @@
     measurable. *)
 
 val run :
-  ?config:Cbnet.Config.t ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Cbnet.Run_stats.t

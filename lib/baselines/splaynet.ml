@@ -36,22 +36,7 @@ let run ?(config = Cbnet.Config.default) t trace =
       (* One slot per rotation, plus the delivery slot. *)
       clock := !clock + rotations + 1)
     trace;
-  let routing_cost = !hops + m in
   let makespan = if m = 0 then 0 else max 1 (!clock - !first_birth) in
-  {
-    Cbnet.Run_stats.messages = m;
-    routing_hops = !hops;
-    routing_cost;
-    rotations = !total_rotations;
-    work =
-      float_of_int routing_cost
-      +. (config.Cbnet.Config.rotation_cost *. float_of_int !total_rotations);
-    makespan;
-    throughput = (if m = 0 then 0.0 else float_of_int m /. float_of_int makespan);
-    steps = !total_rotations + m;
-    pauses = 0;
-    bypasses = 0;
-    update_messages = 0;
-    rounds = makespan;
-    chaos = Cbnet.Run_stats.no_chaos;
-  }
+  Cbnet.Run_stats.of_counts ~config ~messages:m ~hops:!hops
+    ~rotations:!total_rotations ~steps:(!total_rotations + m) ~pauses:0
+    ~bypasses:0 ~updates:0 ~makespan ~rounds:makespan ()

@@ -4,7 +4,6 @@
     defined time model for them"), so those fields are zero. *)
 
 val run :
-  ?config:Cbnet.Config.t ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Cbnet.Run_stats.t

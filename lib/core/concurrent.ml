@@ -46,7 +46,6 @@ type state = {
   faults : Faultkit.Injector.t option;
       (* fault injection (Faultkit); [None] keeps the executor on the
          plain hot path, bit-identical to pre-faultkit behaviour *)
-  check : bool;  (* verify Bstnet.Check.structural after every repair *)
   arena : Arena.t;  (* the live messages, by id; counts of the rest *)
   queue : M.t Simkit.Pqueue.t;  (* active (not parked), in priority order *)
   classes : Shape_class.t;  (* parked messages, by cached step shape *)
@@ -106,9 +105,8 @@ let spawner st ~origin ~first_increment =
   else Simkit.Pqueue.stage st.queue u
 (* lint: hot-end *)
 
-let create config ~window ~sink ~profile ~faults ~check ~latencies t trace =
+let create config ~window ~sink ~profile ~faults ~latencies t trace =
   validate t trace;
-  if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
   (* Exactly one update per data message, so the arena's id map never
      grows (fault-injected duplicates take the amortized growth path). *)
   let capacity = max 16 (2 * Array.length trace) in
@@ -123,7 +121,6 @@ let create config ~window ~sink ~profile ~faults ~check ~latencies t trace =
       sink;
       profile;
       faults;
-      check;
       arena;
       queue =
         Simkit.Pqueue.create
@@ -465,7 +462,7 @@ let abort_rotation st inj ~round (msg : M.t) (plan : Step.t) =
   if Obskit.Sink.enabled st.sink then
     Obskit.Sink.record st.sink (fun () ->
         Obskit.Event.Repair_done { round; node = x });
-  if st.check then check_now st
+  if st.config.Config.check_invariants then check_now st
 
 (* A conflict-free step under a fault plan: the abort draw, then the
    commit draws in fixed order — loss, duplication, delay.  Each
@@ -651,17 +648,18 @@ let next_tick st round =
     max round birth
 (* lint: hot-end *)
 
-let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
-    ?profile ?faults ?(check_invariants = false) ~latencies t trace =
-  let window = match window with Some w -> w | None -> max 64 (T.n t) in
+let make ?(config = Config.default) ?(sink = Obskit.Sink.null) ?profile
+    ~latencies t trace =
+  let window =
+    match config.Config.window with Some w -> w | None -> max 64 (T.n t)
+  in
   let injector =
-    match faults with
-    | None -> None
-    | Some plan -> Some (Faultkit.Injector.create plan ~n:(T.n t))
+    Option.map
+      (fun plan -> Faultkit.Injector.create plan ~n:(T.n t))
+      config.Config.faults
   in
   let st =
-    create config ~window ~sink ~profile ~faults:injector
-      ~check:check_invariants ~latencies t trace
+    create config ~window ~sink ~profile ~faults:injector ~latencies t trace
   in
   let sched =
     {
@@ -688,33 +686,25 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
             repairs = s.Faultkit.Injector.repairs;
           }
     in
-    if check_invariants then Bstnet.Check.assert_ok (Bstnet.Check.structural st.t);
+    if config.Config.check_invariants then
+      Bstnet.Check.assert_ok (Bstnet.Check.structural st.t);
     Shape_class.flush st.classes;
     Run_stats.of_iter ~chaos ~base:(Arena.tally st.arena) ~config ~rounds
       (fun f -> Arena.iter_live st.arena f)
   in
   (st, sched, finalize)
 
-let scheduler ?config ?window ?sink ?profile ?faults ?check_invariants t
-    trace =
-  let _, sched, finalize =
-    make ?config ?window ?sink ?profile ?faults ?check_invariants
-      ~latencies:false t trace
-  in
+let scheduler ?config ?sink ?profile t trace =
+  let _, sched, finalize = make ?config ?sink ?profile ~latencies:false t trace in
   (sched, finalize)
 
-let run ?config ?window ?max_rounds ?sink ?profile ?faults ?check_invariants t
-    trace =
-  let sched, finalize =
-    scheduler ?config ?window ?sink ?profile ?faults ?check_invariants t trace
-  in
-  finalize (Simkit.Engine.run_exn ?max_rounds sched)
+let run ?(config = Config.default) ?sink ?profile t trace =
+  let sched, finalize = scheduler ~config ?sink ?profile t trace in
+  finalize (Simkit.Engine.run_exn ~max_rounds:config.Config.max_rounds sched)
 
-let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?faults
-    ?check_invariants t trace =
-  let st, sched, finalize =
-    make ?config ?window ?sink ?profile ?faults ?check_invariants
-      ~latencies:true t trace
+let run_with_latencies ?(config = Config.default) ?sink ?profile t trace =
+  let st, sched, finalize = make ~config ?sink ?profile ~latencies:true t trace in
+  let stats =
+    finalize (Simkit.Engine.run_exn ~max_rounds:config.Config.max_rounds sched)
   in
-  let stats = finalize (Simkit.Engine.run_exn ?max_rounds sched) in
   (stats, Arena.latencies st.arena)

@@ -30,48 +30,17 @@
 
 val run :
   ?config:Config.t ->
-  ?window:int ->
-  ?max_rounds:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?faults:Faultkit.Plan.t ->
-  ?check_invariants:bool ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Run_stats.t
 (** [run t trace] executes [(birth, src, dst)] requests (sorted by
     birth) concurrently on [t], mutating it, and runs until both all
     data messages and all weight-update messages have drained.
-
-    [faults] injects deterministic faults (Faultkit, docs/ROBUSTNESS.md):
-    node-crash windows park messages whose acting node or step cluster
-    is down (charging makespan, never pauses/bypasses); in-transit
-    losses re-arm the message at its source with its original birth;
-    duplications fork an extra data message; delays put a message to
-    sleep for a few rounds; rotation aborts tear the first elementary
-    rotation mid-flight and immediately run the local repair protocol.
-    Faults, like everything else, are driven by the plan's own seeded
-    generator — the same plan on the same trace replays bit for bit.
-    The tallies land in {!Run_stats.t}'s [chaos] field.  When [faults]
-    is absent the executor takes the pre-faultkit allocation-free hot
-    path and every output — statistics, latencies, telemetry, final
-    tree — is bit-identical to a build without fault support.
-
-    [check_invariants] (default [false]) verifies the
-    {!Bstnet.Check.structural} suite — structure, BST order, interval
-    labels — on the final tree (and, under a fault plan, after every
-    repair), raising [Failure] on a violation.  Weight sums are
-    deliberately excluded: they are a flow property, exact only
-    relative to the weight-update deposits still in flight, so even a
-    fault-free run can end with messages whose deposits never
-    telescoped (clamped rotations, bypass re-climbs).
-
-    [window] (default [max 64 n]) is source-side admission control: at
-    most that many data messages are in the network simultaneously;
-    later requests wait at their sources (their original birth time
-    still anchors priority and makespan, so queueing is charged to the
-    makespan).  This bounds the per-round simulation cost under
-    saturation without affecting which steps conflict.
+    [config] (default {!Config.default}) carries δ, R, the admission
+    window, the round budget, the fault plan and the invariant audit;
+    {!Config.t} documents each.
 
     [sink] (default {!Obskit.Sink.null}) receives per-round structured
     events: [Round_begin], [Step_planned], [Cluster_claimed],
@@ -91,17 +60,14 @@ val run :
     tree are bit-identical to an unprofiled one.
 
     @raise Invalid_argument on an unsorted trace or bad endpoints.
-    @raise Simkit.Engine.Budget_exhausted if rounds exceed [max_rounds]
-    (a liveness failure, not a legitimate outcome). *)
+    @raise Simkit.Engine.Budget_exhausted if rounds exceed the
+    config's [max_rounds] (a liveness failure, not a legitimate
+    outcome). *)
 
 val run_with_latencies :
   ?config:Config.t ->
-  ?window:int ->
-  ?max_rounds:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?faults:Faultkit.Plan.t ->
-  ?check_invariants:bool ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Run_stats.t * float array
@@ -113,11 +79,8 @@ val run_with_latencies :
 (* lint: allow unused-export -- the equivalence and executor tests step it round by round *)
 val scheduler :
   ?config:Config.t ->
-  ?window:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?faults:Faultkit.Plan.t ->
-  ?check_invariants:bool ->
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Simkit.Engine.scheduler * (int -> Run_stats.t)

@@ -22,35 +22,9 @@ let decay t ~factor =
   in
   ignore (rebuild (T.root t))
 
-let combine_chaos (a : Run_stats.chaos) (b : Run_stats.chaos) =
-  {
-    Run_stats.crashes = a.crashes + b.crashes;
-    parks = a.parks + b.parks;
-    lost = a.lost + b.lost;
-    duplicated = a.duplicated + b.duplicated;
-    delayed = a.delayed + b.delayed;
-    aborted_rotations = a.aborted_rotations + b.aborted_rotations;
-    repairs = a.repairs + b.repairs;
-  }
+let combine = Run_stats.sum
 
-let combine (a : Run_stats.t) (b : Run_stats.t) decay_slots =
-  {
-    Run_stats.messages = a.messages + b.messages;
-    routing_hops = a.routing_hops + b.routing_hops;
-    routing_cost = a.routing_cost + b.routing_cost;
-    rotations = a.rotations + b.rotations;
-    work = a.work +. b.work;
-    makespan = a.makespan + b.makespan + decay_slots;
-    throughput = 0.0;
-    steps = a.steps + b.steps;
-    pauses = a.pauses + b.pauses;
-    bypasses = a.bypasses + b.bypasses;
-    update_messages = a.update_messages + b.update_messages;
-    rounds = a.rounds + b.rounds + decay_slots;
-    chaos = combine_chaos a.chaos b.chaos;
-  }
-
-let run_sequential ?(config = Config.default) ~every ~factor t trace =
+let run_sequential ~every ~factor t trace =
   if every < 1 then invalid_arg "Counter_reset.run_sequential: every must be >= 1";
   let m = Array.length trace in
   let rec go start acc =
@@ -62,7 +36,7 @@ let run_sequential ?(config = Config.default) ~every ~factor t trace =
          them for idle-time accounting. *)
       let base = match chunk.(0) with b, _, _ -> b in
       let chunk = Array.map (fun (b, s, d) -> (b - base, s, d)) chunk in
-      let stats = Sequential.run ~config t chunk in
+      let stats = Sequential.run t chunk in
       let acc =
         match acc with
         | None -> Some stats
@@ -72,14 +46,4 @@ let run_sequential ?(config = Config.default) ~every ~factor t trace =
       go (start + len) acc
     end
   in
-  match go 0 None with
-  | None -> Sequential.run ~config t [||]
-  | Some stats ->
-      {
-        stats with
-        Run_stats.throughput =
-          (if stats.Run_stats.makespan = 0 then 0.0
-           else
-             float_of_int stats.Run_stats.messages
-             /. float_of_int stats.Run_stats.makespan);
-      }
+  match go 0 None with None -> Sequential.run t [||] | Some stats -> stats

@@ -14,15 +14,11 @@ val decay : Bstnet.Topology.t -> factor:float -> unit
     O(n).  @raise Invalid_argument unless [0 <= factor < 1]. *)
 
 val combine : Run_stats.t -> Run_stats.t -> int -> Run_stats.t
-(** [combine a b decay_slots] accumulates two chunk statistics,
-    charging [decay_slots] rounds of maintenance time (one slot per
-    node per decay pass) to the makespan and round count.  The
-    [throughput] field of the result is 0 — recompute it once from the
-    final totals.  Used by {!run_sequential} and by
-    [Servekit.Server]'s batch accumulation. *)
+(** {!Run_stats.sum}: [combine a b decay_slots] accumulates two chunk
+    statistics, charging [decay_slots] rounds of maintenance time (one
+    slot per node per decay pass) to the makespan and round count. *)
 
 val run_sequential :
-  ?config:Config.t ->
   every:int ->
   factor:float ->
   Bstnet.Topology.t ->

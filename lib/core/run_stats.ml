@@ -81,32 +81,75 @@ let count a (m : Message.t) =
   | Message.Weight_update -> a.acc_updates <- a.acc_updates + 1
 (* lint: hot-end *)
 
-let of_iter ?(chaos = no_chaos) ?base ~config ~rounds iter =
-  let a = match base with None -> tally () | Some b -> copy b in
-  iter (count a);
-  let routing_cost = a.acc_hops + a.acc_messages in
-  let makespan =
-    if a.acc_messages = 0 then 0 else max 1 (a.acc_last_end - a.acc_first_birth)
-  in
+(* The cost model of Def. 1-3: routing cost charges one extra unit per
+   data message, work adds R per rotation, throughput is messages per
+   makespan round. *)
+let of_counts ?(chaos = no_chaos) ~config ~messages ~hops ~rotations ~steps
+    ~pauses ~bypasses ~updates ~makespan ~rounds () =
+  let routing_cost = hops + messages in
   {
-    messages = a.acc_messages;
-    routing_hops = a.acc_hops;
+    messages;
+    routing_hops = hops;
     routing_cost;
-    rotations = a.acc_rotations;
+    rotations;
     work =
       float_of_int routing_cost
-      +. (config.Config.rotation_cost *. float_of_int a.acc_rotations);
+      +. (config.Config.rotation_cost *. float_of_int rotations);
     makespan;
     throughput =
-      (if a.acc_messages = 0 then 0.0
-       else float_of_int a.acc_messages /. float_of_int makespan);
-    steps = a.acc_steps;
-    pauses = a.acc_pauses;
-    bypasses = a.acc_bypasses;
-    update_messages = a.acc_updates;
+      (if makespan = 0 then 0.0
+       else float_of_int messages /. float_of_int makespan);
+    steps;
+    pauses;
+    bypasses;
+    update_messages = updates;
     rounds;
     chaos;
   }
+
+let zero =
+  of_counts ~config:Config.default ~messages:0 ~hops:0 ~rotations:0 ~steps:0
+    ~pauses:0 ~bypasses:0 ~updates:0 ~makespan:0 ~rounds:0 ()
+
+let sum a b slots =
+  let c = a.chaos and d = b.chaos in
+  let makespan = a.makespan + b.makespan + slots in
+  {
+    messages = a.messages + b.messages;
+    routing_hops = a.routing_hops + b.routing_hops;
+    routing_cost = a.routing_cost + b.routing_cost;
+    rotations = a.rotations + b.rotations;
+    work = a.work +. b.work;
+    makespan;
+    throughput =
+      (if makespan = 0 then 0.0
+       else float_of_int (a.messages + b.messages) /. float_of_int makespan);
+    steps = a.steps + b.steps;
+    pauses = a.pauses + b.pauses;
+    bypasses = a.bypasses + b.bypasses;
+    update_messages = a.update_messages + b.update_messages;
+    rounds = a.rounds + b.rounds + slots;
+    chaos =
+      {
+        crashes = c.crashes + d.crashes;
+        parks = c.parks + d.parks;
+        lost = c.lost + d.lost;
+        duplicated = c.duplicated + d.duplicated;
+        delayed = c.delayed + d.delayed;
+        aborted_rotations = c.aborted_rotations + d.aborted_rotations;
+        repairs = c.repairs + d.repairs;
+      };
+  }
+
+let of_iter ?chaos ?base ~config ~rounds iter =
+  let a = match base with None -> tally () | Some b -> copy b in
+  iter (count a);
+  let makespan =
+    if a.acc_messages = 0 then 0 else max 1 (a.acc_last_end - a.acc_first_birth)
+  in
+  of_counts ?chaos ~config ~messages:a.acc_messages ~hops:a.acc_hops
+    ~rotations:a.acc_rotations ~steps:a.acc_steps ~pauses:a.acc_pauses
+    ~bypasses:a.acc_bypasses ~updates:a.acc_updates ~makespan ~rounds ()
 
 let of_messages ?chaos ~config ~rounds msgs =
   of_iter ?chaos ~config ~rounds (fun f -> List.iter f msgs)

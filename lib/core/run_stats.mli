@@ -46,6 +46,36 @@ val tally : unit -> tally
 val count : tally -> Message.t -> unit
 (** Add one message's counts. *)
 
+val of_counts :
+  ?chaos:chaos ->
+  config:Config.t ->
+  messages:int ->
+  hops:int ->
+  rotations:int ->
+  steps:int ->
+  pauses:int ->
+  bypasses:int ->
+  updates:int ->
+  makespan:int ->
+  rounds:int ->
+  unit ->
+  t
+(** The statistics of summed per-message counts under the cost model
+    of Def. 1-3: [routing_cost = hops + messages], [work = routing_cost
+    + R · rotations] (R from [config]) and [throughput = messages /
+    makespan], 0 when [makespan = 0].  Every executor builds its
+    {!t} here, so the three derived fields have one definition. *)
+
+val zero : t
+(** The statistics of an empty execution. *)
+
+val sum : t -> t -> int -> t
+(** [sum a b slots] adds two executions run back to back on one tree,
+    charging [slots] rounds of maintenance time (e.g. one per node per
+    counter-decay pass) to the makespan and round count.  Counts, work
+    and fault tallies add; [throughput] is recomputed from the summed
+    messages and makespan.  [sum zero b 0] is [b]. *)
+
 val of_iter :
   ?chaos:chaos ->
   ?base:tally ->

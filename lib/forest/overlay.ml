@@ -9,31 +9,23 @@ type result = {
 }
 
 (* Fold the per-shard statistics into one Run_stats.t on the global
-   clock.  The arithmetic mirrors Run_stats.of_iter exactly, so a
-   1-shard forest (cross = 0) reproduces the single-tree statistics
-   bit for bit. *)
+   clock: summed counts and fault tallies, one directory hop per
+   cross-shard request, the slowest shard's rounds, and the span from
+   the earliest birth to the latest shard's last delivery.  A 1-shard
+   forest (cross = 0) reproduces the single-tree statistics bit for
+   bit. *)
 let combine ~config ~cross per_shard first_births =
-  let messages = ref 0 in
-  let hops = ref 0 in
-  let rotations = ref 0 in
-  let steps = ref 0 in
-  let pauses = ref 0 in
-  let bypasses = ref 0 in
-  let updates = ref 0 in
+  let total =
+    Array.fold_left
+      (fun acc st -> Cbnet.Run_stats.sum acc st 0)
+      Cbnet.Run_stats.zero per_shard
+  in
   let rounds = ref 0 in
   let first = ref max_int in
   let last = ref 0 in
   Array.iteri
     (fun s (st : Cbnet.Run_stats.t) ->
-      messages := !messages + st.Cbnet.Run_stats.messages;
-      hops := !hops + st.Cbnet.Run_stats.routing_hops;
-      rotations := !rotations + st.Cbnet.Run_stats.rotations;
-      steps := !steps + st.Cbnet.Run_stats.steps;
-      pauses := !pauses + st.Cbnet.Run_stats.pauses;
-      bypasses := !bypasses + st.Cbnet.Run_stats.bypasses;
-      updates := !updates + st.Cbnet.Run_stats.update_messages;
-      if st.Cbnet.Run_stats.rounds > !rounds then
-        rounds := st.Cbnet.Run_stats.rounds;
+      rounds := max !rounds st.Cbnet.Run_stats.rounds;
       if st.Cbnet.Run_stats.messages > 0 then begin
         (* Place the shard's makespan on the global birth clock: its
            legs' births are global, so first birth + makespan is the
@@ -44,36 +36,20 @@ let combine ~config ~cross per_shard first_births =
         if le > !last then last := le
       end)
     per_shard;
-  let routing_hops = !hops + cross in
-  let routing_cost = routing_hops + !messages in
-  let makespan = if !messages = 0 then 0 else max 1 (!last - !first) in
-  {
-    Cbnet.Run_stats.messages = !messages;
-    routing_hops;
-    routing_cost;
-    rotations = !rotations;
-    work =
-      float_of_int routing_cost
-      +. (config.Cbnet.Config.rotation_cost *. float_of_int !rotations);
-    makespan;
-    throughput =
-      (if !messages = 0 then 0.0
-       else float_of_int !messages /. float_of_int makespan);
-    steps = !steps;
-    pauses = !pauses;
-    bypasses = !bypasses;
-    update_messages = !updates;
-    rounds = !rounds;
-    chaos = Cbnet.Run_stats.no_chaos;
-  }
+  let open Cbnet.Run_stats in
+  of_counts ~chaos:total.chaos ~config ~messages:total.messages
+    ~hops:(total.routing_hops + cross) ~rotations:total.rotations
+    ~steps:total.steps ~pauses:total.pauses ~bypasses:total.bypasses
+    ~updates:total.update_messages
+    ~makespan:(if total.messages = 0 then 0 else max 1 (!last - !first))
+    ~rounds:!rounds ()
 
 (* Execute every shard's sub-trace, in the caller (shard order) or
    fanned out over a pool.  Collection is by shard index either way,
    and each shard's execution touches only its own topology and
    arena, so the two paths are bit-identical. *)
 let run_with_latencies ?(config = Cbnet.Config.default)
-    ?(sink = Obskit.Sink.null) ?(check_invariants = false) ?(domains = 1)
-    ?(shards = 1) ~n trace =
+    ?(sink = Obskit.Sink.null) ?(domains = 1) ?(shards = 1) ~n trace =
   if domains < 1 then
     invalid_arg "Forest.Overlay.run: domains must be >= 1";
   let dir = Directory.create ~n ~shards in
@@ -82,7 +58,7 @@ let run_with_latencies ?(config = Cbnet.Config.default)
   let run_shard s =
     let topo = Bstnet.Build.balanced (Directory.size dir s) in
     let stats, lats =
-      Cbnet.Concurrent.run_with_latencies ~config ~sink ~check_invariants topo
+      Cbnet.Concurrent.run_with_latencies ~config ~sink topo
         router.Router.runs.(s)
     in
     (topo, stats, lats)
@@ -121,7 +97,5 @@ let run_with_latencies ?(config = Cbnet.Config.default)
     },
     latencies )
 
-let run ?config ?sink ?check_invariants ?domains ?shards ~n trace =
-  fst
-    (run_with_latencies ?config ?sink ?check_invariants ?domains ?shards ~n
-       trace)
+let run ?config ?sink ?domains ?shards ~n trace =
+  fst (run_with_latencies ?config ?sink ?domains ?shards ~n trace)

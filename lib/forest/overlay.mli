@@ -24,9 +24,9 @@
     the slowest shard's round count; [makespan] spans from the
     earliest birth to the latest shard's last delivery on the global
     birth clock; [throughput] is combined messages over combined
-    makespan.  Note [messages] counts delivered {e legs}
-    ([intra + 2 * cross]), not end-to-end requests — [requests] in
-    {!result} keeps the original count. *)
+    makespan; fault tallies are summed.  Note [messages] counts
+    delivered {e legs} ([intra + 2 * cross]), not end-to-end requests
+    — [requests] in {!result} keeps the original count. *)
 
 type result = {
   stats : Cbnet.Run_stats.t;  (** Combined forest statistics. *)
@@ -44,7 +44,6 @@ type result = {
 val run :
   ?config:Cbnet.Config.t ->
   ?sink:Obskit.Sink.t ->
-  ?check_invariants:bool ->
   ?domains:int ->
   ?shards:int ->
   n:int ->
@@ -54,9 +53,10 @@ val run :
     birth, endpoints in [[0, n)]) on a [shards]-way forest (default
     1).
 
-    [config] and [check_invariants] are forwarded to every shard's
-    {!Cbnet.Concurrent.run}; each shard gets the executor's default
-    admission window and round budget for its own size.
+    [config] is forwarded whole to every shard's
+    {!Cbnet.Concurrent.run}: each shard runs under its window, round
+    budget, fault plan and invariant audit, and without a window gets
+    the executor's default for its own size.
 
     [domains] (default 1) executes up to that many shards
     concurrently on a {!Simkit.Pool}; results are bit-identical at
@@ -76,7 +76,6 @@ val run :
 val run_with_latencies :
   ?config:Cbnet.Config.t ->
   ?sink:Obskit.Sink.t ->
-  ?check_invariants:bool ->
   ?domains:int ->
   ?shards:int ->
   n:int ->

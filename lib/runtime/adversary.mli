@@ -17,7 +17,7 @@ val online_worst_case :
 (** Drive an executor one request at a time, choosing each request
     with [next] against the tree state the previous request left
     behind.  The executor is called once per single-request trace;
-    statistics are summed. *)
+    statistics are summed ({!Cbnet.Run_stats.sum}). *)
 
 val deep_access : Bstnet.Topology.t -> int * int
 (** Adversary strategy: route from the current deepest leaf to the

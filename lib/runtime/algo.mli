@@ -27,7 +27,6 @@ val run :
   ?config:Cbnet.Config.t ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?check_invariants:bool ->
   ?domains:int ->
   ?shards:int ->
   t ->
@@ -56,11 +55,7 @@ val run :
     algorithms ignore it.  Profiling never changes results: a profiled
     CBN run is bit-identical to an unprofiled one.
 
-    [check_invariants] (default [false]) audits the final tree with
-    {!Bstnet.Check.structural} and raises [Failure] on a violation —
-    for every algorithm, since all of them mutate (or build) a
-    topology whose structural invariants must hold at the end.
-    Weight sums are excluded: they are exact only relative to
-    in-flight weight-update deposits, so concurrent (and even some
-    sequential) executions legitimately end with unreconciled
-    counters. *)
+    [config] reaches every algorithm that uses it ({!Cbnet.Config.t});
+    its [check_invariants] audits the final tree of every algorithm,
+    since all of them mutate (or build) a topology whose structural
+    invariants must hold at the end. *)

@@ -13,24 +13,45 @@ type measurement = {
   rounds : Simkit.Stats.summary;
 }
 
-let trace_for ?(scale = Workloads.Catalog.Default) ?(lambda = 0.05) ~workload
-    ~seed () =
+type options = {
+  config : Cbnet.Config.t;
+  scale : Workloads.Catalog.scale;
+  seeds : int;
+  lambda : float;
+  base_seed : int;
+  jobs : int;
+}
+
+let default_options =
+  {
+    config = Cbnet.Config.default;
+    scale = Workloads.Catalog.Default;
+    seeds = 3;
+    lambda = 0.05;
+    base_seed = 1;
+    jobs = 1;
+  }
+
+let with_pool options f =
+  if options.jobs <= 1 then f None
+  else Simkit.Pool.with_pool ~num_domains:options.jobs (fun p -> f (Some p))
+
+let trace_for options ~workload ~seed =
   let entry = Workloads.Catalog.find workload in
-  let trace = entry.Workloads.Catalog.generate scale ~seed in
+  let trace = entry.Workloads.Catalog.generate options.scale ~seed in
   let rng = Simkit.Rng.create (seed lxor 0x5bd1e995) in
-  Workloads.Trace.with_poisson_births rng ~lambda trace
+  Workloads.Trace.with_poisson_births rng ~lambda:options.lambda trace
 
 (* One (cell, seed) execution: generates its own trace from its own
    Rng streams and touches no state outside its return value, so it
    can run on any domain.  On traced runs the whole seed is wrapped in
    a span, so the per-domain tracks of the trace show which seed ran
    where and for how long. *)
-let run_seed ?config ?profile ~sink ~scale ~lambda ~base_seed ~check
-    ~workload ~algo i =
-  let seed = base_seed + (1009 * i) in
+let run_seed ?profile ~sink options ~workload ~algo i =
+  let seed = options.base_seed + (1009 * i) in
   let body () =
-    let trace = trace_for ~scale ~lambda ~workload ~seed () in
-    Algo.run ?config ~sink ?profile ~check_invariants:check algo trace
+    let trace = trace_for options ~workload ~seed in
+    Algo.run ~config:options.config ~sink ?profile algo trace
   in
   if Obskit.Sink.enabled sink then
     Obskit.Sink.span sink
@@ -94,9 +115,9 @@ let aggregate ~workload ~algo ~seeds per_seed =
     rounds = Simkit.Stats.summary rounds;
   }
 
-let run_cell ?pool ?config ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
-    ?(lambda = 0.05) ?(base_seed = 1) ?(sink = Obskit.Sink.null) ?profile
-    ?(check_invariants = false) ~workload ~algo () =
+let run_cell ?pool ?(sink = Obskit.Sink.null) ?profile options ~workload ~algo
+    =
+  let seeds = options.seeds in
   if seeds < 1 then invalid_arg "Experiment.run_cell: seeds must be >= 1";
   (* Profile.t is a plain mutable record with no synchronization, so a
      profiled cell must run its seeds in the caller, not on a pool. *)
@@ -104,9 +125,7 @@ let run_cell ?pool ?config ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
     invalid_arg "Experiment.run_cell: ?profile cannot be combined with ?pool";
   let cell () =
     let per_seed =
-      collect ?pool seeds
-        (run_seed ?config ?profile ~sink ~scale ~lambda ~base_seed
-           ~check:check_invariants ~workload ~algo)
+      collect ?pool seeds (run_seed ?profile ~sink options ~workload ~algo)
     in
     aggregate ~workload ~algo ~seeds per_seed
   in
@@ -116,9 +135,8 @@ let run_cell ?pool ?config ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
       cell
   else cell ()
 
-let run_matrix ?pool ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
-    ?(lambda = 0.05) ?(base_seed = 1) ?(sink = Obskit.Sink.null)
-    ?(check_invariants = false) ~workloads ~algos () =
+let run_matrix ?pool ?(sink = Obskit.Sink.null) options ~workloads ~algos =
+  let seeds = options.seeds in
   if seeds < 1 then invalid_arg "Experiment.run_matrix: seeds must be >= 1";
   let cells =
     Array.of_list
@@ -133,8 +151,7 @@ let run_matrix ?pool ?(scale = Workloads.Catalog.Default) ?(seeds = 5)
   let per_task =
     collect ?pool (n_cells * seeds) (fun k ->
         let workload, algo = cells.(k / seeds) in
-        run_seed ~sink ~scale ~lambda ~base_seed ~check:check_invariants
-          ~workload ~algo (k mod seeds))
+        run_seed ~sink options ~workload ~algo (k mod seeds))
   in
   List.init n_cells (fun ci ->
       let workload, algo = cells.(ci) in

@@ -8,6 +8,31 @@
     in fixed seed order afterwards, so the parallel path is
     bit-identical to the sequential one — only wall-clock changes. *)
 
+type options = {
+  config : Cbnet.Config.t;
+      (** Every per-seed execution runs under this record
+          ({!Algo.run}); its [check_invariants] audits every final
+          tree. *)
+  scale : Workloads.Catalog.scale;
+  seeds : int;  (** Repetitions per cell, [>= 1] (the paper uses 30). *)
+  lambda : float;  (** Poisson arrival parameter (Sec. IX-B). *)
+  base_seed : int;  (** Seed [i] of a cell is [base_seed + 1009 i]. *)
+  jobs : int;
+      (** Worker domains for {!with_pool}; [1] runs fully sequentially
+          in the calling domain.  Results are bit-identical at every
+          setting. *)
+}
+(** One experiment run, built once (by the CLI, the bench harness or
+    a figure) and passed through. *)
+
+val default_options : options
+(** {!Cbnet.Config.default}, [Default] scale, 3 seeds, λ = 0.05, base
+    seed 1, 1 job. *)
+
+val with_pool : options -> (Simkit.Pool.t option -> 'a) -> 'a
+(** [with_pool options f] runs [f] with a pool of [options.jobs]
+    domains, or with [None] when [jobs <= 1]. *)
+
 type measurement = {
   algo : Algo.t;
   workload : string;
@@ -27,32 +52,22 @@ type measurement = {
 
 val run_cell :
   ?pool:Simkit.Pool.t ->
-  ?config:Cbnet.Config.t ->
-  ?scale:Workloads.Catalog.scale ->
-  ?seeds:int ->
-  ?lambda:float ->
-  ?base_seed:int ->
   ?sink:Obskit.Sink.t ->
   ?profile:Profkit.Profile.t ->
-  ?check_invariants:bool ->
+  options ->
   workload:string ->
   algo:Algo.t ->
-  unit ->
   measurement
-(** Generate the workload [seeds] times (default 5; the paper uses 30
-    for full runs) with distinct seeds, stamp arrivals with the
-    paper's Poisson process (default [lambda = 0.05]), execute, and
-    aggregate.  With [?pool] the seeds run concurrently; the
-    measurement is identical either way.
+(** Generate the workload [options.seeds] times with distinct seeds,
+    stamp arrivals with the paper's Poisson process, execute under
+    [options.config], and aggregate.  With [?pool] the seeds run
+    concurrently; the measurement is identical either way.
+    [options.jobs] is not read here: the caller owns the pool.
 
     [sink] (default null) is forwarded to every per-seed execution
     ({!Algo.run}) and additionally receives a [cell:<workload>/<algo>]
     span around the cell and a [seed:...#i] span around each seed.
     Traced measurements are bit-identical to untraced ones.
-
-    [check_invariants] (default [false]) audits every per-seed final
-    tree with {!Bstnet.Check.structural} — structure, BST order and
-    interval labels, not weight sums (see {!Algo.run}).
 
     A CBN_FOREST cell runs one shard on one domain; {!Algo.run} takes
     the shard and domain counts.
@@ -66,27 +81,16 @@ val run_cell :
 
 val run_matrix :
   ?pool:Simkit.Pool.t ->
-  ?scale:Workloads.Catalog.scale ->
-  ?seeds:int ->
-  ?lambda:float ->
-  ?base_seed:int ->
   ?sink:Obskit.Sink.t ->
-  ?check_invariants:bool ->
+  options ->
   workloads:string list ->
   algos:Algo.t list ->
-  unit ->
   measurement list
-(** {!run_cell} over the full matrix, workload-major, with the default
-    {!Cbnet.Config.t}.  With [?pool]
+(** {!run_cell} over the full matrix, workload-major.  With [?pool]
     the matrix is flattened to (cell × seed) tasks so every domain
     stays busy even at small seed counts. *)
 
-val trace_for :
-  ?scale:Workloads.Catalog.scale ->
-  ?lambda:float ->
-  workload:string ->
-  seed:int ->
-  unit ->
-  Workloads.Trace.t
-(** The exact stamped trace a cell run uses for a given seed (exposed
-    so analyses like Fig. 2 and the entropy bounds see the same σ). *)
+val trace_for : options -> workload:string -> seed:int -> Workloads.Trace.t
+(** The exact stamped trace a cell run uses for a given seed, at
+    [options.scale] and [options.lambda] (exposed so analyses like
+    Fig. 2 and the entropy bounds see the same σ). *)

@@ -1,26 +1,3 @@
-type options = {
-  scale : Workloads.Catalog.scale;
-  seeds : int;
-  lambda : float;
-  base_seed : int;
-  jobs : int;
-}
-
-let default_options =
-  {
-    scale = Workloads.Catalog.Default;
-    seeds = 3;
-    lambda = 0.05;
-    base_seed = 1;
-    jobs = 1;
-  }
-
-(* Share one domain pool across a figure's cells; [jobs <= 1] stays on
-   the plain sequential path (no domains spawned). *)
-let with_jobs options f =
-  if options.jobs <= 1 then f None
-  else Simkit.Pool.with_pool ~num_domains:options.jobs (fun p -> f (Some p))
-
 let rec chunk k = function
   | [] -> []
   | l ->
@@ -43,7 +20,7 @@ let mean_pm (s : Simkit.Stats.summary) =
       (Report.float_cell s.Simkit.Stats.mean)
       (Report.float_cell (1.96 *. s.Simkit.Stats.std /. sqrt (float_of_int s.Simkit.Stats.n)))
 
-let fig2 ?(options = default_options) fmt =
+let fig2 (options : Experiment.options) fmt =
   let measured =
     List.map
       (fun key ->
@@ -116,12 +93,11 @@ let render_fig3 fmt workload cells =
       Format.fprintf fmt "@."
   end
 
-let fig3 ?(options = default_options) fmt =
-  with_jobs options (fun pool ->
+let fig3 (options : Experiment.options) fmt =
+  Experiment.with_pool options (fun pool ->
       let cells =
-        Experiment.run_matrix ?pool ~scale:options.scale ~seeds:options.seeds
-          ~lambda:options.lambda ~base_seed:options.base_seed
-          ~workloads:Workloads.Catalog.paper_six ~algos:Algo.all ()
+        Experiment.run_matrix ?pool options
+          ~workloads:Workloads.Catalog.paper_six ~algos:Algo.all
       in
       List.iter2 (render_fig3 fmt) Workloads.Catalog.paper_six
         (chunk (List.length Algo.all) cells))
@@ -147,17 +123,16 @@ let render_fig4 fmt workload cells =
       Format.fprintf fmt "@."
   end
 
-let fig4 ?(options = default_options) fmt =
-  with_jobs options (fun pool ->
+let fig4 (options : Experiment.options) fmt =
+  Experiment.with_pool options (fun pool ->
       let cells =
-        Experiment.run_matrix ?pool ~scale:options.scale ~seeds:options.seeds
-          ~lambda:options.lambda ~base_seed:options.base_seed
-          ~workloads:Workloads.Catalog.paper_six ~algos:Algo.dynamic ()
+        Experiment.run_matrix ?pool options
+          ~workloads:Workloads.Catalog.paper_six ~algos:Algo.dynamic
       in
       List.iter2 (render_fig4 fmt) Workloads.Catalog.paper_six
         (chunk (List.length Algo.dynamic) cells))
 
-let thm1 ?(options = default_options) fmt =
+let thm1 (options : Experiment.options) fmt =
   let n = 256 and m = 20_000 in
   let rows =
     List.map
@@ -194,7 +169,7 @@ let thm1 ?(options = default_options) fmt =
     "expected shape: the ratio stays bounded by a small constant across \
      skews (Theorem 1: O(H(S)+H(D)) amortized).@.@."
 
-let thm2 ?(options = default_options) fmt =
+let thm2 (options : Experiment.options) fmt =
   let rows =
     List.concat_map
       (fun n ->
@@ -223,18 +198,24 @@ let thm2 ?(options = default_options) fmt =
     "expected shape: the ratio stays bounded by a constant as n and m grow \
      (Theorem 2: O(n log(m/n)) rotations).@.@."
 
-let ablation_delta ?(options = default_options) fmt =
-  with_jobs options @@ fun pool ->
+(* [c] with another rotation threshold: the sweep keeps every other
+   knob of the run. *)
+let with_delta (c : Cbnet.Config.t) delta =
+  Cbnet.Config.make ~delta ~rotation_cost:c.rotation_cost ?window:c.window
+    ~max_rounds:c.max_rounds ?faults:c.faults
+    ~check_invariants:c.check_invariants ()
+
+let ablation_delta (options : Experiment.options) fmt =
+  Experiment.with_pool options @@ fun pool ->
   List.iter
     (fun workload ->
       let rows =
         List.map
           (fun delta ->
-            let config = Cbnet.Config.make ~delta () in
             let c =
-              Experiment.run_cell ?pool ~config ~scale:options.scale
-                ~seeds:options.seeds ~lambda:options.lambda
-                ~base_seed:options.base_seed ~workload ~algo:Algo.CBN ()
+              Experiment.run_cell ?pool
+                { options with config = with_delta options.config delta }
+                ~workload ~algo:Algo.CBN
             in
             [
               Printf.sprintf "%.2f" delta;
@@ -255,7 +236,7 @@ let ablation_delta ?(options = default_options) fmt =
       Format.fprintf fmt "@.")
     [ "skewed"; "bursty" ]
 
-let ablation_reset ?(options = default_options) fmt =
+let ablation_reset (options : Experiment.options) fmt =
   let trace = Workloads.Drifting.generate ~seed:options.base_seed () in
   let n = trace.Workloads.Trace.n in
   let runs = Workloads.Trace.to_runs trace in
@@ -291,7 +272,7 @@ let ablation_reset ?(options = default_options) fmt =
     "expected shape: moderate resets reduce routing after the drift (the \
      topology re-adapts), at the price of extra rotations.@.@."
 
-let ablation_mtr ?(options = default_options) fmt =
+let ablation_mtr (options : Experiment.options) fmt =
   (* The halving property (Sec. II): semi-splaying and full splaying
      keep adversarial sequences cheap; move-to-root does not. *)
   let n = 128 in
@@ -335,7 +316,7 @@ let ablation_mtr ?(options = default_options) fmt =
   Format.fprintf fmt
     "expected shape: move-to-root collapses under the adversary (no depth      halving); splaying and CBNet stay near m log n.@.@."
 
-let ablation_rcost ?(options = default_options) fmt =
+let ablation_rcost (options : Experiment.options) fmt =
   (* Sec. IX-B: "the cost of a reconfiguration is typically much higher
      than the routing cost.  In practice, the advantage of CBNet in
      terms of reconfiguration cost reduction would be significantly
@@ -343,12 +324,10 @@ let ablation_rcost ?(options = default_options) fmt =
      executions under growing R. *)
   let workload = "skewed" in
   let base =
-    with_jobs options (fun pool ->
-        Experiment.run_matrix ?pool ~scale:options.scale ~seeds:options.seeds
-          ~lambda:options.lambda ~base_seed:options.base_seed
+    Experiment.with_pool options (fun pool ->
+        Experiment.run_matrix ?pool options
           ~workloads:[ workload ]
-          ~algos:[ Algo.SN; Algo.DSN; Algo.SCBN; Algo.CBN ]
-          ())
+          ~algos:[ Algo.SN; Algo.DSN; Algo.SCBN; Algo.CBN ])
     |> List.map (fun c ->
            ( c.Experiment.algo,
              c.Experiment.routing.Simkit.Stats.mean,
@@ -378,7 +357,7 @@ let ablation_rcost ?(options = default_options) fmt =
   Format.fprintf fmt
     "expected shape: at R = 1 the splaying networks are competitive; their      work grows linearly in R while CBNet's barely moves (the paper's      'in practice the advantage would be significantly higher').@.@."
 
-let timeline ?(options = default_options) fmt =
+let timeline (options : Experiment.options) fmt =
   let skewed =
     Workloads.Skewed.generate ~n:256 ~m:10_000 ~support:1024
       ~seed:options.base_seed ()
@@ -392,13 +371,12 @@ let timeline ?(options = default_options) fmt =
   Timeline.pp fmt (Timeline.sequential_cbnet ~window:1000 drifting);
   Format.fprintf fmt "@."
 
-let latency ?(options = default_options) fmt =
+let latency (options : Experiment.options) fmt =
   let rows =
     List.concat_map
       (fun workload ->
         let trace =
-          Experiment.trace_for ~scale:options.scale ~lambda:options.lambda
-            ~workload ~seed:options.base_seed ()
+          Experiment.trace_for options ~workload ~seed:options.base_seed
         in
         let n = trace.Workloads.Trace.n in
         let runs = Workloads.Trace.to_runs trace in
@@ -423,7 +401,7 @@ let latency ?(options = default_options) fmt =
     rows fmt;
   Format.fprintf fmt "@."
 
-let trace_map_sweep ?(options = default_options) fmt =
+let trace_map_sweep (options : Experiment.options) fmt =
   (* Calibration of the complexity measure itself: the tunable
      generator's two knobs should trace out the plane of Fig. 2. *)
   let grid =
@@ -465,15 +443,14 @@ let trace_map_sweep ?(options = default_options) fmt =
     "marks a/b/c/d = increasing matrix skew alpha; left = more temporal \
      locality, low = more non-temporal locality.@.@."
 
-let all ?(options = default_options) fmt =
-  fig2 ~options fmt;
+let all (options : Experiment.options) fmt =
+  fig2 options fmt;
   (* Compute the (workload x algorithm) matrix once and render both
      work-cost and time-cost views from it. *)
-  with_jobs options (fun pool ->
+  Experiment.with_pool options (fun pool ->
       let cells =
-        Experiment.run_matrix ?pool ~scale:options.scale ~seeds:options.seeds
-          ~lambda:options.lambda ~base_seed:options.base_seed
-          ~workloads:Workloads.Catalog.paper_six ~algos:Algo.all ()
+        Experiment.run_matrix ?pool options
+          ~workloads:Workloads.Catalog.paper_six ~algos:Algo.all
       in
       List.iter2
         (fun workload cells ->
@@ -484,12 +461,12 @@ let all ?(options = default_options) fmt =
                cells))
         Workloads.Catalog.paper_six
         (chunk (List.length Algo.all) cells));
-  thm1 ~options fmt;
-  thm2 ~options fmt;
-  ablation_delta ~options fmt;
-  ablation_reset ~options fmt;
-  ablation_mtr ~options fmt;
-  ablation_rcost ~options fmt;
-  timeline ~options fmt;
-  latency ~options fmt;
-  trace_map_sweep ~options fmt
+  thm1 options fmt;
+  thm2 options fmt;
+  ablation_delta options fmt;
+  ablation_reset options fmt;
+  ablation_mtr options fmt;
+  ablation_rcost options fmt;
+  timeline options fmt;
+  latency options fmt;
+  trace_map_sweep options fmt

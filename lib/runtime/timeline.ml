@@ -8,7 +8,7 @@ type point = {
   mean_distance : float;
 }
 
-let sequential_cbnet ?(config = Cbnet.Config.default) ~window trace =
+let sequential_cbnet ~window trace =
   if window < 1 then invalid_arg "Timeline.sequential_cbnet: window must be >= 1";
   let n = trace.Workloads.Trace.n in
   let runs = Workloads.Trace.to_runs trace in
@@ -21,7 +21,7 @@ let sequential_cbnet ?(config = Cbnet.Config.default) ~window trace =
       let chunk = Array.sub runs start len in
       let base = match chunk.(0) with b, _, _ -> b in
       let chunk = Array.map (fun (b, s, d) -> (b - base, s, d)) chunk in
-      let stats = Cbnet.Sequential.run ~config t chunk in
+      let stats = Cbnet.Sequential.run t chunk in
       let dist_total =
         Array.fold_left
           (fun acc (_, s, d) ->

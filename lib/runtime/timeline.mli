@@ -18,11 +18,7 @@ type point = {
   mean_distance : float;  (** Mean tree distance of this window's pairs, measured on the topology at the window's end. *)
 }
 
-val sequential_cbnet :
-  ?config:Cbnet.Config.t ->
-  window:int ->
-  Workloads.Trace.t ->
-  point list
+val sequential_cbnet : window:int -> Workloads.Trace.t -> point list
 (** Serve the trace with sequential CBNet in windows of [window]
     messages on a balanced initial topology. *)
 

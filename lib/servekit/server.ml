@@ -3,7 +3,7 @@
    bench/test surface), [serve] multiplexes live descriptors with
    [Unix.select] (the daemon surface).  Both feed the same bounded
    queue, drain it in birth-sorted batches through the concurrent
-   executor, and accumulate statistics with [Counter_reset.combine] so
+   executor, and accumulate statistics with [Run_stats.sum] so
    a decay pass charges its n maintenance slots exactly like the
    offline ablation runner. *)
 
@@ -17,13 +17,11 @@ type config = {
   policy : policy;
   batch_max : int;
   batch_min : int;
-  window : int option;
-  faults : Faultkit.Plan.t option;
-  check_invariants : bool;
+  config : Cbnet.Config.t;
 }
 
 let config ?(queue_capacity = 1024) ?(policy = Shed) ?(batch_max = 256)
-    ?(batch_min = 1) ?window ?faults ?(check_invariants = false) ~n () =
+    ?(batch_min = 1) ?(config = Cbnet.Config.default) ~n () =
   if n < 2 then invalid_arg "Server.config: n must be >= 2";
   if queue_capacity < 1 then
     invalid_arg "Server.config: queue_capacity must be >= 1";
@@ -31,19 +29,7 @@ let config ?(queue_capacity = 1024) ?(policy = Shed) ?(batch_max = 256)
   if batch_min < 1 then invalid_arg "Server.config: batch_min must be >= 1";
   if batch_min > queue_capacity then
     invalid_arg "Server.config: batch_min cannot exceed queue_capacity";
-  (match window with
-  | Some w when w < 1 -> invalid_arg "Server.config: window must be >= 1"
-  | _ -> ());
-  {
-    n;
-    queue_capacity;
-    policy;
-    batch_max;
-    batch_min;
-    window;
-    faults;
-    check_invariants;
-  }
+  { n; queue_capacity; policy; batch_max; batch_min; config }
 
 type report = {
   stats : Stats.t;
@@ -114,8 +100,7 @@ type state = {
   mutable batches : int;
   mutable busy : int;
   mutable idle : int;
-  mutable pending_slots : int;  (* decay cost awaiting the next combine *)
-  mutable charged_slots : int;
+  mutable pending_slots : int;  (* decay cost awaiting the next sum *)
 }
 
 let init ?epoch ?registry ?status ?(report_every = 50) cfg tree =
@@ -140,7 +125,6 @@ let init ?epoch ?registry ?status ?(report_every = 50) cfg tree =
     busy = 0;
     idle = 0;
     pending_slots = 0;
-    charged_slots = 0;
   }
 
 let reg_incr st name =
@@ -182,16 +166,12 @@ let run_batch st =
   let batch = Bqueue.take st.queue ~max:st.cfg.batch_max in
   let base = match batch.(0) with b, _, _ -> b in
   let runs = Array.map (fun (b, s, d) -> (b - base, s, d)) batch in
-  let stats =
-    Cbnet.Concurrent.run ?window:st.cfg.window ?faults:st.cfg.faults
-      ~check_invariants:st.cfg.check_invariants st.tree runs
-  in
+  let stats = Cbnet.Concurrent.run ~config:st.cfg.config st.tree runs in
   st.acc <-
     Some
       (match st.acc with
       | None -> stats
-      | Some prev -> Cbnet.Counter_reset.combine prev stats st.pending_slots);
-  st.charged_slots <- st.charged_slots + st.pending_slots;
+      | Some prev -> Stats.sum prev stats st.pending_slots);
   st.pending_slots <- 0;
   st.batches <- st.batches + 1;
   st.busy <- st.busy + stats.Stats.rounds;
@@ -222,28 +202,12 @@ let maybe_status st ~now =
   | _ -> ()
 
 let finalize st =
+  (* Decays after the last batch still charge their slots.  Adding
+     [zero] changes nothing else, so a single decay-free batch passes
+     through bit-identical to the equivalent Concurrent.run. *)
   let stats =
-    match st.acc with
-    | Some s -> s
-    | None ->
-        (* Nothing ever ran: an empty execution gives the all-zero
-           statistics in the executor's own format. *)
-        Cbnet.Concurrent.run st.tree [||]
-  in
-  let stats =
-    (* A single decay-free batch passes through untouched — this is
-       the bit-identity with the equivalent Concurrent.run. *)
-    if st.batches <= 1 && st.pending_slots = 0 && st.charged_slots = 0 then
-      stats
-    else begin
-      let makespan = stats.Stats.makespan + st.pending_slots in
-      let rounds = stats.Stats.rounds + st.pending_slots in
-      let throughput =
-        if Int.equal makespan 0 then 0.
-        else float_of_int stats.Stats.messages /. float_of_int makespan
-      in
-      { stats with Stats.makespan; rounds; throughput }
-    end
+    Stats.sum (Option.value st.acc ~default:Stats.zero) Stats.zero
+      st.pending_slots
   in
   {
     stats;

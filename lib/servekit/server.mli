@@ -5,7 +5,7 @@
     through the bounded {!Bqueue}; when enough are queued the server
     drains a batch, re-anchors its births and runs the executor on the
     persistent tree, accumulating statistics across batches with
-    {!Cbnet.Counter_reset.combine}.  Between batches the {!Epoch}
+    {!Cbnet.Run_stats.sum}.  Between batches the {!Epoch}
     scheduler may decay the counters so weights track recent demand.
 
     Determinism contract: {!replay} is a pure function of
@@ -30,9 +30,9 @@ type config = {
   policy : policy;
   batch_max : int;  (** Max requests per executor batch; 0 = unbounded. *)
   batch_min : int;  (** Wait for this many before batching (if more input). *)
-  window : int option;
-  faults : Faultkit.Plan.t option;
-  check_invariants : bool;
+  config : Cbnet.Config.t;
+      (** Every batch runs under this record: its window, round
+          budget, fault plan and invariant audit apply per batch. *)
 }
 
 val config :
@@ -40,18 +40,14 @@ val config :
   ?policy:policy ->
   ?batch_max:int ->
   ?batch_min:int ->
-  ?window:int ->
-  ?faults:Faultkit.Plan.t ->
-  ?check_invariants:bool ->
+  ?config:Cbnet.Config.t ->
   n:int ->
   unit ->
   config
 (** Defaults: capacity 1024, [Shed], [batch_max = 256],
-    [batch_min = 1], the executor's default window, no fault plan, no
-    invariant checks.  Batches run under {!Cbnet.Config.default} and
-    the executor's default budget of 100M rounds per batch.
+    [batch_min = 1], {!Cbnet.Config.default}.
     @raise Invalid_argument on inconsistent knobs
-    (e.g. [batch_min > queue_capacity] or [window < 1]). *)
+    (e.g. [batch_min > queue_capacity]). *)
 
 type report = {
   stats : Cbnet.Run_stats.t;

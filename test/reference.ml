@@ -24,8 +24,6 @@ let validate t trace =
         invalid_arg "Concurrent.run: endpoint out of range")
     trace
 
-let default_window t = function Some w -> w | None -> max 64 (T.n t)
-
 type rstate = {
   config : Config.t;
   t : T.t;
@@ -45,7 +43,6 @@ type rstate = {
 
 let create config ~window ~sink t trace =
   validate t trace;
-  if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
   {
     config;
     t;
@@ -204,9 +201,10 @@ let tick st round =
     Obskit.Sink.record st.sink (fun () ->
         Obskit.Event.Phi_sample { round; phi = Potential.phi st.t })
 
-let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null) t
-    trace =
-  let window = default_window t window in
+let make ?(config = Config.default) ?(sink = Obskit.Sink.null) t trace =
+  let window =
+    match config.Config.window with Some w -> w | None -> max 64 (T.n t)
+  in
   let st = create config ~window ~sink t trace in
   let sched =
     {
@@ -225,18 +223,22 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null) t
   in
   (st, sched, finalize)
 
-let scheduler ?config ?window ?sink t trace =
-  let _, sched, finalize = make ?config ?window ?sink t trace in
+let scheduler ?config ?sink t trace =
+  let _, sched, finalize = make ?config ?sink t trace in
   (sched, finalize)
 
-let run ?config ?window ?max_rounds ?sink t trace =
-  let sched, finalize = scheduler ?config ?window ?sink t trace in
-  let rounds = Simkit.Engine.run_exn ?max_rounds sched in
+let run ?config ?sink t trace =
+  let st, sched, finalize = make ?config ?sink t trace in
+  let rounds =
+    Simkit.Engine.run_exn ~max_rounds:st.config.Config.max_rounds sched
+  in
   finalize rounds
 
-let run_with_latencies ?config ?window ?max_rounds ?sink t trace =
-  let st, sched, finalize = make ?config ?window ?sink t trace in
-  let rounds = Simkit.Engine.run_exn ?max_rounds sched in
+let run_with_latencies ?config ?sink t trace =
+  let st, sched, finalize = make ?config ?sink t trace in
+  let rounds =
+    Simkit.Engine.run_exn ~max_rounds:st.config.Config.max_rounds sched
+  in
   let stats = finalize rounds in
   let latencies =
     List.filter_map

@@ -98,6 +98,23 @@ let test_online_worst_case_accumulates () =
   Alcotest.(check int) "ten messages" 10 stats.Cbnet.Run_stats.messages;
   Alcotest.(check int) "W(root) = 20" 20 (T.total_weight t)
 
+(* Summed statistics keep the cost model: throughput is the summed
+   messages over the summed makespan for any m, not only m = 1. *)
+let test_online_worst_case_throughput () =
+  List.iter
+    (fun m ->
+      let t = Bstnet.Build.balanced 64 in
+      let s = deep_access_sequential ~m t in
+      let ctx = Printf.sprintf "m=%d" m in
+      Alcotest.(check int) (ctx ^ ": messages") m s.Cbnet.Run_stats.messages;
+      Alcotest.(check bool) (ctx ^ ": makespan > 0") true
+        (s.Cbnet.Run_stats.makespan > 0);
+      Alcotest.(check (float 0.0))
+        (ctx ^ ": throughput = messages / makespan")
+        (float_of_int m /. float_of_int s.Cbnet.Run_stats.makespan)
+        s.Cbnet.Run_stats.throughput)
+    [ 1; 3 ]
+
 let () =
   Alcotest.run "adversary"
     [
@@ -111,5 +128,7 @@ let () =
           Alcotest.test_case "concurrent online worst case" `Quick
             test_online_worst_case_concurrent;
           Alcotest.test_case "accumulation" `Quick test_online_worst_case_accumulates;
+          Alcotest.test_case "summed throughput" `Quick
+            test_online_worst_case_throughput;
         ] );
     ]

@@ -3,6 +3,9 @@
 module T = Bstnet.Topology
 module Build = Bstnet.Build
 
+(* A run record with a larger round budget. *)
+let budget max_rounds = Cbnet.Config.make ~max_rounds ()
+
 let mk_trace reqs = Array.of_list (List.mapi (fun i (s, d) -> (i, s, d)) reqs)
 
 (* -------------------- SplayNet -------------------- *)
@@ -59,7 +62,7 @@ let test_dsn_delivers_and_stays_valid () =
   let m = 800 in
   let t = Build.balanced n in
   let trace = Array.init m (fun i -> (i / 4, Simkit.Rng.int rng n, Simkit.Rng.int rng n)) in
-  let stats = Baselines.Displaynet.run ~max_rounds:2_000_000 t trace in
+  let stats = Baselines.Displaynet.run ~config:(budget 2_000_000) t trace in
   Alcotest.(check int) "delivered" m stats.Cbnet.Run_stats.messages;
   Bstnet.Check.assert_ok (Bstnet.Check.structure t);
   Bstnet.Check.assert_ok (Bstnet.Check.bst_order t);
@@ -73,7 +76,7 @@ let test_dsn_endpoint_locking_serializes_shared_endpoints () =
   let rng = Simkit.Rng.create 11 in
   let t = Build.balanced n in
   let trace = Array.init m (fun _ -> (0, 5, 6 + Simkit.Rng.int rng (n - 6))) in
-  let stats = Baselines.Displaynet.run ~max_rounds:2_000_000 t trace in
+  let stats = Baselines.Displaynet.run ~config:(budget 2_000_000) t trace in
   Alcotest.(check int) "delivered" m stats.Cbnet.Run_stats.messages;
   Alcotest.(check bool) "waiting observed" true (stats.Cbnet.Run_stats.pauses > 0)
 
@@ -89,7 +92,7 @@ let test_dsn_hot_pair_livelock_regression () =
         (i, s, d))
   in
   let t = Build.balanced n in
-  let stats = Baselines.Displaynet.run ~max_rounds:2_000_000 t trace in
+  let stats = Baselines.Displaynet.run ~config:(budget 2_000_000) t trace in
   Alcotest.(check int) "drained" m stats.Cbnet.Run_stats.messages
 
 let test_dsn_concurrent_beats_sn_makespan () =
@@ -100,7 +103,7 @@ let test_dsn_concurrent_beats_sn_makespan () =
   let t1 = Build.balanced n in
   let sn = Baselines.Splaynet.run t1 reqs in
   let t2 = Build.balanced n in
-  let dsn = Baselines.Displaynet.run ~max_rounds:5_000_000 t2 reqs in
+  let dsn = Baselines.Displaynet.run ~config:(budget 5_000_000) t2 reqs in
   Alcotest.(check bool)
     (Printf.sprintf "DSN %d < SN %d" dsn.Cbnet.Run_stats.makespan sn.Cbnet.Run_stats.makespan)
     true
@@ -175,7 +178,7 @@ let qcheck_tests =
            let t1 = Build.balanced n in
            ignore (Baselines.Splaynet.run t1 trace);
            let t2 = Build.balanced n in
-           ignore (Baselines.Displaynet.run ~max_rounds:2_000_000 t2 trace);
+           ignore (Baselines.Displaynet.run ~config:(budget 2_000_000) t2 trace);
            Result.is_ok (Bstnet.Check.bst_order t1)
            && Result.is_ok (Bstnet.Check.structure t1)
            && Result.is_ok (Bstnet.Check.bst_order t2)

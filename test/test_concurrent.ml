@@ -102,9 +102,9 @@ let test_window_admission_limits_in_flight () =
   let m = 1000 in
   let trace = Array.init m (fun _ -> (0, Simkit.Rng.int rng n, Simkit.Rng.int rng n)) in
   let t1 = Build.balanced n in
-  let s1 = Conc.run ~window:1 t1 trace in
+  let s1 = Conc.run ~config:(Cbnet.Config.make ~window:1 ()) t1 trace in
   let t2 = Build.balanced n in
-  let s2 = Conc.run ~window:256 t2 trace in
+  let s2 = Conc.run ~config:(Cbnet.Config.make ~window:256 ()) t2 trace in
   (* A window of one serializes the data plane (residual conflicts can
      only involve trailing weight updates); a wide window must finish
      at least as fast. *)
@@ -121,7 +121,8 @@ let test_priority_liveness_stress () =
   let m = 2000 in
   let trace = Array.init m (fun i -> (i / 100, (if i mod 2 = 0 then 0 else 6), if i mod 2 = 0 then 6 else 0)) in
   let t = Build.balanced n in
-  let stats = Conc.run ~max_rounds:1_000_000 t trace in
+  let config = Cbnet.Config.make ~max_rounds:1_000_000 () in
+  let stats = Conc.run ~config t trace in
   Alcotest.(check int) "all delivered" m stats.Cbnet.Run_stats.messages
 
 let test_makespan_not_smaller_than_optimal_floor () =
@@ -209,7 +210,9 @@ let test_budget_in_idle_gap () =
   let trace = [| (0, 1, 5); (2, 9, 3); (1000, 2, 9) |] in
   Alcotest.check_raises "budget exhausted in the gap"
     (Simkit.Engine.Budget_exhausted "scheduler cbn did not terminate")
-    (fun () -> ignore (Conc.run ~max_rounds:500 (Build.balanced 16) trace));
+    (fun () ->
+      let config = Cbnet.Config.make ~max_rounds:500 () in
+      ignore (Conc.run ~config (Build.balanced 16) trace));
   let ticks = ref 0 in
   let run ~lockstep =
     let sched, finalize = Conc.scheduler (Build.balanced 16) trace in
@@ -241,6 +244,25 @@ let test_budget_in_idle_gap () =
   Alcotest.(check int) "both early requests delivered" 2
     s_skip.Cbnet.Run_stats.messages
 
+(* Config.make is the one place a run record is validated; every
+   executor trusts it. *)
+let test_config_validation () =
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "Config.make accepted %s" label
+  in
+  rejects "delta 0" (fun () -> Cbnet.Config.make ~delta:0.0 ());
+  rejects "delta 2.5" (fun () -> Cbnet.Config.make ~delta:2.5 ());
+  rejects "rotation_cost -1" (fun () ->
+      Cbnet.Config.make ~rotation_cost:(-1.0) ());
+  rejects "max_rounds 0" (fun () -> Cbnet.Config.make ~max_rounds:0 ());
+  let edge = Cbnet.Config.make ~delta:2.0 ~window:1 ~max_rounds:1 () in
+  Alcotest.(check (option int)) "window 1 kept" (Some 1) edge.Cbnet.Config.window;
+  Alcotest.(check int) "max_rounds 1 kept" 1 edge.Cbnet.Config.max_rounds;
+  Alcotest.(check bool) "default = make ()" true
+    (Cbnet.Config.default = Cbnet.Config.make ())
+
 let qcheck_tests =
   let open QCheck2 in
   [
@@ -254,7 +276,8 @@ let qcheck_tests =
                  (i / density, Simkit.Rng.int rng n, Simkit.Rng.int rng n))
            in
            let t = Build.balanced n in
-           let stats = Conc.run ~max_rounds:2_000_000 t trace in
+           let config = Cbnet.Config.make ~max_rounds:2_000_000 () in
+           let stats = Conc.run ~config t trace in
            stats.Cbnet.Run_stats.messages = m
            && Result.is_ok (Bstnet.Check.structure t)
            && Result.is_ok (Bstnet.Check.bst_order t)
@@ -278,6 +301,8 @@ let () =
           Alcotest.test_case "makespan floor" `Quick test_makespan_not_smaller_than_optimal_floor;
           Alcotest.test_case "budget in an idle gap" `Quick
             test_budget_in_idle_gap;
+          Alcotest.test_case "run record validation" `Quick
+            test_config_validation;
         ] );
       ( "weights",
         [ Alcotest.test_case "drift bounded" `Quick test_root_weight_drift_bounded ] );

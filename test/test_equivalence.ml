@@ -124,12 +124,11 @@ let test_pair_untraced ~workload ~seed () =
    trees, latencies and the telemetry payload stream. *)
 let test_pair_empty_plan ~workload ~seed () =
   let ctx = Printf.sprintf "empty plan %s/seed %d" workload seed in
-  let empty = Faultkit.Plan.make ~seed:0 [] in
+  let config = Cbnet.Config.make ~faults:(Faultkit.Plan.make ~seed:0 []) () in
   let n, trace = trace_of ~workload ~seed in
   let ta = Build.balanced n and tb = Build.balanced n in
   let (sa, la), ea =
-    capture_payloads (fun sink ->
-        Conc.run_with_latencies ~sink ~faults:empty ta trace)
+    capture_payloads (fun sink -> Conc.run_with_latencies ~config ~sink ta trace)
   in
   let (sb, lb), eb =
     capture_payloads (fun sink -> Ref.run_with_latencies ~sink tb trace)
@@ -150,7 +149,7 @@ let test_pair_empty_plan ~workload ~seed () =
     (List.combine ea eb);
   (* Untraced too: the null-sink fault path has its own branches. *)
   let tc = Build.balanced n and td = Build.balanced n in
-  let sc = Conc.run ~faults:empty tc trace in
+  let sc = Conc.run ~config tc trace in
   let sd = Ref.run td trace in
   check_stats (ctx ^ " untraced") sc sd;
   check_trees (ctx ^ " untraced") tc td
@@ -187,25 +186,27 @@ let check_events ctx ea eb =
    empty plan. *)
 let configured_settings =
   [
-    ("delta 0.5", Some (Cbnet.Config.make ~delta:0.5 ()), None);
-    ("rotation cost 3", Some (Cbnet.Config.make ~rotation_cost:3.0 ()), None);
-    ("window 8", None, Some 8);
+    ("delta 0.5", (Some 0.5, None, None));
+    ("rotation cost 3", (None, Some 3.0, None));
+    ("window 8", (None, None, Some 8));
   ]
 
-let test_pair_configured ~workload ~seed ~label ?config ?window () =
+let test_pair_configured ~workload ~seed ~label (delta, rotation_cost, window)
+    () =
   let ctx = Printf.sprintf "%s %s/seed %d" label workload seed in
+  let config = Cbnet.Config.make ?delta ?rotation_cost ?window () in
   let n, trace = trace_of ~workload ~seed in
   let tb = Build.balanced n in
   let (sb, lb), eb =
     capture_payloads (fun sink ->
-        Ref.run_with_latencies ?config ?window ~sink tb trace)
+        Ref.run_with_latencies ~config ~sink tb trace)
   in
   Array.sort compare lb;
   (* Traced. *)
   let ta = Build.balanced n in
   let (sa, la), ea =
     capture_payloads (fun sink ->
-        Conc.run_with_latencies ?config ?window ~sink ta trace)
+        Conc.run_with_latencies ~config ~sink ta trace)
   in
   check_stats ctx sa sb;
   check_trees ctx ta tb;
@@ -214,7 +215,7 @@ let test_pair_configured ~workload ~seed ~label ?config ?window () =
   check_events ctx ea eb;
   (* Untraced. *)
   let tc = Build.balanced n in
-  let sc = Conc.run ?config ?window tc trace in
+  let sc = Conc.run ~config tc trace in
   check_stats (ctx ^ " untraced") sc sb;
   check_trees (ctx ^ " untraced") tc tb;
   (* Empty fault plan: every turn takes the fault-aware commit. *)
@@ -222,7 +223,10 @@ let test_pair_configured ~workload ~seed ~label ?config ?window () =
   let empty = Faultkit.Plan.make ~seed:0 [] in
   let (sd, ld), ed =
     capture_payloads (fun sink ->
-        Conc.run_with_latencies ?config ?window ~sink ~faults:empty td trace)
+        Conc.run_with_latencies
+          ~config:
+            (Cbnet.Config.make ?delta ?rotation_cost ?window ~faults:empty ())
+          ~sink td trace)
   in
   check_stats (ctx ^ " empty plan") sd sb;
   check_trees (ctx ^ " empty plan") td tb;
@@ -331,7 +335,8 @@ let test_truncated_finalize_cut_points ~workload ~seed cuts () =
         (fun rounds ->
           let ctx = Printf.sprintf "%s truncated at %d" label rounds in
           let ta = Build.balanced n and tb = Build.balanced n in
-          let sched_a, fin_a = Conc.scheduler ?faults ta trace in
+          let config = Cbnet.Config.make ?faults () in
+          let sched_a, fin_a = Conc.scheduler ~config ta trace in
           let sched_b, fin_b = Ref.scheduler tb trace in
           for r = 0 to rounds - 1 do
             sched_a.Simkit.Engine.tick r;
@@ -474,11 +479,11 @@ let configured_cases =
       List.concat_map
         (fun seed ->
           List.map
-            (fun (label, config, window) ->
+            (fun (label, setting) ->
               Alcotest.test_case
                 (Printf.sprintf "%s seed %d %s" workload seed label)
                 `Quick
-                (test_pair_configured ~workload ~seed ~label ?config ?window))
+                (test_pair_configured ~workload ~seed ~label setting))
             configured_settings)
         seeds)
     [ "projector"; "skewed"; "uniform" ]

@@ -117,7 +117,9 @@ let test_timeline_converges_on_skew () =
 
 let test_measurements_csv () =
   let cell =
-    Runtime.Experiment.run_cell ~seeds:2 ~workload:"uniform" ~algo:Runtime.Algo.BT ()
+    Runtime.Experiment.(
+      run_cell { default_options with seeds = 2 } ~workload:"uniform"
+        ~algo:Runtime.Algo.BT)
   in
   let path = Filename.temp_file "cells" ".csv" in
   Fun.protect

@@ -178,10 +178,10 @@ let chaos_plans =
 
 let chaos_run ?sink ~plan ~n trace =
   let t = Build.balanced n in
-  let stats =
-    Conc.run ?sink ~max_rounds:500_000 ~faults:plan ~check_invariants:true t
-      trace
+  let config =
+    Cbnet.Config.make ~max_rounds:500_000 ~faults:plan ~check_invariants:true ()
   in
+  let stats = Conc.run ~config ?sink t trace in
   (stats, t)
 
 let pp_stats s = Format.asprintf "%a" Stats.pp s

@@ -177,6 +177,38 @@ let test_single_shard_oracle ~workload ~seed () =
           (Obskit.Event.name pa) (Obskit.Event.name pb))
     (List.combine events oracle_events)
 
+(* The forest hands its whole run record to every shard: a 1-shard
+   forest under a non-default window, the invariant audit and a fault
+   plan is the single-tree executor under the same record.  The
+   default-window forest must differ, or the window never reached the
+   shard. *)
+let test_single_shard_config () =
+  let n = 96 in
+  let runs = trace_for ~workload:"skewed" ~n ~m:1_500 ~seed:3 in
+  let lossy = Faultkit.Plan.(make ~seed:7 [ lose ~rate:0.02 ]) in
+  List.iter
+    (fun (label, config) ->
+      let ctx = "window 4" ^ label in
+      let tree = Build.balanced n in
+      let stats, lat = Conc.run_with_latencies ~config tree runs in
+      let result, forest_lat =
+        Overlay.run_with_latencies ~config ~shards:1 ~n runs
+      in
+      check_stats ctx result.Overlay.stats stats;
+      check_trees ctx result.Overlay.topologies.(0) tree;
+      Alcotest.(check (array (float 0.0)))
+        (ctx ^ ": latencies") lat forest_lat.(0);
+      let plain = Overlay.run ~shards:1 ~n runs in
+      Alcotest.(check bool)
+        (ctx ^ ": the window reached the shard")
+        false
+        (plain.Overlay.stats = result.Overlay.stats))
+    [
+      ("", Cbnet.Config.make ~window:4 ~check_invariants:true ());
+      ( " under a lossy plan",
+        Cbnet.Config.make ~window:4 ~check_invariants:true ~faults:lossy () );
+    ]
+
 (* {2 Overlay: invariance across domain counts and execution orders} *)
 
 let test_domain_invariance ~workload ~seed () =
@@ -351,7 +383,12 @@ let () =
           Alcotest.test_case "decomposition" `Quick test_router_decomposition;
           Alcotest.test_case "validation" `Quick test_router_validation;
         ] );
-      ("single-shard oracle", oracle_tests);
+      ( "single-shard oracle",
+        oracle_tests
+        @ [
+            Alcotest.test_case "whole config forwarded" `Quick
+              test_single_shard_config;
+          ] );
       ("domain invariance", invariance_tests);
       ("fan-out reference", fan_out_tests);
       ( "overlay",

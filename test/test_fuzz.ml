@@ -5,6 +5,9 @@
 
 module T = Bstnet.Topology
 
+(* A round budget that fails fast on a livelock. *)
+let budget = Cbnet.Config.make ~max_rounds:500_000 ()
+
 let check_tree name t =
   (match Bstnet.Check.structure t with
   | Ok () -> ()
@@ -30,12 +33,12 @@ let fuzz_round rng =
   if T.total_weight t1 <> 2 * m then
     Alcotest.failf "sequential W(root) = %d, expected %d" (T.total_weight t1) (2 * m);
   let t2 = Bstnet.Build.balanced n in
-  let stats = Cbnet.Concurrent.run ~max_rounds:500_000 t2 trace in
+  let stats = Cbnet.Concurrent.run ~config:budget t2 trace in
   check_tree "concurrent" t2;
   if stats.Cbnet.Run_stats.messages <> m then
     Alcotest.failf "concurrent delivered %d of %d" stats.Cbnet.Run_stats.messages m;
   let t3 = Bstnet.Build.balanced n in
-  ignore (Baselines.Displaynet.run ~max_rounds:500_000 t3 trace);
+  ignore (Baselines.Displaynet.run ~config:budget t3 trace);
   check_tree "displaynet" t3;
   let t4 = Bstnet.Build.balanced n in
   ignore (Baselines.Splaynet.run t4 trace);
@@ -61,7 +64,7 @@ let fuzz_degenerate_start rng =
   if T.total_weight t1 <> 2 * m then
     Alcotest.failf "path-start W(root) = %d, expected %d" (T.total_weight t1) (2 * m);
   let t2 = Bstnet.Build.path n in
-  ignore (Cbnet.Concurrent.run ~max_rounds:500_000 t2 trace);
+  ignore (Cbnet.Concurrent.run ~config:budget t2 trace);
   check_tree "concurrent/path" t2
 
 let test_degenerate_start_fuzz () =

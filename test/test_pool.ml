@@ -187,12 +187,19 @@ let check_measurement_equal label (a : Runtime.Experiment.measurement)
     a.Runtime.Experiment.throughput.Simkit.Stats.std
     b.Runtime.Experiment.throughput.Simkit.Stats.std
 
+let smoke ~seeds =
+  {
+    Runtime.Experiment.default_options with
+    scale = Workloads.Catalog.Smoke;
+    seeds;
+  }
+
 let test_run_cell_parallel_matches_sequential () =
   List.iter
     (fun algo ->
       let cell pool =
-        Runtime.Experiment.run_cell ?pool ~scale:Workloads.Catalog.Smoke
-          ~seeds:5 ~workload:"uniform" ~algo ()
+        Runtime.Experiment.run_cell ?pool (smoke ~seeds:5) ~workload:"uniform"
+          ~algo
       in
       let sequential = cell None in
       let parallel =
@@ -203,10 +210,9 @@ let test_run_cell_parallel_matches_sequential () =
 
 let test_run_matrix_parallel_matches_sequential () =
   let matrix pool =
-    Runtime.Experiment.run_matrix ?pool ~scale:Workloads.Catalog.Smoke ~seeds:3
+    Runtime.Experiment.run_matrix ?pool (smoke ~seeds:3)
       ~workloads:[ "uniform"; "datastructure" ]
       ~algos:[ Runtime.Algo.SN; Runtime.Algo.SCBN ]
-      ()
   in
   let sequential = matrix None in
   let parallel = Pool.with_pool ~num_domains:4 (fun pool -> matrix (Some pool)) in
@@ -225,14 +231,12 @@ let test_run_matrix_matches_per_cell_runs () =
      execution, pool or not. *)
   let workloads = [ "uniform" ] and algos = [ Runtime.Algo.SN; Runtime.Algo.CBN ] in
   let matrix =
-    Runtime.Experiment.run_matrix ~scale:Workloads.Catalog.Smoke ~seeds:2
-      ~workloads ~algos ()
+    Runtime.Experiment.run_matrix (smoke ~seeds:2) ~workloads ~algos
   in
   let cells =
     List.map
       (fun algo ->
-        Runtime.Experiment.run_cell ~scale:Workloads.Catalog.Smoke ~seeds:2
-          ~workload:"uniform" ~algo ())
+        Runtime.Experiment.run_cell (smoke ~seeds:2) ~workload:"uniform" ~algo)
       algos
   in
   List.iter2 (fun a b -> check_measurement_equal "matrix vs cell" a b) matrix cells

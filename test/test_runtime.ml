@@ -53,7 +53,9 @@ let test_cbn_routing_dominated_sn_rotation_dominated () =
 
 let test_run_cell_aggregates () =
   let cell =
-    Experiment.run_cell ~seeds:3 ~workload:"datastructure" ~algo:Algo.SCBN ()
+    Experiment.run_cell
+      { Experiment.default_options with seeds = 3 }
+      ~workload:"datastructure" ~algo:Algo.SCBN
   in
   Alcotest.(check int) "three seeds" 3 cell.Experiment.seeds;
   Alcotest.(check int) "stats hold all runs" 3 cell.Experiment.work.Simkit.Stats.n;
@@ -61,14 +63,15 @@ let test_run_cell_aggregates () =
 
 let test_run_matrix_shape () =
   let cells =
-    Experiment.run_matrix ~seeds:1 ~workloads:[ "datastructure"; "uniform" ]
-      ~algos:[ Algo.BT; Algo.SCBN ] ()
+    Experiment.run_matrix
+      { Experiment.default_options with seeds = 1 }
+      ~workloads:[ "datastructure"; "uniform" ] ~algos:[ Algo.BT; Algo.SCBN ]
   in
   Alcotest.(check int) "2x2 cells" 4 (List.length cells)
 
 let test_trace_for_deterministic () =
-  let a = Experiment.trace_for ~workload:"projector" ~seed:9 () in
-  let b = Experiment.trace_for ~workload:"projector" ~seed:9 () in
+  let a = Experiment.(trace_for default_options ~workload:"projector" ~seed:9) in
+  let b = Experiment.(trace_for default_options ~workload:"projector" ~seed:9) in
   Alcotest.(check bool) "same" true
     (a.Workloads.Trace.requests = b.Workloads.Trace.requests
     && a.Workloads.Trace.births = b.Workloads.Trace.births)
@@ -157,11 +160,9 @@ let test_figures_smoke () =
   (* The figure drivers must run end-to-end on a tiny configuration. *)
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  let options =
-    { Runtime.Figures.default_options with Runtime.Figures.seeds = 1 }
-  in
-  Runtime.Figures.thm1 ~options fmt;
-  Runtime.Figures.ablation_reset ~options fmt;
+  let options = { Experiment.default_options with seeds = 1 } in
+  Runtime.Figures.thm1 options fmt;
+  Runtime.Figures.ablation_reset options fmt;
   Format.pp_print_flush fmt ();
   Alcotest.(check bool) "output produced" true (Buffer.length buf > 200)
 

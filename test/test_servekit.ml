@@ -380,12 +380,12 @@ let test_epoch_unreached_cadence_is_plain () =
 (* ---------- config validation ---------- *)
 
 (* A window below 1 would only surface inside the first batch's
-   executor run, killing a live daemon mid-stream; [config] rejects it
-   up front like the other knobs. *)
+   executor run, killing a live daemon mid-stream; [Config.make]
+   rejects it before any server is configured. *)
 let test_config_rejects_window_0 () =
-  match Server.config ~window:0 ~n:16 () with
+  match Cbnet.Config.make ~window:0 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Server.config accepted window 0"
+  | _ -> Alcotest.fail "Config.make accepted window 0"
 
 let test_config_rejects_inconsistent_knobs () =
   let rejects label f =
@@ -399,12 +399,15 @@ let test_config_rejects_inconsistent_knobs () =
   rejects "batch_min 0" (fun () -> Server.config ~batch_min:0 ~n:16 ());
   rejects "batch_min > queue_capacity" (fun () ->
       Server.config ~queue_capacity:8 ~batch_min:9 ~n:16 ());
-  rejects "window -1" (fun () -> Server.config ~window:(-1) ~n:16 ());
+  rejects "window -1" (fun () -> Cbnet.Config.make ~window:(-1) ());
   (* The boundary values are legal. *)
   let cfg =
-    Server.config ~queue_capacity:8 ~batch_max:0 ~batch_min:8 ~window:1 ~n:2 ()
+    Server.config ~queue_capacity:8 ~batch_max:0 ~batch_min:8
+      ~config:(Cbnet.Config.make ~window:1 ())
+      ~n:2 ()
   in
-  Alcotest.(check (option int)) "window 1 kept" (Some 1) cfg.Server.window;
+  Alcotest.(check (option int))
+    "window 1 kept" (Some 1) cfg.Server.config.Cbnet.Config.window;
   Alcotest.(check int) "batch_max 0 = unbounded" 0 cfg.Server.batch_max
 
 (* ---------- live serve loop over a pipe ---------- *)
