@@ -1,5 +1,6 @@
 (* Command-line driver: run single experiments, reproduce the paper's
-   figures, inspect workloads.  `cbnet --help` lists everything. *)
+   figures, run the bench suites, inspect workloads.  `cbnet --help`
+   lists everything. *)
 
 open Cmdliner
 
@@ -39,7 +40,7 @@ let int_at_least lo =
 let seeds_arg =
   Arg.(
     value
-    & opt (int_at_least 1) 5
+    & opt (int_at_least 1) 3
     & info [ "seeds" ] ~doc:"Repetitions per cell (paper: 30).")
 
 let lambda_arg =
@@ -58,11 +59,11 @@ let base_seed_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (int_at_least 0) 1
+    & opt (int_at_least 0) 0
     & info [ "jobs"; "j" ]
         ~doc:
           "Worker domains for multi-seed runs (results are bit-identical at \
-           every setting); 0 = CBNET_JOBS or cores - 1.")
+           every setting); 0 (the default) means CBNET_JOBS or cores - 1.")
 
 let check_invariants_arg =
   Arg.(
@@ -90,7 +91,8 @@ let plain_options = options_term (Term.const false)
 let figure_cmd name doc
     (render : Runtime.Experiment.options -> Format.formatter -> unit) =
   let run options = render options Format.std_formatter in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ plain_options)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ options_term check_invariants_arg)
 
 let workload_arg =
   Arg.(
@@ -210,14 +212,12 @@ let report_profile_cmd =
     Runtime.Report.profile
       ~title:(Printf.sprintf "CBN phase attribution (%s)" workload)
       profile Format.std_formatter;
-    match out with
-    | Some path ->
-        Runtime.Bench_row.(
-          write path
-            (make ~suite:"profile" ~commit:"unknown" ~timestamp:"unknown"
-               (Runtime.Report.profile_rows ~workload profile)));
-        Format.printf "wrote profile to %s@." path
-    | None -> ()
+    Option.iter
+      (fun path ->
+        Suites.save path
+          (Suites.bench_file "profile"
+             (Runtime.Report.profile_rows ~workload profile)))
+      out
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
@@ -270,23 +270,124 @@ let timeline_cmd =
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(const run $ workload_arg $ window_arg $ plain_options)
 
-let matrix_cmd =
+(* --- bench: the row-producing suites and gates (bin/suites.ml) ----- *)
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:"Write the suite's bench rows to $(docv).")
+
+(* [suite] runs under [options] and returns its bench file, which
+   [--json] writes. *)
+let suite_cmd name doc suite options =
+  let run suite json options =
+    let t = suite options in
+    Option.iter (fun path -> Suites.save path t) json
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ suite $ json_arg $ options)
+
+(* The suites other than matrix run fixed cells: seed 1, the default
+   arrival rate, and only the flags the suite reads. *)
+let fixed_options ?(scale = Workloads.Catalog.Default) ?(seeds = Term.const 3)
+    check_invariants =
+  let make seeds check_invariants =
+    {
+      Runtime.Experiment.default_options with
+      config = Cbnet.Config.make ~check_invariants ();
+      scale;
+      seeds;
+    }
+  in
+  Term.(const make $ seeds $ check_invariants)
+
+let fmt = Format.std_formatter
+let on_fmt f = Term.const (fun options -> f options fmt)
+
+let bench_matrix_cmd =
+  let csv_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out"; "o" ] ~docv:"FILE"
+          ~doc:"Also write the cells' aggregated measurements as a CSV.")
+  in
+  let suite csv trace metrics options =
+    let sink, write_telemetry = Runtime.Export.capture ~trace ~metrics in
+    let t = Suites.matrix ~sink ?csv options in
+    write_telemetry fmt;
+    t
+  in
+  suite_cmd "matrix"
+    "The (workload x algorithm) matrix, one timed row per cell; \
+     $(b,--out) writes its CSV, $(b,--trace)/$(b,--metrics) capture its \
+     telemetry."
+    Term.(const suite $ csv_arg $ trace_file_arg $ metrics_file_arg)
+    (options_term check_invariants_arg)
+
+let bench_perf_cmd =
+  let profile_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile" ] ~docv:"FILE"
+          ~doc:
+            "Also run a profiled CBN pass: phase attribution table on \
+             stdout, the profile suite's bench rows to $(docv); exit 1 if \
+             the phases cover less than 90% of the round wall.")
+  in
+  suite_cmd "perf"
+    "Single-domain CBN throughput on the smoke matrix (min of 3 walls per \
+     cell): the suite CI's throughput gate compares."
+    Term.(
+      const (fun profile_out options -> Suites.perf ?profile_out options fmt)
+      $ profile_arg)
+    (fixed_options ~scale:Workloads.Catalog.Smoke ~seeds:seeds_arg
+       check_invariants_arg)
+
+let bench_overhead_cmd =
   let doc =
-    "Run the full (workload x algorithm) matrix and write a CSV of the      aggregated measurements."
+    "Gate: the null sink and profiling cost at most 2% over the untraced \
+     smoke matrix, and change no measurement; exit 1 otherwise."
   in
-  let out_arg =
-    Arg.(required & opt (some string) None & info [ "out"; "o" ] ~doc:"Output CSV path.")
+  Cmd.v
+    (Cmd.info "overhead-check" ~doc)
+    Term.(
+      const Suites.overhead_check
+      $ fixed_options ~scale:Workloads.Catalog.Smoke ~seeds:(Term.const 2)
+          check_invariants_arg)
+
+let bench_cmd =
+  let doc =
+    "Bench suites (rows for $(b,--json), compared by bench/compare_bench) \
+     and the gates CI runs."
   in
-  let run out options =
-    let cells =
-      Runtime.Experiment.with_pool options (fun pool ->
-          Runtime.Experiment.run_matrix ?pool options
-            ~workloads:Workloads.Catalog.paper_six ~algos:Runtime.Algo.all)
-    in
-    Runtime.Export.measurements_csv cells out;
-    Format.printf "wrote %d cells to %s@." (List.length cells) out
-  in
-  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ out_arg $ plain_options)
+  Cmd.group (Cmd.info "bench" ~doc)
+    [
+      bench_matrix_cmd;
+      bench_perf_cmd;
+      suite_cmd "chaos"
+        "Fault plans on every workload (smoke scale), invariants checked \
+         after every repair; raises unless every run drains."
+        (on_fmt Suites.chaos)
+        (fixed_options ~scale:Workloads.Catalog.Smoke (Term.const false));
+      suite_cmd "forest-smoke"
+        "Sharded overlay on small n; exit 1 unless 1-shard cells equal the \
+         single tree and stats agree across domain counts."
+        (on_fmt Suites.forest_smoke)
+        (fixed_options check_invariants_arg);
+      suite_cmd "forest-scaling"
+        "Sharded overlay from n = 1k to 1M, with the forest-smoke oracles."
+        (on_fmt Suites.forest_scaling)
+        (fixed_options check_invariants_arg);
+      suite_cmd "serve-smoke"
+        "One load shape per kind through the serve loop; raises unless \
+         replays are bit-identical, the fixed shape matches the batch \
+         oracle and queues stay under their caps."
+        (on_fmt Suites.serve_smoke)
+        (fixed_options (Term.const false));
+      bench_overhead_cmd;
+    ]
 
 (* --- serve: the streaming service mode (docs/SERVING.md) ----------- *)
 
@@ -490,10 +591,7 @@ let serve_cmd =
               metrics = Servekit.Server.report_metrics ~wall_seconds r;
             }
           in
-          Runtime.Bench_row.(
-            write path
-              (make ~suite:"serve" ~commit:"unknown" ~timestamp:"unknown" [ row ]));
-          Format.printf "wrote serve report to %s@." path
+          Suites.save path (Suites.bench_file "serve" [ row ])
     in
     match replay with
     | Some shape_str -> (
@@ -589,16 +687,20 @@ let main =
       figure_cmd "ablation-delta" "Rotation-threshold sweep." Runtime.Figures.ablation_delta;
       figure_cmd "ablation-reset" "Counter-reset extension." Runtime.Figures.ablation_reset;
       figure_cmd "ablation-mtr" "Move-to-root contrast." Runtime.Figures.ablation_mtr;
+      figure_cmd "ablation-rcost" "Work under growing reconfiguration cost R."
+        Runtime.Figures.ablation_rcost;
       figure_cmd "all" "Reproduce every artifact." Runtime.Figures.all;
       figure_cmd "timeline-fig" "Adaptation timelines." Runtime.Figures.timeline;
       figure_cmd "latency" "Delivery-latency percentiles." Runtime.Figures.latency;
+      figure_cmd "trace-map" "Tunable generator swept across the complexity plane."
+        Runtime.Figures.trace_map_sweep;
+      bench_cmd;
       run_cmd;
       serve_cmd;
       report_cmd;
       complexity_cmd;
       export_cmd;
       timeline_cmd;
-      matrix_cmd;
     ]
 
 let () = exit (Cmd.eval main)

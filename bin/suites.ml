@@ -1,107 +1,8 @@
-(* Benchmark and reproduction harness.
-
-   Usage:
-     dune exec bench/main.exe                  -- every artifact (Fig. 2-4,
-                                                  Thm 1-2, ablations, micro)
-     dune exec bench/main.exe -- fig2 fig3 ... -- a subset
-     dune exec bench/main.exe -- --full ...    -- paper-size workloads
-     dune exec bench/main.exe -- --seeds 30    -- paper-size repetitions
-     dune exec bench/main.exe -- --jobs 8 ...  -- worker domains (default:
-                                                  CBNET_JOBS or cores - 1)
-     dune exec bench/main.exe -- --json F      -- machine-readable bench
-                                                  export for CI perf tracking
-     dune exec bench/main.exe -- bench-smoke --json F
-                                               -- tiny-scale smoke matrix
-     dune exec bench/main.exe -- --mode bench-smoke --trace t.json --metrics m.prom
-                                               -- same, plus a Perfetto trace
-                                                  and a Prometheus metrics dump
-
-   Each FIG* table regenerates the rows/series of the corresponding
-   figure of the paper; micro runs Bechamel on the core operations;
-   overhead-check verifies the null telemetry sink costs nothing;
-   chaos sweeps the concurrent executor under deterministic fault
-   plans (Faultkit) against its fault-free twin.
-   Exit status: 0 on success, 1 on a failed overhead check, 2 on a bad
-   flag or artifact name. *)
-
-(* --profile FILE: phase-level self-profiling of the CBN executor
-   (Profkit).  perf runs a dedicated profiled pass, prints the phase
-   attribution table and writes the machine-readable profile JSON. *)
-let profile_flag = ref None
-
-let micro fmt =
-  let open Bechamel in
-  let rng = Simkit.Rng.create 7 in
-  let tree_n = 1024 in
-  (* Pre-built state reused across benchmarked closures. *)
-  let tree = Bstnet.Build.balanced tree_n in
-  let rec fill v =
-    if v = Bstnet.Topology.nil then 0
-    else begin
-      let w =
-        1
-        + fill (Bstnet.Topology.left tree v)
-        + fill (Bstnet.Topology.right tree v)
-      in
-      Bstnet.Topology.set_weight tree v w;
-      w
-    end
-  in
-  ignore (fill (Bstnet.Topology.root tree));
-  let zipf = Workloads.Zipf.create ~alpha:1.2 ~k:4096 in
-  let lz_data = Array.init 10_000 (fun i -> (i * 37) mod 512) in
-  let small_trace =
-    Array.init 256 (fun i -> (i, (i * 7) mod 127, (i * 13) mod 127))
-  in
-  let config = Cbnet.Config.default in
-  let tests =
-    [
-      Test.make ~name:"rotate_up+undo"
-        (Staged.stage (fun () ->
-             (* Rotate a mid-tree node up and back: constant-size local
-                reconfiguration, the paper's unit of adjustment cost. *)
-             let x = 300 in
-             let p = Bstnet.Topology.parent tree x in
-             Bstnet.Topology.rotate_up tree x;
-             Bstnet.Topology.rotate_up tree p));
-      Test.make ~name:"delta_promote"
-        (Staged.stage (fun () -> ignore (Cbnet.Potential.delta_promote tree 300)));
-      Test.make ~name:"step-plan"
-        (Staged.stage (fun () ->
-             ignore (Cbnet.Step.plan config tree ~current:5 ~dst:900)));
-      Test.make ~name:"lca"
-        (Staged.stage (fun () -> ignore (Bstnet.Topology.lca tree 5 900)));
-      Test.make ~name:"zipf-sample"
-        (Staged.stage (fun () -> ignore (Workloads.Zipf.sample zipf rng)));
-      Test.make ~name:"lz78-10k-symbols"
-        (Staged.stage (fun () -> ignore (Tracekit.Lz78.compressed_bits lz_data)));
-      Test.make ~name:"scbn-256msg-n127"
-        (Staged.stage (fun () ->
-             ignore (Cbnet.Sequential.run (Bstnet.Build.balanced 127) small_trace)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"cbnet" ~fmt:"%s/%s" tests in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Format.fprintf fmt "== MICRO: core operation latencies (monotonic clock) ==@.";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, ns) -> Format.fprintf fmt "%-28s %12.1f ns/run@." name ns)
-    (List.sort compare !rows);
-  Format.fprintf fmt "@."
+(* The row-producing bench suites and the CI gates behind `cbnet bench`
+   (docs/PERFORMANCE.md).  Each suite returns its Runtime.Bench_row
+   file; the gates inside a suite (forest oracle, serve replay and
+   batch oracle, chaos drain, overhead budget, phase coverage) exit 1
+   or raise on a violation. *)
 
 (* Run the full (workload x algorithm) matrix cell by cell, timing
    each cell's wall clock.  Seeds fan out across the pool inside each
@@ -130,6 +31,8 @@ let timed_matrix ?(sink = Obskit.Sink.null) ?profile
     Simkit.Pool.with_pool ~num_domains:options.jobs ~sink
       (fun p -> run (Some p))
 
+(* Every bench file names the commit it measured: GITHUB_SHA, else
+   CBNET_COMMIT, else git's HEAD, else "unknown". *)
 let detect_commit () =
   let non_empty = function Some s when String.trim s <> "" -> Some s | _ -> None in
   match non_empty (Sys.getenv_opt "GITHUB_SHA") with
@@ -192,16 +95,19 @@ let cell_row ((c : Runtime.Experiment.measurement), wall) =
 let print_rows fmt names rows =
   List.iter (Format.fprintf fmt "%a@." (Runtime.Bench_row.pp_row names)) rows
 
-let matrix ?sink options =
-  let rows = List.map cell_row (timed_matrix ?sink options) in
+(* [csv] also writes the cells' measurements as a CSV. *)
+let matrix ?sink ?csv (options : Runtime.Experiment.options) =
+  Format.printf "== MATRIX: workload x algorithm cells (seeds=%d, jobs=%d) ==@."
+    options.seeds options.jobs;
+  let cells = timed_matrix ?sink options in
+  Option.iter
+    (fun path ->
+      Runtime.Export.measurements_csv (List.map fst cells) path;
+      Format.printf "wrote %d cells to %s@." (List.length cells) path)
+    csv;
+  let rows = List.map cell_row cells in
   print_rows Format.std_formatter [ "work"; "makespan"; "wall_seconds" ] rows;
   bench_file "matrix" rows
-
-let export_csv ?sink dir options =
-  let cells = List.map fst (timed_matrix ?sink options) in
-  let path = Filename.concat dir "measurements.csv" in
-  Runtime.Export.measurements_csv cells path;
-  Format.printf "wrote %d cells to %s@." (List.length cells) path
 
 (* Telemetry/profiling overhead guard for CI.  Interleaved min-of-N
    legs over the smoke matrix, all executed in the caller (jobs = 1 —
@@ -350,8 +256,9 @@ let perf_profile (options : Runtime.Experiment.options) path fmt =
    delivered-hops/sec land in the perf suite's rows, whose rounds/sec
    the CI throughput gate diffs against the baseline.  Runs without a
    pool on purpose: the metric is single-run executor speed, not
-   fan-out capacity. *)
-let perf ?(reps = 3) (options : Runtime.Experiment.options) fmt =
+   fan-out capacity.  [profile_out] adds the profiled pass. *)
+let perf ?profile_out (options : Runtime.Experiment.options) fmt =
+  let reps = 3 in
   let cells =
     List.map
       (fun workload ->
@@ -377,7 +284,7 @@ let perf ?(reps = 3) (options : Runtime.Experiment.options) fmt =
   print_rows fmt
     [ "rounds_per_sec"; "msgs_per_sec"; "hops_per_sec"; "wall_seconds" ]
     rows;
-  Option.iter (fun path -> perf_profile options path fmt) !profile_flag;
+  Option.iter (fun path -> perf_profile options path fmt) profile_out;
   bench_file "perf" rows
 
 (* The forest sweeps: the sharded overlay (Forest.Overlay) over
@@ -717,185 +624,3 @@ let chaos (options : Runtime.Experiment.options) fmt =
   in
   Format.fprintf fmt "all runs drained; invariants held after every repair@.";
   bench_file "chaos" rows
-
-let usage =
-  "usage: main.exe [--full] [--seeds N] [--jobs N] [--csv DIR] \
-   [--json FILE] [--trace FILE] [--metrics FILE] [--profile FILE] \
-   [--check-invariants] [--mode ARTIFACT] [ARTIFACT ...]\n\
-   artifacts: fig2 fig3 fig4 thm1 thm2 ablation timeline latency trace-map \
-   micro overhead-check\n\
-   row-producing artifacts: bench-smoke perf chaos forest-smoke \
-   forest-scaling serve-smoke\n\
-   (no artifact: reproduce everything; bench-smoke: tiny-scale matrix for CI,\n\
-  \ --mode NAME is an alias for naming NAME)\n\
-   --json FILE writes the rows of the one row-producing artifact named,\n\
-  \ else of the default-scale matrix.\n\
-   --jobs N parallelizes seed runs over N domains (default: CBNET_JOBS, else\n\
-  \ cores - 1); results are bit-identical at every setting.\n\
-   --trace FILE writes a Chrome/Perfetto trace of the matrix runs\n\
-  \ (bench-smoke, --json, --csv); --metrics FILE writes Prometheus text.\n\
-   --profile FILE (perf only) runs a profiled CBN pass: phase attribution\n\
-  \ table on stdout, the profile suite's bench rows to FILE.\n\
-   --check-invariants audits every final tree with Bstnet.Check.structural;\n\
-  \ chaos always checks, including after every mid-run repair."
-
-let die fmt =
-  Format.kasprintf
-    (fun msg ->
-      prerr_endline ("main.exe: " ^ msg);
-      prerr_endline usage;
-      exit 2)
-    fmt
-
-let () =
-  let full = ref false in
-  let check_invariants = ref false in
-  let seeds = ref None in
-  let jobs = ref None in
-  let csv = ref None in
-  let json = ref None in
-  let trace = ref None in
-  let metrics = ref None in
-  let names = ref [] in
-  let int_value flag v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> n
-    | _ -> die "%s expects a positive integer, got %S" flag v
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--full" :: rest ->
-        full := true;
-        parse rest
-    | [ "--seeds" ] | [ "--jobs" ] | [ "--csv" ]
-    | [ "--json" ] | [ "--trace" ] | [ "--metrics" ] | [ "--mode" ]
-    | [ "--profile" ] ->
-        die "missing value for trailing option"
-    | "--seeds" :: v :: rest ->
-        seeds := Some (int_value "--seeds" v);
-        parse rest
-    | "--jobs" :: v :: rest ->
-        jobs := Some (int_value "--jobs" v);
-        parse rest
-    | "--csv" :: dir :: rest ->
-        csv := Some dir;
-        parse rest
-    | "--json" :: file :: rest ->
-        json := Some file;
-        parse rest
-    | "--trace" :: file :: rest ->
-        trace := Some file;
-        parse rest
-    | "--metrics" :: file :: rest ->
-        metrics := Some file;
-        parse rest
-    | "--profile" :: file :: rest ->
-        profile_flag := Some file;
-        parse rest
-    | "--check-invariants" :: rest ->
-        check_invariants := true;
-        parse rest
-    | "--mode" :: name :: rest ->
-        names := name :: !names;
-        parse rest
-    | arg :: _ when String.length arg >= 2 && String.sub arg 0 2 = "--" ->
-        die "unknown option %s" arg
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let names = List.rev !names in
-  let options =
-    {
-      Runtime.Experiment.default_options with
-      config = Cbnet.Config.make ~check_invariants:!check_invariants ();
-      scale =
-        (if !full then Workloads.Catalog.Full else Workloads.Catalog.Default);
-      seeds = (match !seeds with Some s -> s | None -> if !full then 30 else 3);
-      jobs = (match !jobs with Some j -> j | None -> Simkit.Pool.default_jobs ());
-    }
-  in
-  let smoke_options =
-    {
-      options with
-      scale = Workloads.Catalog.Smoke;
-      seeds = (match !seeds with Some s -> s | None -> 2);
-    }
-  in
-  let fmt = Format.std_formatter in
-  let sink, write_telemetry =
-    Runtime.Export.capture ~trace:!trace ~metrics:!metrics
-  in
-  let figures =
-    [
-      ("fig2", fun () -> Runtime.Figures.fig2 options fmt);
-      ("fig3", fun () -> Runtime.Figures.fig3 options fmt);
-      ("fig4", fun () -> Runtime.Figures.fig4 options fmt);
-      ("thm1", fun () -> Runtime.Figures.thm1 options fmt);
-      ("thm2", fun () -> Runtime.Figures.thm2 options fmt);
-      ( "ablation",
-        fun () ->
-          Runtime.Figures.ablation_delta options fmt;
-          Runtime.Figures.ablation_reset options fmt;
-          Runtime.Figures.ablation_mtr options fmt;
-          Runtime.Figures.ablation_rcost options fmt );
-      ("timeline", fun () -> Runtime.Figures.timeline options fmt);
-      ("latency", fun () -> Runtime.Figures.latency options fmt);
-      ("trace-map", fun () -> Runtime.Figures.trace_map_sweep options fmt);
-      ("micro", fun () -> micro fmt);
-      ("overhead-check", fun () -> overhead_check smoke_options);
-    ]
-  in
-  (* The row-producing artifacts: each returns its bench file. *)
-  let suites =
-    [
-      ( "bench-smoke",
-        fun () ->
-          Format.printf
-            "== BENCH-SMOKE: tiny-scale matrix (seeds=%d, jobs=%d) ==@."
-            smoke_options.seeds smoke_options.jobs;
-          matrix ~sink smoke_options );
-      ("chaos", fun () -> chaos smoke_options fmt);
-      ( "perf",
-        fun () ->
-          let seeds = match !seeds with Some s -> s | None -> 3 in
-          perf { smoke_options with seeds } fmt );
-      ("forest-smoke", fun () -> forest_smoke options fmt);
-      ("forest-scaling", fun () -> forest_scaling options fmt);
-      ("serve-smoke", fun () -> serve_smoke options fmt);
-    ]
-  in
-  (* Validate every artifact name, and that --json has one file's rows
-     to write, before running anything: CI must fail loudly on a typo,
-     not run a partial subset first or overwrite one suite with
-     another. *)
-  let known = List.map fst figures @ List.map fst suites in
-  List.iter
-    (fun name ->
-      if not (List.mem name known) then
-        die "unknown artifact %S (known: %s)" name (String.concat ", " known))
-    names;
-  let named_suites = List.filter (fun name -> List.mem_assoc name suites) names in
-  if !json <> None && List.length named_suites > 1 then
-    die "--json takes one row-producing artifact, got %s"
-      (String.concat ", " named_suites);
-  let emit t = Option.iter (fun path -> save path t) !json in
-  (match !csv with Some dir -> export_csv ~sink dir options | None -> ());
-  (* --json without a row-producing artifact exports the matrix. *)
-  if !json <> None && named_suites = [] then emit (matrix ~sink options);
-  (match names with
-  | [] ->
-      if !csv = None && !json = None then begin
-        (* Everything: figures share one matrix computation. *)
-        Runtime.Figures.all options fmt;
-        micro fmt
-      end
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name suites with
-          | Some run -> emit (run ())
-          | None -> (List.assoc name figures) ())
-        names);
-  write_telemetry fmt

@@ -346,33 +346,26 @@ let to_stats st config rounds =
     ~rotations:!rotations ~steps:!steps ~pauses:!pauses ~bypasses:!bypasses
     ~updates:0 ~makespan ~rounds ()
 
-let make_scheduler st =
-  {
-    Simkit.Engine.label = "dsn";
-    tick = (fun round -> tick st round);
-    is_done = (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
-    next_tick = Fun.id;
-  }
-
-let scheduler ?(config = Cbnet.Config.default) t trace =
-  let st = create config t trace in
-  (make_scheduler st, fun rounds -> to_stats st config rounds)
-
-let run ?(config = Cbnet.Config.default) t trace =
-  let sched, finalize = scheduler ~config t trace in
-  let rounds =
-    Simkit.Engine.run_exn ~max_rounds:config.Cbnet.Config.max_rounds sched
-  in
-  finalize rounds
-
-let run_with_latencies ?(config = Cbnet.Config.default) t trace =
+(* The one run body: the statistics and the final state, from which
+   only [run_with_latencies] reads the latencies. *)
+let exec ?(config = Cbnet.Config.default) t trace =
   let st = create config t trace in
   let rounds =
     Simkit.Engine.run_exn ~max_rounds:config.Cbnet.Config.max_rounds
-      (make_scheduler st)
+      {
+        Simkit.Engine.label = "dsn";
+        tick = (fun round -> tick st round);
+        is_done =
+          (fun () -> st.next_inject >= Array.length st.trace && st.live = 0);
+        next_tick = Fun.id;
+      }
   in
-  let latencies =
+  (to_stats st config rounds, st)
+
+let run ?config t trace = fst (exec ?config t trace)
+
+let run_with_latencies ?config t trace =
+  let stats, st = exec ?config t trace in
+  ( stats,
     List.map (fun r -> float_of_int (r.end_time - r.birth)) st.finished
-    |> Array.of_list
-  in
-  (to_stats st config rounds, latencies)
+    |> Array.of_list )

@@ -7,9 +7,9 @@ type t = {
   mutable n_free : int;
   mutable retired : int array;  (* slots retired since the last end_round *)
   mutable n_retired : int;
-  mutable slot_of : int array;  (* id -> slot, or -1 when not live *)
-  mutable latency : float array;
-      (* id -> data latency, or nan; empty when latencies are not kept *)
+  mutable slot_of : int array;
+      (* id -> slot when live; -2 - latency once a data message is
+         released; -1 otherwise *)
   mutable next_id : int;
   tally : Run_stats.tally;  (* counts of the released messages *)
 }
@@ -17,7 +17,7 @@ type t = {
 (* Filler for slots not yet created; never read as a message. *)
 let blank = M.data ~id:(-1) ~src:0 ~dst:0 ~birth:0
 
-let create ~capacity ~latencies =
+let create ~capacity =
   let capacity = max 16 capacity in
   {
     slots = Array.make 16 blank;
@@ -27,7 +27,6 @@ let create ~capacity ~latencies =
     retired = Array.make 16 0;
     n_retired = 0;
     slot_of = Array.make capacity (-1);
-    latency = Array.make (if latencies then capacity else 0) Float.nan;
     next_id = 0;
     tally = Run_stats.tally ();
   }
@@ -45,9 +44,7 @@ let grow_slots a =
   a.free <- grown a.free 0;
   a.retired <- grown a.retired 0
 
-let grow_ids a =
-  a.slot_of <- grown a.slot_of (-1);
-  a.latency <- grown a.latency Float.nan
+let grow_ids a = a.slot_of <- grown a.slot_of (-1)
 
 (* lint: hot *)
 (* Map the next id to a free slot, creating a record when none is
@@ -90,8 +87,6 @@ let get a id =
   a.slots.(slot)
 
 let retire a (m : M.t) =
-  if M.is_data m && Array.length a.latency > 0 then
-    a.latency.(m.M.id) <- float_of_int (m.M.end_time - m.M.birth);
   a.retired.(a.n_retired) <- a.slot_of.(m.M.id);
   a.n_retired <- a.n_retired + 1
 
@@ -100,7 +95,10 @@ let end_round a =
     let slot = a.retired.(i) in
     let m = a.slots.(slot) in
     Run_stats.count a.tally m;
-    a.slot_of.(m.M.id) <- -1;
+    (* A message is delivered no earlier than its birth, so a
+       released data message's entry is <= -2. *)
+    a.slot_of.(m.M.id) <-
+      (if M.is_data m then -2 - (m.M.end_time - m.M.birth) else -1);
     a.free.(a.n_free) <- slot;
     a.n_free <- a.n_free + 1
   done;
@@ -114,18 +112,16 @@ let iter_live a f =
   done
 
 let latencies a =
-  if Array.length a.latency = 0 then
-    invalid_arg "Arena.latencies: latencies not kept";
   let n = ref 0 in
   for id = 0 to a.next_id - 1 do
-    if not (Float.is_nan a.latency.(id)) then incr n
+    if a.slot_of.(id) <= -2 then incr n
   done;
   let out = Array.make !n 0.0 in
   n := 0;
   for id = 0 to a.next_id - 1 do
-    let x = a.latency.(id) in
-    if not (Float.is_nan x) then begin
-      out.(!n) <- x;
+    let e = a.slot_of.(id) in
+    if e <= -2 then begin
+      out.(!n) <- float_of_int (-2 - e);
       incr n
     end
   done;

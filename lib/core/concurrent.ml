@@ -105,13 +105,13 @@ let spawner st ~origin ~first_increment =
   else Simkit.Pqueue.stage st.queue u
 (* lint: hot-end *)
 
-let create config ~window ~sink ~profile ~faults ~latencies t trace =
+let create config ~window ~sink ~profile ~faults t trace =
   validate t trace;
   (* Exactly one update per data message, so the arena's id map never
      grows (fault-injected duplicates take the amortized growth path). *)
   let capacity = max 16 (2 * Array.length trace) in
   let dummy = M.data ~id:(-1) ~src:0 ~dst:0 ~birth:0 in
-  let arena = Arena.create ~capacity ~latencies in
+  let arena = Arena.create ~capacity in
   let st =
     {
       config;
@@ -648,8 +648,8 @@ let next_tick st round =
     max round birth
 (* lint: hot-end *)
 
-let make ?(config = Config.default) ?(sink = Obskit.Sink.null) ?profile
-    ~latencies t trace =
+let make ?(config = Config.default) ?(sink = Obskit.Sink.null) ?profile t
+    trace =
   let window =
     match config.Config.window with Some w -> w | None -> max 64 (T.n t)
   in
@@ -658,9 +658,7 @@ let make ?(config = Config.default) ?(sink = Obskit.Sink.null) ?profile
       (fun plan -> Faultkit.Injector.create plan ~n:(T.n t))
       config.Config.faults
   in
-  let st =
-    create config ~window ~sink ~profile ~faults:injector ~latencies t trace
-  in
+  let st = create config ~window ~sink ~profile ~faults:injector t trace in
   let sched =
     {
       Simkit.Engine.label = "cbn";
@@ -695,16 +693,18 @@ let make ?(config = Config.default) ?(sink = Obskit.Sink.null) ?profile
   (st, sched, finalize)
 
 let scheduler ?config ?sink ?profile t trace =
-  let _, sched, finalize = make ?config ?sink ?profile ~latencies:false t trace in
+  let _, sched, finalize = make ?config ?sink ?profile t trace in
   (sched, finalize)
 
-let run ?(config = Config.default) ?sink ?profile t trace =
-  let sched, finalize = scheduler ~config ?sink ?profile t trace in
-  finalize (Simkit.Engine.run_exn ~max_rounds:config.Config.max_rounds sched)
+(* The one run body: the statistics and the final state, from which
+   only [run_with_latencies] reads the latencies. *)
+let exec ?(config = Config.default) ?sink ?profile t trace =
+  let st, sched, finalize = make ~config ?sink ?profile t trace in
+  (finalize (Simkit.Engine.run_exn ~max_rounds:config.Config.max_rounds sched), st)
 
-let run_with_latencies ?(config = Config.default) ?sink ?profile t trace =
-  let st, sched, finalize = make ~config ?sink ?profile ~latencies:true t trace in
-  let stats =
-    finalize (Simkit.Engine.run_exn ~max_rounds:config.Config.max_rounds sched)
-  in
+let run ?config ?sink ?profile t trace =
+  fst (exec ?config ?sink ?profile t trace)
+
+let run_with_latencies ?config ?sink ?profile t trace =
+  let stats, st = exec ?config ?sink ?profile t trace in
   (stats, Arena.latencies st.arena)

@@ -112,6 +112,7 @@ val plan_into :
 val plan_up : Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> t
 (** {!plan_up_into} into a fresh buffer. *)
 
+(* lint: allow unused-export -- test_step's planning cases read the plan as a value *)
 val plan : Config.t -> Bstnet.Topology.t -> current:int -> dst:int -> t option
 (** {!plan_into} into a fresh buffer; [None] when already at the
     destination. *)

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "simkit.engine" ~doc:"Round engine"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type scheduler = {
   label : string;
   tick : int -> unit;
@@ -32,8 +28,5 @@ let run ?(max_rounds = default_budget) s =
 let run_exn ?max_rounds s =
   let o = run ?max_rounds s in
   if o.completed then o.rounds
-  else begin
-    Log.err (fun m ->
-        m "scheduler %s exhausted its %d-round budget" s.label o.rounds);
+  else
     raise (Budget_exhausted (Printf.sprintf "scheduler %s did not terminate" s.label))
-  end

@@ -15,6 +15,7 @@
     ⌈log2 (dictionary size)⌉ bits of back-reference plus
     ⌈log2 (alphabet size)⌉ bits for the extension symbol. *)
 
+(* lint: allow unused-export -- the LZ78 tests compare code lengths in bits *)
 val compressed_bits : ?alphabet:int -> int array -> int
 (** Length of the LZ78 encoding in bits.  [alphabet] defaults to the
     number of distinct symbols in the input (at least 2). *)

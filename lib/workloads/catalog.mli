@@ -2,8 +2,8 @@
     families of the paper's evaluation plus the uniform reference,
     each at the paper's size ("full"), a scaled-down default that
     keeps every figure reproducible in minutes, or a tiny smoke-test
-    size that keeps the full matrix under a few seconds (CI and the
-    [bench-smoke] harness mode). *)
+    size that keeps the full matrix under a few seconds (CI and
+    [cbnet bench matrix --scale smoke]). *)
 
 type scale = Smoke | Default | Full
 
