@@ -193,14 +193,19 @@ let overhead_check options =
   (* 2% relative plus 50ms absolute slack so sub-second smoke runs do
      not fail on scheduler noise. *)
   let gate name wall base =
-    if !wall > (!base *. 1.02) +. 0.05 then begin
+    let bound = (!base *. 1.02) +. 0.05 in
+    if !wall > bound then begin
       ok := false;
       Printf.eprintf
-        "overhead-check: FAIL: %s wall %.3fs exceeds its untraced baseline \
-         %.3fs + 2%%\n"
-        name !wall !base
+        "overhead-check: FAIL: %s wall %.3fs exceeds its bound %.3fs \
+         (untraced %.3fs x 1.02 + 0.05s = %+.1f%%)\n"
+        name !wall bound !base (pct !base bound)
     end
-    else Format.printf "%s overhead: within 2%% budget@." name
+    else
+      Format.printf
+        "%s overhead: within its bound %.3fs (untraced %.3fs x 1.02 + 0.05s \
+         = %+.1f%%)@."
+        name bound !base (pct !base bound)
   in
   gate "null-sink" null_wall base1_wall;
   gate "profile-on" prof1_wall base1_wall;

@@ -299,22 +299,21 @@ type feed = {
   mutable eof : bool;
 }
 
-(* Split the completed lines out of a feed's buffer, keeping the
-   trailing partial line for the next read. *)
-let drain_lines f handle =
-  let s = Buffer.contents f.buf in
-  let len = String.length s in
+(* Hand the lines completed by the [k] bytes just read to [handle]:
+   only those bytes are scanned, and the feed's buffer holds just the
+   partial line they leave, so a line of L bytes costs O(L) however
+   many reads it spans.  [Buffer.reset] drops a long line's storage. *)
+let drain_lines f chunk k handle =
   let start = ref 0 in
-  for i = 0 to len - 1 do
-    if Char.equal s.[i] '\n' then begin
-      handle (String.sub s !start (i - !start));
+  for i = 0 to k - 1 do
+    if Char.equal (Bytes.get chunk i) '\n' then begin
+      Buffer.add_subbytes f.buf chunk !start (i - !start);
+      handle (Buffer.contents f.buf);
+      Buffer.reset f.buf;
       start := i + 1
     end
   done;
-  if !start > 0 then begin
-    Buffer.clear f.buf;
-    if !start < len then Buffer.add_substring f.buf s !start (len - !start)
-  end
+  if !start < k then Buffer.add_subbytes f.buf chunk !start (k - !start)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -371,9 +370,7 @@ let serve ?epoch ?registry ?status ?report_every ?clock ?listen ?metrics
           Buffer.clear f.buf
         end;
         if f.owned then close_quietly f.fd
-    | k ->
-        Buffer.add_subbytes f.buf chunk 0 k;
-        drain_lines f handle_line
+    | k -> drain_lines f chunk k handle_line
   in
   let run_one_batch () =
     let rounds = run_batch st in

@@ -425,6 +425,81 @@ let test_serve_pipe_drains_on_eof () =
   Alcotest.(check int) "parse errors" 1 r.Server.parse_errors;
   Alcotest.(check int) "delivered" 3 r.Server.stats.Cbnet.Run_stats.messages
 
+(* Feed [text] to [Server.serve] through a pipe, one write of
+   [chunks] bytes per serve-loop iteration: [stop] is polled once per
+   iteration, so each read sees exactly the bytes of one write (up to
+   the loop's 4 KiB read size).  With the batch threshold above the
+   request count, nothing runs before EOF, so the report can depend on
+   the delivery only through its per-iteration queue-depth samples. *)
+let serve_fed ~chunks text =
+  let n = 64 in
+  let rd, wr = Unix.pipe () in
+  let pos = ref 0 and closed = ref false in
+  let stop () =
+    let len = String.length text in
+    if !pos < len then begin
+      let k = min chunks (len - !pos) in
+      let w = Unix.write_substring wr text !pos k in
+      pos := !pos + w
+    end
+    else if not !closed then begin
+      Unix.close wr;
+      closed := true
+    end;
+    false
+  in
+  let cfg =
+    Server.config ~queue_capacity:4096 ~policy:Server.Park ~batch_min:4096
+      ~n ()
+  in
+  let clock = Servekit.Vclock.virtual_ () in
+  let r = Server.serve ~clock ~stop cfg (Bstnet.Build.balanced n) [ rd ] in
+  Unix.close rd;
+  r
+
+let without_queue_samples r =
+  { r with Server.queue_depth = Profkit.Histogram.create () }
+
+let test_serve_split_reads_same_report () =
+  let b = Buffer.create 16384 in
+  for i = 0 to 1499 do
+    let s = i * 7 mod 64 and d = ((i * 13) + 5) mod 64 in
+    if i mod 97 = 0 then Buffer.add_string b "# comment\n\n"
+    else if i mod 211 = 0 then Buffer.add_string b "1,x\n"
+    else if s <> d then
+      Buffer.add_string b
+        (match i mod 3 with
+        | 0 -> Printf.sprintf "%d,%d\n" s d
+        | 1 -> Printf.sprintf "%d %d\n" s d
+        | _ -> Printf.sprintf "%d\t,\t%d\r\n" s d)
+  done;
+  let text = Buffer.contents b in
+  (* The 4 KiB read boundary falls inside a request line. *)
+  Alcotest.(check bool)
+    "a line straddles byte 4096" true
+    (text.[4095] <> '\n' && text.[4096] <> '\n' && text.[4096] <> '#');
+  let whole = serve_fed ~chunks:(String.length text) text in
+  Alcotest.(check bool) "parse errors counted" true (whole.Server.parse_errors > 0);
+  Alcotest.(check int) "all admitted" whole.Server.seen whole.Server.admitted;
+  Alcotest.(check int)
+    "all delivered" whole.Server.admitted
+    whole.Server.stats.Cbnet.Run_stats.messages;
+  List.iter
+    (fun (name, chunks) ->
+      let r = serve_fed ~chunks text in
+      Alcotest.(check bool)
+        (name ^ ": same report as one write") true
+        (compare (without_queue_samples whole) (without_queue_samples r) = 0))
+    [ ("1-byte writes", 1); ("split at 4096", 4096); ("7-byte writes", 7) ]
+
+let test_serve_long_line_one_error () =
+  let long = String.make (1 lsl 20) 'x' in
+  let r = serve_fed ~chunks:4096 (long ^ "\n1,2\n3 4\n5,6") in
+  Alcotest.(check int) "one parse error" 1 r.Server.parse_errors;
+  Alcotest.(check int) "valid lines seen" 3 r.Server.seen;
+  Alcotest.(check int) "admitted" 3 r.Server.admitted;
+  Alcotest.(check int) "delivered" 3 r.Server.stats.Cbnet.Run_stats.messages
+
 (* ---------- /metrics plumbing ---------- *)
 
 let test_http_response_and_route () =
@@ -505,6 +580,10 @@ let () =
         [
           Alcotest.test_case "pipe drains on EOF" `Quick
             test_serve_pipe_drains_on_eof;
+          Alcotest.test_case "split reads, same report" `Quick
+            test_serve_split_reads_same_report;
+          Alcotest.test_case "1 MiB line, one error" `Quick
+            test_serve_long_line_one_error;
           Alcotest.test_case "http metrics" `Quick
             test_http_response_and_route;
         ] );
