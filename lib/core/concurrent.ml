@@ -338,7 +338,6 @@ let untraced_turn st ~round (msg : M.t) =
    resolves its own step — staying parked if that step conflicts. *)
 let class_turn st ~round id =
   let cs = st.classes in
-  Shape_class.pop cs;
   let v = Shape_class.class_verdict cs st.t st.claims ~round id in
   if v >= 0 then Shape_class.charge cs id ~bit:v
   else begin
@@ -365,12 +364,12 @@ let class_turn st ~round id =
    [next]. *)
 let visit_classes_before st ~round (next : M.t) =
   while Shape_class.top_before st.classes next do
-    class_turn st ~round (Shape_class.top st.classes)
+    class_turn st ~round (Shape_class.pop st.classes)
   done
 
 let visit_remaining_classes st ~round =
   while Shape_class.top st.classes >= 0 do
-    class_turn st ~round (Shape_class.top st.classes)
+    class_turn st ~round (Shape_class.pop st.classes)
   done
 (* lint: hot-end *)
 

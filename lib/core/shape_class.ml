@@ -57,16 +57,21 @@ type t = {
   mutable pool : cls array;  (* by class id *)
   mutable n_pool : int;
   mutable free_head : int;
-  mutable live : int array;  (* ids of live classes *)
+  (* The visit order.  [live] holds the live classes sorted by frontier
+     (birth, id) at the round's start; the walk has visited those before
+     [pos].  [heap] is a binary min-heap of the classes that re-entered
+     the order at a later frontier.  Every class in it was first visited
+     from [live] this round, so [n_heap <= pos]: the frontier keys share
+     [key_birth]/[key_id], slot [i] keying [heap.(i)] below [n_heap] and
+     [live.(i)] from [pos] on. *)
+  mutable live : int array;
   mutable n_live : int;
-  mutable buckets : int array;  (* shape hash -> first class id, or -1 *)
-  (* The classes still to visit this round: a binary min-heap on their
-     frontiers' (birth, id), stored inline so that sifting reads no
-     message. *)
+  mutable pos : int;
   mutable heap : int array;
-  mutable heap_birth : int array;
-  mutable heap_id : int array;
   mutable n_heap : int;
+  mutable key_birth : int array;
+  mutable key_id : int array;
+  mutable buckets : int array;  (* shape hash -> first class id, or -1 *)
   mutable commits : int;  (* commits seen by [after_commit] *)
   mutable open_charges : int;  (* classes with [seg >= 0] *)
   mutable staged : int array;  (* message ids parked this round *)
@@ -122,11 +127,12 @@ let create ~n arena profile =
     free_head = -1;
     live = Array.make cap 0;
     n_live = 0;
-    buckets = Array.make (4 * cap) (-1);
+    pos = 0;
     heap = Array.make cap 0;
-    heap_birth = Array.make cap 0;
-    heap_id = Array.make cap 0;
     n_heap = 0;
+    key_birth = Array.make cap 0;
+    key_id = Array.make cap 0;
+    buckets = Array.make (4 * cap) (-1);
     commits = 0;
     open_charges = 0;
     staged = Array.make 64 0;
@@ -202,8 +208,8 @@ let grow_pool t =
     Array.init (2 * cap) (fun i -> if i < cap then t.pool.(i) else blank ());
   t.live <- grown t.live;
   t.heap <- grown t.heap;
-  t.heap_birth <- grown t.heap_birth;
-  t.heap_id <- grown t.heap_id;
+  t.key_birth <- grown t.key_birth;
+  t.key_id <- grown t.key_id;
   t.slot_next <- grown t.slot_next;
   t.buckets <- Array.make (4 * 2 * cap) (-1);
   for i = 0 to t.n_live - 1 do
@@ -240,18 +246,18 @@ let frontier t id = member t t.pool.(id) t.pool.(id).cursor
 (* (birth, id) priority order, Message.priority_compare on keys. *)
 let key_lt (b1 : int) (i1 : int) b2 i2 = b1 < b2 || (b1 = b2 && i1 < i2)
 
-(* The visit order: a binary min-heap of classes keyed by their
-   frontiers; a class's key only changes while it is out of the heap. *)
+(* The re-entry heap; a class's key only changes while it is out of the
+   visit order. *)
 let set_entry t i id birth key =
   t.heap.(i) <- id;
-  t.heap_birth.(i) <- birth;
-  t.heap_id.(i) <- key
+  t.key_birth.(i) <- birth;
+  t.key_id.(i) <- key
 
 let move_entry t ~src ~dst =
-  set_entry t dst t.heap.(src) t.heap_birth.(src) t.heap_id.(src)
+  set_entry t dst t.heap.(src) t.key_birth.(src) t.key_id.(src)
 
 let entry_lt t i j =
-  key_lt t.heap_birth.(i) t.heap_id.(i) t.heap_birth.(j) t.heap_id.(j)
+  key_lt t.key_birth.(i) t.key_id.(i) t.key_birth.(j) t.key_id.(j)
 
 let parent i = (i - 1) / 2
 
@@ -261,21 +267,35 @@ let push t id =
   let i = ref t.n_heap in
   t.n_heap <- t.n_heap + 1;
   while
-    !i > 0 && key_lt birth key t.heap_birth.(parent !i) t.heap_id.(parent !i)
+    !i > 0 && key_lt birth key t.key_birth.(parent !i) t.key_id.(parent !i)
   do
     move_entry t ~src:(parent !i) ~dst:!i;
     i := parent !i
   done;
   set_entry t !i id birth key
 
-let top t = if t.n_heap = 0 then -1 else t.heap.(0)
+(* The visit order merges the presorted classes from [pos] with the
+   heap: whether the next class comes from the former. *)
+let from_live t =
+  t.pos < t.n_live
+  && (t.n_heap = 0
+     || key_lt t.key_birth.(t.pos) t.key_id.(t.pos) t.key_birth.(0)
+          t.key_id.(0))
+
+let top t =
+  if from_live t then t.live.(t.pos)
+  else if t.n_heap = 0 then -1
+  else t.heap.(0)
 
 let top_before t (msg : M.t) =
-  t.n_heap > 0 && key_lt t.heap_birth.(0) t.heap_id.(0) msg.M.birth msg.M.id
+  if from_live t then
+    key_lt t.key_birth.(t.pos) t.key_id.(t.pos) msg.M.birth msg.M.id
+  else
+    t.n_heap > 0 && key_lt t.key_birth.(0) t.key_id.(0) msg.M.birth msg.M.id
 
-(* Sift the last entry down from the root into the vacated top. *)
-let pop t =
-  let n = t.n_heap - 1 in
+(* Take the top, sifting the last entry down from the root. *)
+let heap_pop t =
+  let top = t.heap.(0) and n = t.n_heap - 1 in
   t.n_heap <- n;
   if n > 0 then begin
     move_entry t ~src:n ~dst:0;
@@ -285,15 +305,23 @@ let pop t =
       let m = if l + 1 < n && entry_lt t (l + 1) l then l + 1 else l in
       if m < n && entry_lt t m !i then begin
         let id = t.heap.(!i)
-        and birth = t.heap_birth.(!i)
-        and key = t.heap_id.(!i) in
+        and birth = t.key_birth.(!i)
+        and key = t.key_id.(!i) in
         move_entry t ~src:m ~dst:!i;
         set_entry t m id birth key;
         i := m
       end
       else continue_ := false
     done
+  end;
+  top
+
+let pop t =
+  if from_live t then begin
+    t.pos <- t.pos + 1;
+    t.live.(t.pos - 1)
   end
+  else heap_pop t
 
 let class_verdict t tree claims ~round id =
   let c = t.pool.(id) in
@@ -581,15 +609,28 @@ let end_round t =
       place t t.staged_class.(i) (Arena.get t.arena t.staged.(i))
     done;
     t.n_staged <- 0;
-    t.n_heap <- 0;
+    (* Keep the survivors by frontier with an insertion sort: they come
+       in last round's order and new classes last, so few move far. *)
+    t.pos <- 0;
     let w = ref 0 in
     for i = 0 to t.n_live - 1 do
       let id = t.live.(i) in
-      if t.pool.(id).len = 0 then free_class t id
+      let c = t.pool.(id) in
+      if c.len = 0 then free_class t id
       else begin
-        t.live.(!w) <- id;
-        incr w;
-        push t id
+        let birth = c.births.(0) and key = c.members.(0) and j = ref !w in
+        while
+          !j > 0 && key_lt birth key t.key_birth.(!j - 1) t.key_id.(!j - 1)
+        do
+          t.live.(!j) <- t.live.(!j - 1);
+          t.key_birth.(!j) <- t.key_birth.(!j - 1);
+          t.key_id.(!j) <- t.key_id.(!j - 1);
+          decr j
+        done;
+        t.live.(!j) <- id;
+        t.key_birth.(!j) <- birth;
+        t.key_id.(!j) <- key;
+        incr w
       end
     done;
     t.n_live <- !w

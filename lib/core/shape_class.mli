@@ -13,16 +13,19 @@
 
     Each round the walk visits a class at the position of its earliest
     unvisited member (the frontier), in merged priority order with the
-    active messages ({!top}/{!frontier}).  One {!verdict} there either
-    charges every member from the frontier on its pause or bypass in
-    bulk ({!charge}), or hands the frontier to a normal turn ({!leave}
-    or {!skip}).  Only commits change claims or versions within a
-    round, so a bulk charge stands until a commit ranked after the
-    frontier touches a class node; {!after_commit} then splits the
-    class at the committer, and the members after it are re-checked at
-    their own position.  The outcome of every member is therefore
-    exactly what its own turn would produce at its (birth, id)
-    position.
+    active messages ({!top}/{!frontier}).  The classes are kept sorted
+    by frontier ({!end_round}), so a first visit is a step along an
+    array; only a class re-entering mid-round at a later frontier
+    ({!skip}, {!leave}, a split) goes through a heap merged with it.
+    One {!verdict} there either charges every member from the frontier
+    on its pause or bypass in bulk ({!charge}), or hands the frontier
+    to a normal turn ({!leave} or {!skip}).  Only commits change claims
+    or versions within a round, so a bulk charge stands until a commit
+    ranked after the frontier touches a class node; {!after_commit}
+    then splits the class at the committer, and the members after it
+    are re-checked at their own position.  The outcome of every member
+    is therefore exactly what its own turn would produce at its
+    (birth, id) position.
 
     Bulk charges cost O(1) per class: a class keeps cumulative pause
     and bypass counts, and while a message is parked its own
@@ -64,7 +67,7 @@ val stage : t -> Message.t -> unit
 
 val top : t -> int
 (** The class whose frontier comes first in priority order among those
-    still to be visited this round, or [-1]. *)
+    still to be visited this round (presorted or re-entered), or [-1]. *)
 
 val top_before : t -> Message.t -> bool
 (** Whether {!top}'s frontier comes before the message in priority
@@ -73,8 +76,9 @@ val top_before : t -> Message.t -> bool
 val frontier : t -> int -> Message.t
 (** The class's frontier member. *)
 
-val pop : t -> unit
-(** Take {!top} off the round's visit order, to process its frontier. *)
+val pop : t -> int
+(** Take {!top} off the round's visit order and return it, to process
+    its frontier. *)
 
 val class_verdict :
   t -> Bstnet.Topology.t -> int array -> round:int -> int -> int
@@ -109,10 +113,11 @@ val after_commit :
 
 val end_round : t -> unit
 (** Close the round: settle open charges, join the staged messages to
-    their classes, free empty classes and order the classes for the
-    next round.  A staged message whose shape went stale after its turn
-    joins a class of its stale versions, which the next frontier check
-    sends back to re-probe. *)
+    their classes, free empty classes and sort the classes by frontier
+    for the next round (an insertion sort of last round's order).  A
+    staged message whose shape went stale after its turn joins a class
+    of its stale versions, which the next frontier check sends back to
+    re-probe. *)
 
 val flush : t -> unit
 (** Settle every parked member's [pauses]/[bypasses] to its true count,

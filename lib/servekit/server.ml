@@ -355,8 +355,11 @@ let serve ?epoch ?registry ?status ?report_every ?clock ?listen ?metrics
         | Some emit -> emit (Printf.sprintf "serve: bad line (%s)" err)
         | None -> ())
   in
+  (* One read buffer for the whole call: [drain_lines] copies out what a
+     read leaves, and a 4 KiB block would go straight to the major heap
+     if each read allocated its own. *)
+  let chunk = Bytes.create 4096 in
   let read_feed f =
-    let chunk = Bytes.create 4096 in
     match Unix.read f.fd chunk 0 (Bytes.length chunk) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ ->

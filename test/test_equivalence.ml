@@ -300,6 +300,57 @@ let test_profiled ~workload ~seed () =
     Alcotest.(check bool) (ctx ^ ": some charges parked") true
       (parked > 0)
 
+(* The untraced walk's work counts on fixed saturated cells, pinned as
+   constants: a change to how parked classes are ordered or visited
+   must make exactly the same class checks, bulk charges and conflicts
+   in the same number of rounds, not merely the same statistics.  The
+   cells are the saturated trace above and one batch of 256 drifting
+   requests born together on n = 1024 (one serve batch). *)
+let serve_batch () =
+  let trace =
+    Workloads.Drifting.generate ~n:1024 ~m:256 ~phases:1 ~seed:1 ()
+  in
+  let trace =
+    Workloads.Trace.with_births trace
+      (Array.make (Workloads.Trace.length trace) 0)
+  in
+  (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
+
+let test_work_counts (n, trace) expected () =
+  let module P = Profkit.Profile in
+  let profile = P.create () in
+  ignore (Conc.run ~profile (Build.balanced n) trace);
+  Alcotest.(check (list (pair string int)))
+    "shape hits, parked, conflicts, rounds" expected
+    [
+      ("shape_hits", P.shape_hits profile);
+      ("parked", List.assoc "parked" (P.counters profile));
+      ("conflicts", P.conflicts profile);
+      ("rounds", P.rounds profile);
+    ]
+
+let work_count_cases =
+  let counts h p c r =
+    [ ("shape_hits", h); ("parked", p); ("conflicts", c); ("rounds", r) ]
+  in
+  List.map
+    (fun (label, cell, expected) ->
+      Alcotest.test_case label `Quick (test_work_counts cell expected))
+    [
+      ( "hpc-saturated seed 1",
+        trace_of ~workload:saturated ~seed:1,
+        counts 30027 230005 247236 869 );
+      ( "hpc-saturated seed 2",
+        trace_of ~workload:saturated ~seed:2,
+        counts 38609 250262 281329 974 );
+      ( "hpc-saturated seed 3",
+        trace_of ~workload:saturated ~seed:3,
+        counts 35656 241264 268205 925 );
+      ( "serve batch 256 on n=1024",
+        serve_batch (),
+        counts 8796 45449 56318 374 );
+    ]
+
 (* The scheduler finalizer must account for in-flight messages too:
    truncating both executors mid-run (before quiescence) must still
    produce identical statistics. *)
@@ -496,6 +547,7 @@ let () =
       ("executor pairs empty fault plan", empty_plan_cases);
       ("configured executor pairs", configured_cases);
       ("profiled executor", profiled_cases);
+      ("work counts", work_count_cases);
       ( "finalization",
         [
           Alcotest.test_case "truncated finalize" `Quick
