@@ -123,7 +123,35 @@ let matrix ?sink ?csv (options : Runtime.Experiment.options) =
    null and prof1 are gated at base1 + 2% (plus an absolute slack for
    sub-second smoke runs); a ring-sink run is also timed (reported,
    not gated).  Every leg must produce bit-identical measurements —
-   telemetry and profiling are purely observational. *)
+   telemetry and profiling are purely observational.
+
+   A second gate counts instead of timing, so host noise cannot blur
+   it: on the saturated cell (hpc, n = 256, m = 600, every request born
+   at round 0), whose messages pause hundreds of thousands of times,
+   the run with no sink argument and the run with an explicit null
+   sink must allocate exactly the same minor words, and at most
+   [words_per_request] per request.  The count is deterministic: the
+   run's own state (message records, class member arrays) comes to
+   about 51 words per request on OCaml 5.1, while an event closure
+   built without a [Sink.enabled] guard allocates on every turn or
+   commit that reaches it — one on the conflict path more than
+   quadruples the count. *)
+let words_per_request = 64
+
+let saturated_cell () =
+  let trace = Workloads.Catalog.scaled "hpc" ~n:256 ~m:600 ~seed:1 in
+  let trace =
+    Workloads.Trace.with_births trace
+      (Array.make (Workloads.Trace.length trace) 0)
+  in
+  (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
+
+let minor_words ?sink (n, trace) =
+  let t = Bstnet.Build.balanced n in
+  let w0 = Gc.minor_words () in
+  ignore (Cbnet.Concurrent.run ?sink t trace);
+  Gc.minor_words () -. w0
+
 let overhead_check options =
   (* Serial execution for every gated leg: identical code path, no
      pool scheduling noise, and run_cell forbids ?profile with ?pool. *)
@@ -209,6 +237,23 @@ let overhead_check options =
   in
   gate "null-sink" null_wall base1_wall;
   gate "profile-on" prof1_wall base1_wall;
+  let cell = saturated_cell () in
+  let base_words = minor_words cell in
+  let null_words = minor_words ~sink:Obskit.Sink.null cell in
+  let bound = words_per_request * Array.length (snd cell) in
+  Format.printf
+    "minor words (saturated cell): untraced %.0f, null sink %.0f (bound %d)@."
+    base_words null_words bound;
+  if
+    (not (Float.equal null_words base_words))
+    || null_words > float_of_int bound
+  then begin
+    ok := false;
+    Printf.eprintf
+      "overhead-check: FAIL: null-sink minor words %.0f must equal the \
+       untraced %.0f and stay within %d\n"
+      null_words base_words bound
+  end;
   if not !ok then exit 1
 
 (* The perf --profile pass: the concurrent executor over the same

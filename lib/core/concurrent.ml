@@ -26,10 +26,9 @@ let validate t trace =
    undelivered message decided in (birth, id) order, finished messages
    dropped — so statistics, telemetry and the final tree are
    bit-identical to the list-based reference executor the
-   equivalence suite checks it against.  On untraced fault-free runs a
-   paused message is parked in its shape class (Shape_class) and the
-   walk visits each class once, at its frontier, instead of every
-   parked member. *)
+   equivalence suite checks it against.  A paused message is parked in
+   its shape class (Shape_class) and the walk visits each class once,
+   at its frontier, instead of every parked member. *)
 
 module Prof = Profkit.Profile
 
@@ -43,9 +42,7 @@ type state = {
       (* phase timers + work counters; [None] keeps every profiling
          site a single branch.  Strictly observational: a profiled run
          is bit-identical to an unprofiled one. *)
-  faults : Faultkit.Injector.t option;
-      (* fault injection (Faultkit); [None] keeps the executor on the
-         plain hot path, bit-identical to pre-faultkit behaviour *)
+  faults : Faultkit.Injector.t option;  (* fault injection (Faultkit) *)
   arena : Arena.t;  (* the live messages, by id; counts of the rest *)
   queue : M.t Simkit.Pqueue.t;  (* active (not parked), in priority order *)
   classes : Shape_class.t;  (* parked messages, by cached step shape *)
@@ -126,7 +123,7 @@ let create config ~window ~sink ~profile ~faults t trace =
         Simkit.Pqueue.create
           ~capacity:(min capacity (4 * window))
           ~dummy M.priority_compare;
-      classes = Shape_class.create ~n:(T.n t) arena profile;
+      classes = Shape_class.create ~n:(T.n t) arena profile sink;
       plan = Step.buffer ();
       next_inject = 0;
       spawn = (fun ~origin:_ ~first_increment:_ -> ());
@@ -164,31 +161,27 @@ let inject st ~round =
   done
 (* lint: hot-end *)
 
-(* Conflict probe, walking the plan's nil-padded cluster fields (nil
-   is tail padding only).  Encoded as an int so the per-turn hot path
-   allocates no option: -1 = free, 0 = loser of a routing step
-   (pause), 1 = loser of a rotation (bypass).  Written without inner
-   closures — the non-flambda compiler would allocate them per call.
-   A node is claimed in this round iff its claim word shifts down to
-   [round]; the low bit is the claimer's rotate verdict. *)
+(* Conflict probe over the plan's nil-padded cluster fields: -1 if the
+   cluster is free, else a verdict in {!Shape_class.verdict}'s encoding
+   for its first claimed node — an int, so the hot path allocates no
+   option.  A node is claimed in this round iff its claim word shifts
+   down to [round]; the low bit is the claimer's rotate verdict. *)
 let conflict_free = -1
 
 (* lint: hot *)
+let claimed st ~round v =
+  v <> T.nil && st.claims.(v) asr 1 = round
+
 let cluster_conflict st ~round (p : Step.t) =
-  let v0 = p.Step.cluster0 in
-  if v0 <> T.nil && st.claims.(v0) asr 1 = round then st.claims.(v0) land 1
-  else
-    let v1 = p.Step.cluster1 in
-    if v1 <> T.nil && st.claims.(v1) asr 1 = round then st.claims.(v1) land 1
-    else
-      let v2 = p.Step.cluster2 in
-      if v2 <> T.nil && st.claims.(v2) asr 1 = round then
-        st.claims.(v2) land 1
-      else
-        let v3 = p.Step.cluster3 in
-        if v3 <> T.nil && st.claims.(v3) asr 1 = round then
-          st.claims.(v3) land 1
-        else conflict_free
+  let hit =
+    if claimed st ~round p.Step.cluster0 then p.Step.cluster0
+    else if claimed st ~round p.Step.cluster1 then p.Step.cluster1
+    else if claimed st ~round p.Step.cluster2 then p.Step.cluster2
+    else if claimed st ~round p.Step.cluster3 then p.Step.cluster3
+    else T.nil
+  in
+  if hit = T.nil then conflict_free
+  else (hit lsl 1) lor (st.claims.(hit) land 1)
 
 let claim st ~round (p : Step.t) =
   let word = (round lsl 1) lor Bool.to_int p.Step.rotate in
@@ -201,29 +194,21 @@ let claim st ~round (p : Step.t) =
   let v3 = p.Step.cluster3 in
   if v3 <> T.nil then st.claims.(v3) <- word
 
-(* Record a lost conflict on the message (+ optional event). *)
-let record_conflict st ~round ~traced (msg : M.t) ~was_rotation =
-  if was_rotation then msg.M.bypasses <- msg.M.bypasses + 1
+(* Charge the pause (verdict bit 0) or bypass (bit 1) of a lost
+   conflict to the message. *)
+let charge_conflict st ~round (msg : M.t) verdict =
+  if verdict land 1 = 1 then msg.M.bypasses <- msg.M.bypasses + 1
   else msg.M.pauses <- msg.M.pauses + 1;
   prof_conflict st;
-  if traced then
-    (* lint: allow no-alloc -- closure built only when tracing is on *)
-    Obskit.Sink.record st.sink (fun () ->
-        Obskit.Event.Conflict
-          {
-            round;
-            msg = msg.M.id;
-            kind =
-              (if was_rotation then Obskit.Event.Bypass
-               else Obskit.Event.Pause);
-          })
+  Shape_class.record_conflict st.sink ~round ~msg:msg.M.id ~count:1 verdict
 
 (* Commit the turn's plan: claim the cluster, apply the step, finish
-   the message if it arrived.  Shared by both turns and by the
-   fault-injected commit. *)
-let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
+   the message if it arrived.  A commit is the only event that can
+   change a parked message's outcome within a round, so the shape
+   classes re-check their charges after it. *)
+let commit_plan st ~round (msg : M.t) (plan : Step.t) =
   claim st ~round plan;
-  if traced then
+  if Obskit.Sink.enabled st.sink then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
     Obskit.Sink.record st.sink (fun () ->
         Obskit.Event.Cluster_claimed
@@ -234,7 +219,7 @@ let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
             rotate = plan.Step.rotate;
           });
   Protocol.apply_step st.t ~spawn:st.spawn msg plan;
-  if traced && plan.Step.rotate then
+  if plan.Step.rotate && Obskit.Sink.enabled st.sink then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
     Obskit.Sink.record st.sink (fun () ->
         Obskit.Event.Rotation
@@ -245,142 +230,14 @@ let commit_plan st ~round ~traced (msg : M.t) (plan : Step.t) =
             count = plan.Step.rotations;
             delta_phi = Step.delta_phi plan;
           });
-  if msg.M.delivered then finish st msg
-
-(* Charge the pause (bit 0) or bypass (bit 1) of a shape verdict. *)
-let charge_conflict st (msg : M.t) bit =
-  if bit = 1 then msg.M.bypasses <- msg.M.bypasses + 1
-  else msg.M.pauses <- msg.M.pauses + 1;
-  prof_conflict st
-
-(* Park a message that paused off its cached shape; it leaves the walk. *)
-let park_in_class st (msg : M.t) =
-  Shape_class.stage st.classes msg;
-  false
-
-(* Claim and commit the resolved plan (true), or charge the pause or
-   bypass of a conflict on its final cluster (false).  A commit is the
-   only event that can change a parked message's outcome within a
-   round, so the shape classes re-check their charges after it. *)
-let contend st ~round (msg : M.t) (plan : Step.t) =
-  let conflict = cluster_conflict st ~round plan in
-  if conflict <> conflict_free then begin
-    record_conflict st ~round ~traced:false msg ~was_rotation:(conflict = 1);
-    false
-  end
-  else begin
-    commit_plan st ~round ~traced:false msg plan;
-    Shape_class.after_commit st.classes st.t st.claims ~round plan msg;
-    true
-  end
-
-(* The turn of an active message on an untraced fault-free run: probe
-   the step's shape first and only evaluate ΔΦ when it can matter.
-   Under contention most turns pause, and a pause is decidable from the
-   shape alone: the rotation anchor is the only cluster node whose
-   membership depends on ΔΦ, and it sits in {e front} of the cluster
-   when present — so if some core node is already claimed while the
-   anchor is not, the first colliding node (hence the pause/bypass
-   verdict) is the same whether or not the step would rotate, and the
-   plan can be discarded unresolved.  Outcome-identical to
-   {!resolved_turn}; the equivalence suite checks both against the
-   reference executor.
-
-   The probed shape is cached on the message.  A turn that ends in a
-   conflict has not acted, so the shape stays valid while the core
-   nodes' structure versions hold.  When the probe merely reproduced
-   the cached shape, the message paused off a valid cache and is
-   parked in its shape class; after a first pause it stays active,
-   since a lightly loaded tree mostly frees it the next round.
-   Returns whether the message stays in the active walk. *)
-let untraced_turn st ~round (msg : M.t) =
-  if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
-    let p = st.plan in
-    let c0 = p.Step.cluster0
-    and c1 = p.Step.cluster1
-    and c2 = p.Step.cluster2 in
-    let cached =
-      msg.M.shape_c0 = c0 && msg.M.shape_c1 = c1 && msg.M.shape_c2 = c2
-      && msg.M.shape_anchor = p.Step.anchor
-      && msg.M.shape_v0 = T.version st.t c0
-      && msg.M.shape_v1 = T.version st.t c1
-      && (c2 = T.nil || msg.M.shape_v2 = T.version st.t c2)
-    in
-    msg.M.shape_c0 <- c0;
-    msg.M.shape_c1 <- c1;
-    msg.M.shape_c2 <- c2;
-    msg.M.shape_anchor <- p.Step.anchor;
-    msg.M.shape_v0 <- T.version st.t c0;
-    msg.M.shape_v1 <- T.version st.t c1;
-    if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
-    let v =
-      Shape_class.verdict st.claims ~round ~c0 ~c1 ~c2 ~anchor:p.Step.anchor
-    in
-    if v <> Shape_class.no_verdict then begin
-      charge_conflict st msg v;
-      (not cached) || park_in_class st msg
-    end
-    else begin
-      Step.resolve_into p st.config st.t;
-      if contend st ~round msg p then not msg.M.delivered
-      else (not cached) || park_in_class st msg
-    end
-  end
-  else begin
-    finish st msg;
-    false
-  end
-
-(* A shape class's turn at its frontier.  A stale shape sends the
-   frontier back to a normal turn (it re-probes); a verdict charges the
-   frontier and every member after it in bulk; otherwise only the
-   anchor's claim (or no claim) stands in the way and the frontier
-   resolves its own step — staying parked if that step conflicts. *)
-let class_turn st ~round id =
-  let cs = st.classes in
-  let v = Shape_class.class_verdict cs st.t st.claims ~round id in
-  if v >= 0 then Shape_class.charge cs id ~bit:v
-  else begin
-    let msg = Shape_class.frontier cs id in
-    st.cur_birth <- msg.M.birth;
-    if v = Shape_class.stale then begin
-      Shape_class.leave cs id;
-      if untraced_turn st ~round msg then Simkit.Pqueue.stage st.queue msg
-    end
-    else begin
-      (* The shape is current and the message has not acted: the probe
-         reproduces it and has no protocol side effects. *)
-      Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
-      Step.resolve_into st.plan st.config st.t;
-      if contend st ~round msg st.plan then begin
-        Shape_class.leave cs id;
-        if not msg.M.delivered then Simkit.Pqueue.stage st.queue msg
-      end
-      else Shape_class.skip cs id
-    end
-  end
-
-(* Visit, in priority order, the classes whose frontier precedes
-   [next]. *)
-let visit_classes_before st ~round (next : M.t) =
-  while Shape_class.top_before st.classes next do
-    class_turn st ~round (Shape_class.pop st.classes)
-  done
-
-let visit_remaining_classes st ~round =
-  while Shape_class.top st.classes >= 0 do
-    class_turn st ~round (Shape_class.pop st.classes)
-  done
+  if msg.M.delivered then finish st msg;
+  Shape_class.after_commit st.classes st.t st.claims ~round plan msg
 (* lint: hot-end *)
 
 (* ------------------------------------------------------------------
-   Fault injection (Faultkit) and the full-resolve turn.  Every turn of
-   a run with a fault plan goes through {!resolved_turn} — traced or
-   not — so the fault draws never depend on whether telemetry is on
-   and a traced chaos run computes the exact same statistics as an
-   untraced one.  The plan is always fully resolved (no probe
-   shortcut, no shape cache): chaos runs pay for clarity, the
-   fault-free hot path above stays untouched. *)
+   Fault injection (Faultkit).  A fault-plan run takes the same walk as
+   any other, with the checks in {!turn} and {!class_turn}, so fault
+   draws never depend on whether telemetry is on. *)
 
 (* The run-time gate audits the structural suite only: weight sums are
    a flow property, exact only once every weight-update message has
@@ -398,21 +255,16 @@ let check_now st =
 (* Crash parking: a message whose acting node, or some node of whose
    plan's cluster, is down cannot execute and parks, charging makespan
    only — a crash is not a cluster conflict, so no pause/bypass is
-   counted.  Without a fault plan no node is ever down. *)
+   counted; the message stays in the walk.  Crash windows open and
+   close at the round boundary, so a node stays up or down all round. *)
 let node_down st v =
   match st.faults with
-  | Some inj -> Faultkit.Injector.is_down inj v
+  | Some inj -> v <> T.nil && Faultkit.Injector.is_down inj v
   | None -> false
 
-let cluster_down st (p : Step.t) =
-  match st.faults with
-  | Some inj when Faultkit.Injector.any_down inj ->
-      let down v = v <> T.nil && Faultkit.Injector.is_down inj v in
-      down p.Step.cluster0 || down p.Step.cluster1 || down p.Step.cluster2
-      || down p.Step.cluster3
-  | _ -> false
-
-let park st = Option.iter Faultkit.Injector.note_park st.faults
+let park st =
+  Option.iter Faultkit.Injector.note_park st.faults;
+  true
 
 (* A message dropped in transit re-arms at its source with its birth
    (priority and makespan anchor, Sec. VII-A) and its [update_spawned]
@@ -444,7 +296,8 @@ let spawn_duplicate st (msg : M.t) =
    run the local repair protocol and (in check mode) verify the full
    invariant suite.  The cluster is claimed first: the torn nodes were
    about to mutate and no other step may see the intermediate state
-   this round. *)
+   this round.  Like a commit, the claim and the repaired rotation can
+   change a parked message's outcome. *)
 let abort_rotation st inj ~round (msg : M.t) (plan : Step.t) =
   claim st ~round plan;
   let x = Step.first_rotation_node st.t plan in
@@ -461,13 +314,14 @@ let abort_rotation st inj ~round (msg : M.t) (plan : Step.t) =
   if Obskit.Sink.enabled st.sink then
     Obskit.Sink.record st.sink (fun () ->
         Obskit.Event.Repair_done { round; node = x });
-  if st.config.Config.check_invariants then check_now st
+  if st.config.Config.check_invariants then check_now st;
+  Shape_class.after_commit st.classes st.t st.claims ~round plan msg
 
 (* A conflict-free step under a fault plan: the abort draw, then the
    commit draws in fixed order — loss, duplication, delay.  Each
    zero-rate family consumes no randomness (see Faultkit.Injector), so
    replays stay aligned. *)
-let commit_faulty st inj ~round ~traced (msg : M.t) (plan : Step.t) =
+let commit_faulty st inj ~round (msg : M.t) (plan : Step.t) =
   if plan.Step.rotate && Faultkit.Injector.draw_abort inj then
     abort_rotation st inj ~round msg plan
   else
@@ -477,7 +331,7 @@ let commit_faulty st inj ~round ~traced (msg : M.t) (plan : Step.t) =
     in
     if crossings > 0 && Faultkit.Injector.draw_loss inj ~crossings then begin
       Faultkit.Injector.note_lost inj;
-      if traced then
+      if Obskit.Sink.enabled st.sink then
         Obskit.Sink.record st.sink (fun () ->
             Obskit.Event.Msg_lost
               { round; msg = msg.M.id; node = msg.M.current });
@@ -488,7 +342,7 @@ let commit_faulty st inj ~round ~traced (msg : M.t) (plan : Step.t) =
     then begin
       let twin = spawn_duplicate st msg in
       Faultkit.Injector.note_duplicated inj;
-      if traced then
+      if Obskit.Sink.enabled st.sink then
         Obskit.Sink.record st.sink (fun () ->
             Obskit.Event.Fault_injected
               {
@@ -497,14 +351,14 @@ let commit_faulty st inj ~round ~traced (msg : M.t) (plan : Step.t) =
                 node = msg.M.current;
                 msg = twin.M.id;
               });
-      commit_plan st ~round ~traced msg plan
+      commit_plan st ~round msg plan
     end
     else
       let k = Faultkit.Injector.draw_delay inj in
       if k > 0 then begin
         msg.M.asleep_until <- round + k;
         Faultkit.Injector.note_delayed inj;
-        if traced then
+        if Obskit.Sink.enabled st.sink then
           Obskit.Sink.record st.sink (fun () ->
               Obskit.Event.Fault_injected
                 {
@@ -514,74 +368,194 @@ let commit_faulty st inj ~round ~traced (msg : M.t) (plan : Step.t) =
                   msg = msg.M.id;
                 })
       end
-      else commit_plan st ~round ~traced msg plan
-
-(* The full-resolve turn, taken by traced runs (Step_planned must
-   carry ΔΦ) and by runs with a fault plan: the whole plan up front,
-   then crash parking, the conflict test and the commit.  Without a
-   plan every fault check is a no-op — [asleep_until] stays 0 and no
-   node is down — so a traced clean run takes exactly the steps of the
-   plain commit. *)
-let resolved_turn st ~round (msg : M.t) =
-  if msg.M.asleep_until > round then () (* delayed in transit: skip *)
-  else if node_down st msg.M.current then
-    (* Parked at a crashed node — checked before planning, so a dead
-       node performs no protocol side effects (LCA update spawns). *)
-    park st
-  else if Protocol.begin_turn_into st.plan st.config st.t ~spawn:st.spawn msg
-  then begin
-    let plan = st.plan in
-    let traced = Obskit.Sink.enabled st.sink in
-    if traced then
-      Obskit.Sink.record st.sink (fun () ->
-          Obskit.Event.Step_planned
-            {
-              round;
-              msg = msg.M.id;
-              kind = Step.kind_to_string plan.Step.kind;
-              rotate = plan.Step.rotate;
-              delta_phi = Step.delta_phi plan;
-            });
-    if cluster_down st plan then park st
-    else
-      let conflict = cluster_conflict st ~round plan in
-      if conflict <> conflict_free then
-        record_conflict st ~round ~traced msg ~was_rotation:(conflict = 1)
-      else
-        match st.faults with
-        | Some inj -> commit_faulty st inj ~round ~traced msg plan
-        | None -> commit_plan st ~round ~traced msg plan
-  end
-  else finish st msg
+      else commit_plan st ~round msg plan
 
 (* lint: hot *)
-(* The round visit, in (birth, id) order, dropping the delivered.  The
-   full-resolve turn (traced or fault-injected runs) visits every
-   undelivered message.  The untraced fault-free walk visits the active
-   messages merged with the shape classes' frontiers, then closes the
-   round's bulk charges and parks the messages that paused. *)
-let seq_visit st ~round ~full =
-  if full then
-    (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
-    Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
-        if msg.M.delivered then false
-        else begin
-          st.cur_birth <- msg.M.birth;
-          resolved_turn st ~round msg;
-          not msg.M.delivered
-        end)
-  else begin
-    (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
-    Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
-        if msg.M.delivered then false
-        else begin
-          visit_classes_before st ~round msg;
-          st.cur_birth <- msg.M.birth;
-          untraced_turn st ~round msg
-        end);
-    visit_remaining_classes st ~round;
-    Shape_class.end_round st.classes
+(* Park a message that paused off its cached shape; it leaves the walk. *)
+let park_in_class st (msg : M.t) =
+  Shape_class.stage st.classes msg;
+  false
+
+(* Finish the probed plan: ΔΦ decides whether the step rotates. *)
+let resolve st ~round (msg : M.t) =
+  let p = st.plan in
+  Step.resolve_into p st.config st.t;
+  if Obskit.Sink.enabled st.sink then
+    (* lint: allow no-alloc -- closure built only when tracing is on *)
+    Obskit.Sink.record st.sink (fun () ->
+        Obskit.Event.Step_planned
+          {
+            round;
+            msg = msg.M.id;
+            kind = Step.kind_to_string p.Step.kind;
+            rotate = p.Step.rotate;
+            delta_phi = Step.delta_phi p;
+          })
+
+(* Commit the resolved plan (true), or charge the pause or bypass of a
+   conflict on its final cluster (false). *)
+let contend st ~round (msg : M.t) (plan : Step.t) =
+  let conflict = cluster_conflict st ~round plan in
+  if conflict <> conflict_free then begin
+    charge_conflict st ~round msg conflict;
+    false
   end
+  else begin
+    (match st.faults with
+    | None -> commit_plan st ~round msg plan
+    | Some inj -> commit_faulty st inj ~round msg plan);
+    true
+  end
+
+(* The turn of an active message: probe the step's shape first and
+   only evaluate ΔΦ when it can matter.  Under contention most turns
+   pause, and a pause is decidable from the shape alone: the rotation
+   anchor is the only cluster node whose membership depends on ΔΦ, and
+   it sits in {e front} of the cluster when present — so if some core
+   node is already claimed while the anchor is not, the first colliding
+   node (hence the pause/bypass verdict) is the same whether or not the
+   step would rotate, and the plan can be discarded unresolved.  The
+   equivalence suite checks the outcome against the reference executor,
+   which resolves every plan.
+
+   The probed shape is cached on the message.  A turn that ends in a
+   conflict has not acted, so the shape stays valid while the core
+   nodes' structure versions hold.  When the probe merely reproduced
+   the cached shape, the message paused off a valid cache and is
+   parked in its shape class; after a first pause it stays active,
+   since a lightly loaded tree mostly frees it the next round.
+
+   [down] tells that some node is down this round: a down core node
+   parks the turn before any verdict is charged, and a down anchor
+   parks it only if the resolved step rotates (the anchor joins the
+   cluster only then).  Returns whether the message stays in the
+   active walk. *)
+let probed_turn st ~round ~down (msg : M.t) =
+  if Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg then begin
+    let p = st.plan in
+    let c0 = p.Step.cluster0
+    and c1 = p.Step.cluster1
+    and c2 = p.Step.cluster2 in
+    let cached =
+      msg.M.shape_c0 = c0 && msg.M.shape_c1 = c1 && msg.M.shape_c2 = c2
+      && msg.M.shape_anchor = p.Step.anchor
+      && msg.M.shape_v0 = T.version st.t c0
+      && msg.M.shape_v1 = T.version st.t c1
+      && (c2 = T.nil || msg.M.shape_v2 = T.version st.t c2)
+    in
+    msg.M.shape_c0 <- c0;
+    msg.M.shape_c1 <- c1;
+    msg.M.shape_c2 <- c2;
+    msg.M.shape_anchor <- p.Step.anchor;
+    msg.M.shape_v0 <- T.version st.t c0;
+    msg.M.shape_v1 <- T.version st.t c1;
+    if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
+    (* c0 is the message's current node, which {!turn} checked. *)
+    if down && (node_down st c1 || node_down st c2) then park st
+    else
+      let anchor_down = down && node_down st p.Step.anchor in
+      let v =
+        if anchor_down then Shape_class.no_verdict
+        else
+          Shape_class.verdict st.claims ~round ~c0 ~c1 ~c2
+            ~anchor:p.Step.anchor
+      in
+      if v <> Shape_class.no_verdict then begin
+        charge_conflict st ~round msg v;
+        (not cached) || park_in_class st msg
+      end
+      else begin
+        resolve st ~round msg;
+        if anchor_down && p.Step.rotate then park st
+        else if contend st ~round msg p then not msg.M.delivered
+        else (not cached) || park_in_class st msg
+      end
+  end
+  else begin
+    finish st msg;
+    false
+  end
+
+(* Under a fault plan a message delayed in transit sleeps through its
+   turn (it stays active and is not charged), and one at a down node
+   parks before it probes, so a dead node has no protocol side effects
+   (LCA update spawns). *)
+let turn st ~round (msg : M.t) =
+  match st.faults with
+  | None -> probed_turn st ~round ~down:false msg
+  | Some inj ->
+      if msg.M.asleep_until > round then true
+      else if node_down st msg.M.current then park st
+      else
+        probed_turn st ~round ~down:(Faultkit.Injector.any_down inj) msg
+
+(* Whether a node of the shape a parked message caches is down. *)
+let shape_down st (msg : M.t) =
+  node_down st msg.M.shape_c0 || node_down st msg.M.shape_c1
+  || node_down st msg.M.shape_c2
+  || node_down st msg.M.shape_anchor
+
+(* A shape class's turn at its frontier.  A stale shape sends the
+   frontier back to a normal turn (it re-probes); a verdict charges the
+   frontier and every member after it in bulk; otherwise only the
+   anchor's claim (or no claim) stands in the way and the frontier
+   resolves its own step — staying parked if that step conflicts.  A
+   class naming a down node counts as stale, so each member takes its
+   own turn and parks there. *)
+let class_turn st ~round id =
+  let cs = st.classes in
+  let v =
+    match st.faults with
+    | Some inj
+      when Faultkit.Injector.any_down inj
+           && shape_down st (Shape_class.frontier cs id) ->
+        Shape_class.stale
+    | _ -> Shape_class.class_verdict cs st.t st.claims ~round id
+  in
+  if v >= 0 then Shape_class.charge cs id ~verdict:v
+  else begin
+    let msg = Shape_class.frontier cs id in
+    st.cur_birth <- msg.M.birth;
+    if v = Shape_class.stale then begin
+      Shape_class.leave cs id;
+      if turn st ~round msg then Simkit.Pqueue.stage st.queue msg
+    end
+    else begin
+      (* The shape is current and the message has not acted: the probe
+         reproduces it and has no protocol side effects. *)
+      Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
+      resolve st ~round msg;
+      if contend st ~round msg st.plan then begin
+        Shape_class.leave cs id;
+        if not msg.M.delivered then Simkit.Pqueue.stage st.queue msg
+      end
+      else Shape_class.skip cs id
+    end
+  end
+
+(* Visit, in priority order, the classes whose frontier precedes
+   [next]. *)
+let visit_classes_before st ~round (next : M.t) =
+  while Shape_class.top_before st.classes next do
+    class_turn st ~round (Shape_class.pop st.classes)
+  done
+
+(* The round visit, in (birth, id) order, dropping the delivered: the
+   active messages merged with the shape classes' frontiers, then the
+   round's bulk charges closed and the messages that paused parked. *)
+let seq_visit st ~round =
+  (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
+  Simkit.Pqueue.iter_filter st.queue (fun (msg : M.t) ->
+      if msg.M.delivered then false
+      else begin
+        visit_classes_before st ~round msg;
+        st.cur_birth <- msg.M.birth;
+        turn st ~round msg
+      end);
+  while Shape_class.top st.classes >= 0 do
+    class_turn st ~round (Shape_class.pop st.classes)
+  done;
+  Shape_class.end_round st.classes ~round
 
 let tick st round =
   (match st.profile with
@@ -615,7 +589,7 @@ let tick st round =
   (* The visit plans, commits and delivers in one fused walk: it all
      lands in the Commit phase (see Profkit.Profile). *)
   prof st Prof.Commit;
-  seq_visit st ~round ~full:(traced || Option.is_some st.faults);
+  seq_visit st ~round;
   prof st Prof.Other;
   (* The walk and the class settlement are over: nothing refers to the
      round's delivered messages any more. *)

@@ -18,10 +18,13 @@
     an {!Arena} of records recycled at the end of the round in which
     they finish, the undelivered set is an array-backed
     {!Simkit.Pqueue}, and step planning fills one reusable
-    {!Step.buffer}.  Untraced fault-free runs skip the rounds in
-    which nothing is in flight (see {!scheduler}).  The test suite keeps the original list-based
-    round loop as an executable specification; the two produce
-    bit-identical statistics, telemetry payloads and final trees.
+    {!Step.buffer}.  Every run — traced, profiled or under a fault
+    plan — takes one walk, which parks paused messages by step shape
+    ({!Shape_class}); untraced fault-free runs also skip the rounds in
+    which nothing is in flight (see {!scheduler}).  The test suite
+    keeps the original list-based round loop as an executable
+    specification; the two produce bit-identical statistics, final
+    trees and telemetry (up to {!run}'s two summarized payloads).
 
     The round loop runs on one domain: the concurrency the paper
     studies is inside the simulated network — many messages sharing
@@ -43,11 +46,13 @@ val run :
     {!Config.t} documents each.
 
     [sink] (default {!Obskit.Sink.null}) receives per-round structured
-    events: [Round_begin], [Step_planned], [Cluster_claimed],
-    [Conflict], [Rotation], [Msg_delivered] and one [Phi_sample] per
-    round.  Telemetry is purely observational — a traced run computes
-    the exact same {!Run_stats.t} as an untraced one, bit for bit —
-    and with the null sink every emission site is a single branch.
+    events: [Round_begin], [Cluster_claimed], [Rotation],
+    [Msg_delivered], one [Phi_sample] per round, [Step_planned] for
+    each plan whose ΔΦ the walk evaluates, and [Conflict] for each
+    conflicting turn or bulk charge of parked messages (its [count]).
+    Telemetry is purely observational — a traced run computes the
+    exact same {!Run_stats.t} as an untraced one, bit for bit — and
+    with the null sink every emission site is a single branch.
 
     [profile] (default absent) turns on phase-level self-profiling
     (docs/OBSERVABILITY.md): every round is partitioned exclusively

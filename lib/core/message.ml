@@ -22,7 +22,7 @@ type t = {
      delay (Faultkit); 0 = not sleeping.  Untouched on fault-free
      runs. *)
   mutable asleep_until : int;
-  (* Step-shape cache for the concurrent executor's untraced walk: the
+  (* Step-shape cache for the concurrent executor's round walk: the
      last probed core cluster + anchor and the structure versions of
      the core nodes at probe time (see Bstnet.Topology.version); the
      key of the shape class a paused message is parked in. *)

@@ -47,7 +47,7 @@ type t = {
   mutable shape_v0 : int;
   mutable shape_v1 : int;
   mutable shape_v2 : int;
-      (** Step-shape cache owned by [Concurrent]'s untraced walk: the
+      (** Step-shape cache owned by [Concurrent]'s round walk: the
           core cluster nodes + rotation anchor ([nil]-padded) probed by
           the message's last turn, and the {!Bstnet.Topology.version}
           stamps of the core nodes at probe time.  While every stamped

@@ -74,16 +74,13 @@ let begin_turn_probe buf t ~spawn (msg : M.t) =
           Step.probe_down_into buf t ~current:msg.current ~dst:msg.dst;
           true)
 
-let begin_turn_into buf config t ~spawn (msg : M.t) =
-  if begin_turn_probe buf t ~spawn msg then begin
-    Step.resolve_into buf config t;
-    true
-  end
-  else false
-
 let begin_turn config t ~spawn (msg : M.t) =
   let buf = Step.buffer () in
-  if begin_turn_into buf config t ~spawn msg then Plan buf else Delivered
+  if begin_turn_probe buf t ~spawn msg then begin
+    Step.resolve_into buf config t;
+    Plan buf
+  end
+  else Delivered
 
 (* Apply the arrival bookkeeping for one node the message crossed. *)
 let cross t ~spawn (msg : M.t) w =

@@ -31,28 +31,21 @@ val born : Bstnet.Topology.t -> spawn:spawn -> Message.t -> unit
 
 val begin_turn_probe :
   Step.t -> Bstnet.Topology.t -> spawn:spawn -> Message.t -> bool
-(** The shape-only prefix of {!begin_turn_into}: performs the same
-    direction re-evaluation, phase flips and update spawning, but
-    fills the buffer with a {!Step.probe_up_into}-style shape (core
-    cluster + anchor, no [ΔΦ]) instead of a full plan.  Returns
-    [false] on delivery, like {!begin_turn_into}.  The concurrent
-    executor uses this to pre-check cluster conflicts and only pay for
-    {!Step.resolve_into} on turns that can actually act. *)
-
-val begin_turn_into :
-  Step.t -> Config.t -> Bstnet.Topology.t -> spawn:spawn -> Message.t -> bool
 (** Start a turn for an undelivered message: re-evaluate the direction
     at the current node (it may have changed through bypasses or the
     message's own in-place rotations), flip phase / spawn the update
-    when the LCA has been reached, and fill the buffer with the step
-    plan (returning [true]) — or return [false] when the message is
-    delivered instead (buffer untouched).  Safe to call repeatedly for
-    a message paused by conflicts; allocation-free. *)
+    when the LCA has been reached, and fill the buffer with the step's
+    shape, a {!Step.probe_up_into}-style core cluster and anchor
+    without [ΔΦ] (returning [true]) — or return [false] when the
+    message is delivered instead.  Safe to call repeatedly for a
+    message paused by conflicts; allocation-free.  The concurrent
+    executor uses this to pre-check cluster conflicts and only pay for
+    {!Step.resolve_into} on turns that can actually act. *)
 
 val begin_turn : Config.t -> Bstnet.Topology.t -> spawn:spawn -> Message.t -> turn
-(** {!begin_turn_into} into a fresh buffer per plan — the original
-    allocating interface, used by the sequential executor and by the
-    test suite's list-based reference executor. *)
+(** {!begin_turn_probe} and {!Step.resolve_into} into a fresh buffer
+    per plan — the allocating interface, used by the sequential
+    executor and by the test suite's list-based reference executor. *)
 
 val apply_step : Bstnet.Topology.t -> spawn:spawn -> Message.t -> Step.t -> unit
 (** Commit a plan: execute its rotation (if any) with the weight

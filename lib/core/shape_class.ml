@@ -33,10 +33,10 @@ type cls = {
   mutable cum_p : int;
   mutable cum_b : int;
   (* This round: members before [cursor] are decided.  [seg >= 0] is an
-     open bulk charge of [seg_bit] on members [seg, len). *)
+     open bulk charge of the verdict [seg_verdict] on members [seg, len). *)
   mutable cursor : int;
   mutable seg : int;
-  mutable seg_bit : int;
+  mutable seg_verdict : int;
   mutable linked : bool;  (* listed in the node index *)
   mutable checked : int;  (* the last commit that re-checked the charge *)
   (* [end_round]'s merge: staged joiners still to place, and the last
@@ -49,6 +49,7 @@ type cls = {
 type t = {
   arena : Arena.t;
   profile : Prof.t option;
+  sink : Obskit.Sink.t;
   (* The node index: per node, the first linked class naming it in one
      of its four shape slots, as an entry [4 * class id + slot];
      [slot_next] chains the entries naming the same node. *)
@@ -104,7 +105,7 @@ let blank () =
     cum_b = 0;
     cursor = 0;
     seg = -1;
-    seg_bit = 0;
+    seg_verdict = 0;
     linked = false;
     checked = -1;
     incoming = 0;
@@ -115,11 +116,12 @@ let blank () =
 (* Member arrays hold [8 lsl k] slots for a size class [k]. *)
 let size_classes = 48
 
-let create ~n arena profile =
+let create ~n arena profile sink =
   let cap = 16 in
   {
     arena;
     profile;
+    sink;
     heads = Array.make n (-1);
     slot_next = Array.make (4 * cap) (-1);
     pool = Array.init cap (fun _ -> blank ());
@@ -229,7 +231,7 @@ let verdict claims ~round ~c0 ~c1 ~c2 ~anchor =
     && (anchor = T.nil
        || claims.(anchor) asr 1 <> round
        || claims.(anchor) land 1 = claims.(hit) land 1)
-  then claims.(hit) land 1
+  then (hit lsl 1) lor (claims.(hit) land 1)
   else no_verdict
 
 let stage t (msg : M.t) =
@@ -346,14 +348,31 @@ let settle c (msg : M.t) =
 let refund t c i ~bit =
   if c.members.(i) <> hole then add_charge (member t c i) ~bit (-1)
 
+let record_conflict sink ~round ~msg ~count verdict =
+  if Obskit.Sink.enabled sink then
+    (* lint: allow no-alloc -- closure built only when tracing is on *)
+    Obskit.Sink.record sink (fun () ->
+        Obskit.Event.Conflict
+          {
+            round;
+            msg;
+            kind =
+              (if verdict land 1 = 1 then Obskit.Event.Bypass
+               else Obskit.Event.Pause);
+            count;
+            node = verdict asr 1;
+          })
+
 (* Charge members [a, b) (no holes) one conflict of the open charge's
    kind: through the class counts with a refund to the others when
-   that touches fewer members, one by one otherwise. *)
-let close_charge t c a b =
-  let k = b - a and bit = c.seg_bit in
+   that touches fewer members, one by one otherwise.  Telemetry sees
+   one event for the whole range, named after its first member. *)
+let close_charge t ~round c a b =
+  let k = b - a and bit = c.seg_verdict land 1 in
   t.open_charges <- t.open_charges - 1;
   if k > 0 then begin
     (match t.profile with None -> () | Some p -> Prof.charge_parked p k);
+    record_conflict t.sink ~round ~msg:c.members.(a) ~count:k c.seg_verdict;
     if 2 * k >= c.len - c.holes then begin
       if bit = 1 then c.cum_b <- c.cum_b + 1 else c.cum_p <- c.cum_p + 1;
       for i = 0 to a - 1 do
@@ -404,11 +423,11 @@ let unlink_nodes t id =
       end
   done
 
-let charge t id ~bit =
+let charge t id ~verdict =
   let c = t.pool.(id) in
   if not c.linked then link_nodes t id;
   c.seg <- c.cursor;
-  c.seg_bit <- bit;
+  c.seg_verdict <- verdict;
   t.open_charges <- t.open_charges + 1
 
 let skip t id =
@@ -425,7 +444,7 @@ let leave t id =
 
 (* Close the open charge at the committer and return the members ranked
    after it to the visit order, to be re-checked at their position. *)
-let split t id (committer : M.t) =
+let split t ~round id (committer : M.t) =
   let c = t.pool.(id) in
   let lo = ref c.seg and hi = ref c.len in
   while !lo < !hi do
@@ -434,7 +453,7 @@ let split t id (committer : M.t) =
     then lo := mid + 1
     else hi := mid
   done;
-  close_charge t c c.seg !lo;
+  close_charge t ~round c c.seg !lo;
   c.cursor <- !lo;
   if c.cursor < c.len then push t id
 
@@ -447,8 +466,9 @@ let recheck t tree claims ~round committer v =
       let c = t.pool.(id) in
       if c.seg >= 0 && c.checked <> t.commits then begin
         c.checked <- t.commits;
-        if class_verdict t tree claims ~round id <> c.seg_bit then
-          split t id committer
+        let v = class_verdict t tree claims ~round id in
+        if v < 0 || v land 1 <> c.seg_verdict land 1 then
+          split t ~round id committer
       end;
       e := t.slot_next.(!e)
     done
@@ -583,11 +603,11 @@ let compact c =
 
 (* Most rounds of a lightly loaded tree park nothing: they skip the
    whole pass. *)
-let end_round t =
+let end_round t ~round =
   if t.n_live > 0 || t.n_staged > 0 then begin
     for i = 0 to t.n_live - 1 do
       let c = t.pool.(t.live.(i)) in
-      if c.seg >= 0 then close_charge t c c.seg c.len;
+      if c.seg >= 0 then close_charge t ~round c c.seg c.len;
       if c.holes > 0 then compact c;
       c.cursor <- 0
     done;

@@ -1,5 +1,5 @@
-(** Shape classes: the parked messages of {!Concurrent}'s untraced,
-    fault-free round walk.
+(** Shape classes: the parked messages of {!Concurrent}'s round walk,
+    which every run takes, traced or not, with a fault plan or without.
 
     A message whose turn ends in a pause or bypass has not acted, so
     while the structure versions of its probed core nodes hold, a
@@ -31,16 +31,20 @@
     and bypass counts, and while a message is parked its own
     [pauses]/[bypasses] fields hold its count {e minus} the class's.
     The difference is settled when the member leaves and by {!flush}.
+    Telemetry follows the charges: a bulk charge is one [Conflict]
+    event whose [count] is the number of members it charged, emitted
+    when the charge closes.
 
     All state is preallocated and grows by doubling; the per-node state
     is one [int] array of size n. *)
 
 type t
 
-val create : n:int -> Arena.t -> Profkit.Profile.t option -> t
+val create :
+  n:int -> Arena.t -> Profkit.Profile.t option -> Obskit.Sink.t -> t
 (** An empty set for a tree of [n] nodes whose messages live in the
     arena.  Class checks count as [Profile.shape_hit], bulk charges as
-    [Profile.charge_parked]. *)
+    [Profile.charge_parked] and go to the sink as [Conflict] events. *)
 
 val no_verdict : int
 (** {!verdict} result when the shape alone cannot decide the turn: no
@@ -54,11 +58,17 @@ val stale : int
 val verdict :
   int array -> round:int -> c0:int -> c1:int -> c2:int -> anchor:int -> int
 (** The ΔΦ-free conflict pre-check on a probed step shape against the
-    round's claim words: [0] for a pause, [1] for a bypass, or
-    {!no_verdict}.  The anchor joins the cluster (in front) only if
-    the step rotates; with the anchor unclaimed, or claimed by the same
-    kind of winner as the first claimed core node, the verdict is the
+    round's claim words: a verdict [(hit lsl 1) lor bit], where [hit]
+    is the first claimed core node and [bit] is [0] for a pause, [1]
+    for a bypass; or {!no_verdict}.  The anchor joins the cluster (in
+    front) only if the step rotates; with the anchor unclaimed, or
+    claimed by the same kind of winner as [hit], the verdict is the
     same either way. *)
+
+val record_conflict :
+  Obskit.Sink.t -> round:int -> msg:int -> count:int -> int -> unit
+(** Emit one [Conflict] event, if the sink is enabled: [count]
+    messages, from message [msg] on, lost on a {!verdict}. *)
 
 val stage : t -> Message.t -> unit
 (** Park a message whose turn just ended in a conflict off its cached
@@ -85,9 +95,9 @@ val class_verdict :
 (** {!stale}, or the {!verdict} of the class's cached shape (counted as
     one shape-cache hit). *)
 
-val charge : t -> int -> bit:int -> unit
-(** Charge every member from the frontier on a pause ([bit = 0]) or
-    bypass ([bit = 1]) for this round, until a commit splits it. *)
+val charge : t -> int -> verdict:int -> unit
+(** Charge every member from the frontier on the pause or bypass of a
+    {!verdict} for this round, until a commit splits it. *)
 
 val leave : t -> int -> unit
 (** The frontier leaves the class (its counts settled) to take a normal
@@ -111,7 +121,7 @@ val after_commit :
     verdict changed, close the charge at the committer and put the
     members after it back into this round's visit order. *)
 
-val end_round : t -> unit
+val end_round : t -> round:int -> unit
 (** Close the round: settle open charges, join the staged messages to
     their classes, free empty classes and sort the classes by frontier
     for the next round (an insertion sort of last round's order).  A

@@ -18,7 +18,13 @@ type payload =
       cluster : int list;
       rotate : bool;
     }
-  | Conflict of { round : int; msg : int; kind : conflict }
+  | Conflict of {
+      round : int;
+      msg : int;
+      kind : conflict;
+      count : int;
+      node : int;
+    }
   | Rotation of {
       round : int;
       msg : int;
@@ -50,8 +56,6 @@ type payload =
   | Repair_done of { round : int; node : int }
 
 type t = { ts_us : float; domain : int; payload : payload }
-
-let conflict_to_string = function Pause -> "pause" | Bypass -> "bypass"
 
 let fault_to_string = function
   | Duplicate -> "duplicate"

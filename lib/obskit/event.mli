@@ -42,7 +42,19 @@ type payload =
       cluster : int list;
       rotate : bool;
     }  (** The step's cluster (Def. 6) was locked for this round. *)
-  | Conflict of { round : int; msg : int; kind : conflict }
+  | Conflict of {
+      round : int;
+      msg : int;
+      kind : conflict;
+      count : int;
+          (** Conflicts charged: 1 for a message's own turn, or the
+              members of a parked shape class charged in one bulk
+              charge, [msg] being the first of them. *)
+      node : int;
+          (** The claimed cluster node that decided the verdict: the
+              first claimed node of the step's cluster. *)
+    }
+      (** [count] messages lost a cluster conflict in [round]. *)
   | Rotation of {
       round : int;
       msg : int;
@@ -88,7 +100,6 @@ type payload =
 
 type t = { ts_us : float; domain : int; payload : payload }
 
-val conflict_to_string : conflict -> string
 val fault_to_string : fault -> string
 
 (* lint: allow unused-export -- the trace-diff tests name payload kinds with it *)

@@ -101,11 +101,14 @@ let chrome_trace ?(dropped = 0) events path =
             (sp "\"round\":%d,\"msg\":%d,\"size\":%d,\"rotate\":%b" round msg
                (List.length cluster) rotate);
         ]
-    | E.Conflict { round; msg; kind } ->
+    | E.Conflict { round; msg; kind; count; node } ->
         [
           instant ~ts ~tid
-            (sp "conflict_%s" (E.conflict_to_string kind))
-            (sp "\"round\":%d,\"msg\":%d" round msg);
+            (match kind with
+            | E.Pause -> "conflict_pause"
+            | E.Bypass -> "conflict_bypass")
+            (sp "\"round\":%d,\"msg\":%d,\"count\":%d,\"node\":%d" round
+               msg count node);
         ]
     | E.Rotation { round; msg; node; count; delta_phi } ->
         [

@@ -1,6 +1,10 @@
 module E = Obskit.Event
 module M = Simkit.Metrics
 
+(* Labelled series names formatted once, not per event. *)
+let pauses_total = "cbnet_conflicts_total{kind=\"pause\"}"
+let bypasses_total = "cbnet_conflicts_total{kind=\"bypass\"}"
+
 let recorder reg (ev : E.t) =
   match ev.E.payload with
   | E.Round_begin { active; _ } ->
@@ -10,10 +14,10 @@ let recorder reg (ev : E.t) =
       M.incr reg "cbnet_steps_planned_total";
       M.observe reg "cbnet_delta_phi" delta_phi
   | E.Cluster_claimed _ -> M.incr reg "cbnet_clusters_claimed_total"
-  | E.Conflict { kind; _ } ->
-      M.incr reg
-        (Printf.sprintf "cbnet_conflicts_total{kind=%S}"
-           (E.conflict_to_string kind))
+  | E.Conflict { kind; count; _ } ->
+      M.add reg
+        (match kind with E.Pause -> pauses_total | E.Bypass -> bypasses_total)
+        count
   | E.Rotation { count; _ } -> M.add reg "cbnet_rotations_total" count
   | E.Phi_sample { phi; _ } -> M.observe reg "cbnet_phi" phi
   | E.Msg_delivered { data; round; birth; _ } ->

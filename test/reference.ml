@@ -112,11 +112,13 @@ let inject st ~round =
   done;
   List.rev !injected
 
+(* The first claimed node of the cluster and its claimer's rotate
+   verdict. *)
 let cluster_conflict st ~round plan =
   let rec go = function
     | [] -> None
     | v :: rest ->
-        if st.claimed_round.(v) = round then Some st.claimed_rot.(v)
+        if st.claimed_round.(v) = round then Some (v, st.claimed_rot.(v))
         else go rest
   in
   go (Step.cluster plan)
@@ -157,7 +159,7 @@ let tick st round =
                       delta_phi = Step.delta_phi plan;
                     });
             match cluster_conflict st ~round plan with
-            | Some was_rotation ->
+            | Some (node, was_rotation) ->
                 if was_rotation then msg.M.bypasses <- msg.M.bypasses + 1
                 else msg.M.pauses <- msg.M.pauses + 1;
                 if traced then
@@ -169,6 +171,8 @@ let tick st round =
                           kind =
                             (if was_rotation then Obskit.Event.Bypass
                              else Obskit.Event.Pause);
+                          count = 1;
+                          node;
                         })
             | None ->
                 claim st ~round plan;

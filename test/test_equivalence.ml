@@ -76,6 +76,58 @@ let capture_payloads run =
   let result = run sink in
   (result, List.rev !acc)
 
+(* The executor's payload stream [ea] against the reference's [eb].
+   Both walk the messages in the same priority order and commit the
+   same steps, but the executor decides most pauses from the step's
+   shape without evaluating ΔΦ, and charges the members of a parked
+   shape class in one [Conflict] event with a [count].  So every other
+   payload must be equal and in the same order; the conflicts must
+   agree per (round, kind) once their counts are summed; and the
+   executor's [Step_planned] events must be an ordered subsequence of
+   the reference's, with equal payloads. *)
+let check_events ctx ea eb =
+  let module E = Obskit.Event in
+  let others =
+    List.filter (function E.Step_planned _ | E.Conflict _ -> false | _ -> true)
+  in
+  let oa = others ea and ob = others eb in
+  Alcotest.(check int) (ctx ^ ": event count") (List.length ob)
+    (List.length oa);
+  List.iteri
+    (fun i (pa, pb) ->
+      if pa <> pb then
+        Alcotest.failf "%s: event %d differs: %s vs %s" ctx i (E.name pa)
+          (E.name pb))
+    (List.combine oa ob);
+  let conflicts events =
+    let sums = Hashtbl.create 64 in
+    List.iter
+      (function
+        | E.Conflict { round; kind; count; _ } ->
+            let key = (round, match kind with E.Pause -> 0 | E.Bypass -> 1) in
+            Hashtbl.replace sums key
+              (count + Option.value (Hashtbl.find_opt sums key) ~default:0)
+        | _ -> ())
+      events;
+    List.sort compare (List.of_seq (Hashtbl.to_seq sums))
+  in
+  Alcotest.(check (list (pair (pair int int) int)))
+    (ctx ^ ": conflicts per round and kind")
+    (conflicts eb) (conflicts ea);
+  let planned =
+    List.filter (function E.Step_planned _ -> true | _ -> false)
+  in
+  let rec subsequence i a b =
+    match (a, b) with
+    | [], _ -> ()
+    | _ :: _, [] ->
+        Alcotest.failf "%s: planned step %d is not in the reference's order"
+          ctx i
+    | pa :: ra, pb :: rb ->
+        if pa = pb then subsequence (i + 1) ra rb else subsequence i a rb
+  in
+  subsequence 0 (planned ea) (planned eb)
+
 let test_pair ~workload ~seed () =
   let ctx = Printf.sprintf "%s/seed %d" workload seed in
   let n, trace = trace_of ~workload ~seed in
@@ -91,21 +143,11 @@ let test_pair ~workload ~seed () =
   Array.sort compare la;
   Array.sort compare lb;
   Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb la;
-  Alcotest.(check int)
-    (ctx ^ ": event count")
-    (List.length eb) (List.length ea);
-  List.iteri
-    (fun i (pa, pb) ->
-      if pa <> pb then
-        Alcotest.failf "%s: event %d differs: %s vs %s" ctx i
-          (Obskit.Event.name pa) (Obskit.Event.name pb))
-    (List.combine ea eb)
+  check_events ctx ea eb
 
-(* The untraced hot path takes a different route through the executor
-   (shape probe + conflict pre-check, ΔΦ evaluated lazily, paused
-   messages parked in shape classes), so it gets its own pairwise
-   check: stats, trees and latencies must match the reference executor
-   with the null sink too. *)
+(* The null sink skips every emission site and lets the engine skip
+   idle rounds, so the untraced run gets its own pairwise check: stats,
+   trees and latencies must match the reference executor too. *)
 let test_pair_untraced ~workload ~seed () =
   let ctx = Printf.sprintf "untraced %s/seed %d" workload seed in
   let n, trace = trace_of ~workload ~seed in
@@ -118,10 +160,10 @@ let test_pair_untraced ~workload ~seed () =
   Array.sort compare lb;
   Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb la
 
-(* An *empty* fault plan still routes every message through the
-   fault-aware turn (full plan resolution, draw checks), so this pair
-   proves that path equivalent to the reference executor: stats,
-   trees, latencies and the telemetry payload stream. *)
+(* An *empty* fault plan still takes every fault check and draw test in
+   the walk's turns and ticks every round, so this pair proves that
+   path equivalent to the reference executor: stats, trees, latencies
+   and the telemetry payload stream. *)
 let test_pair_empty_plan ~workload ~seed () =
   let ctx = Printf.sprintf "empty plan %s/seed %d" workload seed in
   let config = Cbnet.Config.make ~faults:(Faultkit.Plan.make ~seed:0 []) () in
@@ -138,15 +180,7 @@ let test_pair_empty_plan ~workload ~seed () =
   Array.sort compare la;
   Array.sort compare lb;
   Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb la;
-  Alcotest.(check int)
-    (ctx ^ ": event count")
-    (List.length eb) (List.length ea);
-  List.iteri
-    (fun i (pa, pb) ->
-      if pa <> pb then
-        Alcotest.failf "%s: event %d differs: %s vs %s" ctx i
-          (Obskit.Event.name pa) (Obskit.Event.name pb))
-    (List.combine ea eb);
+  check_events ctx ea eb;
   (* Untraced too: the null-sink fault path has its own branches. *)
   let tc = Build.balanced n and td = Build.balanced n in
   let sc = Conc.run ~config tc trace in
@@ -165,24 +199,13 @@ let oracle ~workload ~seed =
   Array.sort compare lb;
   (n, trace, sb, lb, eb, tb)
 
-let check_events ctx ea eb =
-  Alcotest.(check int)
-    (ctx ^ ": event count")
-    (List.length eb) (List.length ea);
-  List.iteri
-    (fun i (pa, pb) ->
-      if pa <> pb then
-        Alcotest.failf "%s: event %d differs: %s vs %s" ctx i
-          (Obskit.Event.name pa) (Obskit.Event.name pb))
-    (List.combine ea eb)
-
 (* Non-default tunables and admission windows take the same round
    loop through other branches (rotations refused or accepted at a
    different ΔΦ threshold, work charged at another rotation cost,
    admission stalls behind a small window), so each setting is checked
    against the reference executor run with the same setting: stats,
    final trees, sorted latencies and the telemetry payload stream,
-   traced and untraced, and again through the fault-aware turn under an
+   traced and untraced, and again through the fault checks under an
    empty plan. *)
 let configured_settings =
   [
@@ -218,7 +241,7 @@ let test_pair_configured ~workload ~seed ~label (delta, rotation_cost, window)
   let sc = Conc.run ~config tc trace in
   check_stats (ctx ^ " untraced") sc sb;
   check_trees (ctx ^ " untraced") tc tb;
-  (* Empty fault plan: every turn takes the fault-aware commit. *)
+  (* Empty fault plan: every commit takes the fault draws. *)
   let td = Build.balanced n in
   let empty = Faultkit.Plan.make ~seed:0 [] in
   let (sd, ld), ed =
@@ -239,10 +262,9 @@ let test_pair_configured ~workload ~seed ~label (delta, rotation_cost, window)
 (* Profiling is purely observational: a profiled run must stay
    bit-identical to the oracle (stats, trees, latencies and, traced, the
    payload stream), and the profile's own counters must obey the
-   executor's accounting identities.  The untraced profiled run takes
-   the parking walk, where pauses and bypasses are charged to whole
-   shape classes in bulk ([parked]): its conflict count must still be
-   the run's pauses plus bypasses. *)
+   executor's accounting identities.  Pauses and bypasses are charged
+   to whole shape classes in bulk ([parked]), traced or not: the
+   conflict count must still be the run's pauses plus bypasses. *)
 let test_profiled ~workload ~seed () =
   let module P = Profkit.Profile in
   let ctx = Printf.sprintf "profiled %s/seed %d" workload seed in
@@ -300,12 +322,16 @@ let test_profiled ~workload ~seed () =
     Alcotest.(check bool) (ctx ^ ": some charges parked") true
       (parked > 0)
 
-(* The untraced walk's work counts on fixed saturated cells, pinned as
+(* The walk's work counts on fixed saturated cells, pinned as
    constants: a change to how parked classes are ordered or visited
    must make exactly the same class checks, bulk charges and conflicts
    in the same number of rounds, not merely the same statistics.  The
    cells are the saturated trace above and one batch of 256 drifting
-   requests born together on n = 1024 (one serve batch). *)
+   requests born together on n = 1024 (one serve batch).  Every cell
+   also runs traced and under an empty fault plan, with the same
+   counts: there is one walk, whatever observes the run.  The traced
+   run's event count is pinned too — one event per class check and
+   per conflicting turn, not one per pause. *)
 let serve_batch () =
   let trace =
     Workloads.Drifting.generate ~n:1024 ~m:256 ~phases:1 ~seed:1 ()
@@ -316,39 +342,56 @@ let serve_batch () =
   in
   (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
 
-let test_work_counts (n, trace) expected () =
+let test_work_counts (n, trace) expected events () =
   let module P = Profkit.Profile in
-  let profile = P.create () in
-  ignore (Conc.run ~profile (Build.balanced n) trace);
-  Alcotest.(check (list (pair string int)))
-    "shape hits, parked, conflicts, rounds" expected
-    [
-      ("shape_hits", P.shape_hits profile);
-      ("parked", List.assoc "parked" (P.counters profile));
-      ("conflicts", P.conflicts profile);
-      ("rounds", P.rounds profile);
-    ]
+  let counts ctx run =
+    let profile = P.create () in
+    run profile;
+    Alcotest.(check (list (pair string int)))
+      (ctx ^ ": shape hits, parked, conflicts, rounds")
+      expected
+      [
+        ("shape_hits", P.shape_hits profile);
+        ("parked", List.assoc "parked" (P.counters profile));
+        ("conflicts", P.conflicts profile);
+        ("rounds", P.rounds profile);
+      ]
+  in
+  counts "untraced" (fun profile ->
+      ignore (Conc.run ~profile (Build.balanced n) trace));
+  let recorded = ref 0 in
+  let sink = Obskit.Sink.stream (fun _ -> incr recorded) in
+  counts "traced" (fun profile ->
+      ignore (Conc.run ~sink ~profile (Build.balanced n) trace));
+  Alcotest.(check int) "traced: events" events !recorded;
+  let config = Cbnet.Config.make ~faults:(Faultkit.Plan.make ~seed:0 []) () in
+  counts "empty fault plan" (fun profile ->
+      ignore (Conc.run ~config ~profile (Build.balanced n) trace))
 
 let work_count_cases =
   let counts h p c r =
     [ ("shape_hits", h); ("parked", p); ("conflicts", c); ("rounds", r) ]
   in
   List.map
-    (fun (label, cell, expected) ->
-      Alcotest.test_case label `Quick (test_work_counts cell expected))
+    (fun (label, cell, expected, events) ->
+      Alcotest.test_case label `Quick (test_work_counts cell expected events))
     [
       ( "hpc-saturated seed 1",
         trace_of ~workload:saturated ~seed:1,
-        counts 30027 230005 247236 869 );
+        counts 30027 230005 247236 869,
+        54334 );
       ( "hpc-saturated seed 2",
         trace_of ~workload:saturated ~seed:2,
-        counts 38609 250262 281329 974 );
+        counts 38609 250262 281329 974,
+        79668 );
       ( "hpc-saturated seed 3",
         trace_of ~workload:saturated ~seed:3,
-        counts 35656 241264 268205 925 );
+        counts 35656 241264 268205 925,
+        72119 );
       ( "serve batch 256 on n=1024",
         serve_batch (),
-        counts 8796 45449 56318 374 );
+        counts 8796 45449 56318 374,
+        24747 );
     ]
 
 (* The scheduler finalizer must account for in-flight messages too:
@@ -371,8 +414,8 @@ let test_truncated_finalize () =
   check_trees "truncated" ta tb
 
 (* Finalize after truncation at several cut points, on the plain path
-   and on the fault-aware one (an empty plan routes every turn through
-   it and the finalizer snapshots the injector's tallies), against the
+   and under an empty fault plan (every turn takes the fault checks
+   and the finalizer snapshots the injector's tallies), against the
    reference executor truncated at the same round.  Early cuts leave
    weight updates staged for the next round, and cuts into the
    saturated trace leave shape classes populated: both finalizers must

@@ -280,6 +280,112 @@ let test_pp_chaos_columns () =
     "chaos pp shows its tallies" true
     (contains (pp_stats faulty) "lost=")
 
+(* The chaos oracle: the exact statistics, chaos tallies included, of
+   every chaos plan on two fixed cells, pinned as constants.  They fix
+   where each fault check sits in the round walk (a sleeping message is
+   skipped uncharged, a message at a down node parks before it plans, a
+   down cluster node parks the turn before any pause or bypass is
+   charged, draws come in the order abort, loss, duplication, delay),
+   so a traced run replaying an untraced one is not all that is
+   checked.  The second cell is saturated (hpc, n = 256, m = 600, every
+   request born at round 0): its messages wait in shape classes, so
+   crashes there meet parked classes. *)
+let saturated_trace () =
+  let trace = Workloads.Catalog.scaled "hpc" ~n:256 ~m:600 ~seed:1 in
+  let trace =
+    Workloads.Trace.with_births trace
+      (Array.make (Workloads.Trace.length trace) 0)
+  in
+  (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
+
+let chaos_oracle =
+  [
+    ( "projector seed 2",
+      (fun () -> trace_of ~workload:"projector" ~seed:2),
+      [
+        ( "crash",
+          "m=2000 routing=9316 (hops=7316) rotations=18 work=9334 \
+           makespan=4178 throughput=0.4787 steps=4941 pauses=877680 \
+           bypasses=346 updates=2000 rounds=4180 crashes=400 parks=4193 \
+           lost=0 dup=0 delayed=0 aborts=0 repairs=0" );
+        ( "crash-deep",
+          "m=2000 routing=9316 (hops=7316) rotations=18 work=9334 \
+           makespan=4173 throughput=0.4793 steps=4941 pauses=880871 \
+           bypasses=346 updates=2000 rounds=4175 crashes=105 parks=0 lost=0 \
+           dup=0 delayed=0 aborts=0 repairs=0" );
+        ( "lossy",
+          "m=2000 routing=9375 (hops=7375) rotations=18 work=9393 \
+           makespan=4188 throughput=0.4776 steps=4975 pauses=883934 \
+           bypasses=401 updates=2000 rounds=4190 crashes=0 parks=0 lost=145 \
+           dup=0 delayed=0 aborts=0 repairs=0" );
+        ( "dup-delay",
+          "m=2029 routing=9405 (hops=7376) rotations=18 work=9423 \
+           makespan=4203 throughput=0.4828 steps=4977 pauses=885945 \
+           bypasses=353 updates=2000 rounds=4205 crashes=0 parks=0 lost=0 \
+           dup=29 delayed=103 aborts=0 repairs=0" );
+        ( "abort",
+          "m=2000 routing=9318 (hops=7318) rotations=15 work=9333 \
+           makespan=4176 throughput=0.4789 steps=4939 pauses=882023 \
+           bypasses=363 updates=2000 rounds=4178 crashes=0 parks=0 lost=0 \
+           dup=0 delayed=0 aborts=3 repairs=3" );
+        ( "everything",
+          "m=2009 routing=9387 (hops=7378) rotations=18 work=9405 \
+           makespan=4193 throughput=0.4791 steps=4867 pauses=884407 \
+           bypasses=335 updates=2000 rounds=4195 crashes=195 parks=1108 \
+           lost=92 dup=9 delayed=56 aborts=0 repairs=0" );
+      ] );
+    ( "hpc-saturated seed 1",
+      saturated_trace,
+      [
+        ( "crash",
+          "m=600 routing=8718 (hops=8118) rotations=313 work=9031 \
+           makespan=799 throughput=0.7509 steps=4646 pauses=238750 \
+           bypasses=6402 updates=600 rounds=866 crashes=178 parks=4244 \
+           lost=0 dup=0 delayed=0 aborts=0 repairs=0" );
+        ( "crash-deep",
+          "m=600 routing=9856 (hops=9256) rotations=472 work=10328 \
+           makespan=833 throughput=0.7203 steps=5362 pauses=277199 \
+           bypasses=15182 updates=600 rounds=958 crashes=24 parks=37 lost=0 \
+           dup=0 delayed=0 aborts=0 repairs=0" );
+        ( "lossy",
+          "m=600 routing=9066 (hops=8466) rotations=322 work=9388 \
+           makespan=797 throughput=0.7528 steps=4866 pauses=255881 \
+           bypasses=6453 updates=600 rounds=887 crashes=0 parks=0 lost=163 \
+           dup=0 delayed=0 aborts=0 repairs=0" );
+        ( "dup-delay",
+          "m=643 routing=8752 (hops=8109) rotations=270 work=9022 \
+           makespan=903 throughput=0.7121 steps=4643 pauses=254737 \
+           bypasses=4479 updates=600 rounds=904 crashes=0 parks=0 lost=0 \
+           dup=43 delayed=89 aborts=0 repairs=0" );
+        ( "abort",
+          "m=600 routing=8528 (hops=7928) rotations=267 work=8795 \
+           makespan=743 throughput=0.8075 steps=4549 pauses=242679 \
+           bypasses=8368 updates=600 rounds=834 crashes=0 parks=0 lost=0 \
+           dup=0 delayed=0 aborts=75 repairs=75" );
+        ( "everything",
+          "m=614 routing=8711 (hops=8097) rotations=329 work=9040 \
+           makespan=879 throughput=0.6985 steps=4695 pauses=255594 \
+           bypasses=6268 updates=600 rounds=913 crashes=96 parks=628 \
+           lost=101 dup=14 delayed=54 aborts=16 repairs=16" );
+      ] );
+  ]
+
+let chaos_oracle_cases =
+  List.concat_map
+    (fun (cell, trace, expected) ->
+      List.map
+        (fun (name, line) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s %s" cell name)
+            `Quick
+            (fun () ->
+              let n, trace = trace () in
+              let plan = List.assoc name chaos_plans in
+              let s, _ = chaos_run ~plan ~n trace in
+              Alcotest.(check string) (cell ^ " " ^ name) line (pp_stats s)))
+        expected)
+    chaos_oracle
+
 let () =
   Alcotest.run "faultkit"
     [
@@ -305,4 +411,5 @@ let () =
           Alcotest.test_case "fault tallies" `Quick test_fault_tallies;
           Alcotest.test_case "pp chaos columns" `Quick test_pp_chaos_columns;
         ] );
+      ("chaos oracle", chaos_oracle_cases);
     ]

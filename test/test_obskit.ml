@@ -313,9 +313,13 @@ let test_telemetry_recorder_feeds_registry () =
   let reg = Metrics.create () in
   let sink = Runtime.Telemetry.metrics_sink reg in
   Sink.emit sink (sample_event (E.Round_begin { round = 0; active = 3; live_data = 2 }));
-  Sink.emit sink (sample_event (E.Conflict { round = 0; msg = 1; kind = E.Pause }));
-  Sink.emit sink (sample_event (E.Conflict { round = 0; msg = 2; kind = E.Bypass }));
-  Sink.emit sink (sample_event (E.Conflict { round = 1; msg = 1; kind = E.Pause }));
+  let conflict round msg kind count =
+    sample_event (E.Conflict { round; msg; kind; count; node = 7 })
+  in
+  Sink.emit sink (conflict 0 1 E.Pause 1);
+  Sink.emit sink (conflict 0 2 E.Bypass 1);
+  (* A bulk charge of four parked messages is one event. *)
+  Sink.emit sink (conflict 1 1 E.Pause 4);
   Sink.emit sink
     (sample_event (E.Rotation { round = 1; msg = 1; node = 4; count = 2; delta_phi = -0.5 }));
   Sink.emit sink
@@ -326,7 +330,7 @@ let test_telemetry_recorder_feeds_registry () =
     Option.value (List.assoc_opt name (Metrics.counters reg)) ~default:0
   in
   Alcotest.(check int) "rounds" 1 (counter "cbnet_rounds_total");
-  Alcotest.(check int) "pauses" 2
+  Alcotest.(check int) "pauses add count" 5
     (counter "cbnet_conflicts_total{kind=\"pause\"}");
   Alcotest.(check int) "bypasses" 1
     (counter "cbnet_conflicts_total{kind=\"bypass\"}");
@@ -481,6 +485,50 @@ let test_prometheus_export () =
         (contains body
            (Printf.sprintf "cbnet_phi_count %d" stats.Cbnet.Run_stats.rounds)))
 
+(* A --metrics run on the saturated cell (hpc, n = 256, m = 600, every
+   request born at round 0): the exported counters must equal the run's
+   statistics, although parked messages are charged their pauses in
+   bulk, one [Conflict] event per charge. *)
+let test_saturated_metrics_totals () =
+  let trace = Workloads.Catalog.scaled "hpc" ~n:256 ~m:600 ~seed:1 in
+  let trace =
+    Workloads.Trace.with_births trace
+      (Array.make (Workloads.Trace.length trace) 0)
+  in
+  let path = Filename.temp_file "obskit_saturated" ".prom" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let sink, write = Runtime.Export.capture ~trace:None ~metrics:(Some path) in
+      let stats =
+        Cbnet.Concurrent.run ~sink
+          (Bstnet.Build.balanced trace.Workloads.Trace.n)
+          (Workloads.Trace.to_runs trace)
+      in
+      write (Format.make_formatter (fun _ _ _ -> ()) ignore);
+      let lines = String.split_on_char '\n' (read_file path) in
+      let counter name =
+        let prefix = name ^ " " in
+        match List.find_opt (String.starts_with ~prefix) lines with
+        | Some l ->
+            int_of_string
+              (String.sub l (String.length prefix)
+                 (String.length l - String.length prefix))
+        | None -> Alcotest.failf "%s missing" name
+      in
+      let module S = Cbnet.Run_stats in
+      Alcotest.(check bool) "the cell pauses" true (stats.S.pauses > 100_000);
+      List.iter
+        (fun (name, expected) ->
+          Alcotest.(check int) name expected (counter name))
+        [
+          ("cbnet_conflicts_total{kind=\"pause\"}", stats.S.pauses);
+          ("cbnet_conflicts_total{kind=\"bypass\"}", stats.S.bypasses);
+          ("cbnet_clusters_claimed_total", stats.S.steps);
+          ("cbnet_rotations_total", stats.S.rotations);
+          ("cbnet_rounds_total", stats.S.rounds);
+        ])
+
 let () =
   Alcotest.run "obskit"
     [
@@ -517,5 +565,7 @@ let () =
             test_chrome_trace_escaping_and_dropped;
           Alcotest.test_case "profile json" `Quick test_profile_bench_rows;
           Alcotest.test_case "prometheus" `Quick test_prometheus_export;
+          Alcotest.test_case "saturated metrics totals" `Quick
+            test_saturated_metrics_totals;
         ] );
     ]
