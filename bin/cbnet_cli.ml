@@ -650,6 +650,10 @@ let serve_cmd =
         let request_stop _ = stop_flag := true in
         Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
         Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+        (* A client that hangs up before its reply is written must not
+           kill the daemon: the write fails with EPIPE instead, and the
+           HTTP responder swallows it. *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         let t0 = Obskit.Clock.now_us () in
         let report =
           Servekit.Server.serve ~epoch ~registry ~status ~report_every ~clock

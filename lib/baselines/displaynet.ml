@@ -28,7 +28,7 @@ type state = {
   t : T.t;
   trace : (int * int * int) array;
   mutable next_inject : int;
-  mutable active : request list;  (* lock holders, priority-sorted; <= n/2 *)
+  active : request Simkit.Pqueue.t;  (* lock holders by id; <= n/2 *)
   (* Waiting requests form a FIFO (= priority) queue, amortized with a
      front list and a reversed back list.  Only a prefix is scanned per
      round (see [admit]): once fewer than two endpoints remain free and
@@ -53,25 +53,33 @@ type state = {
   protected_round : int array;
 }
 
-let validate t trace =
-  let n = T.n t in
-  let last_birth = ref min_int in
-  Array.iter
-    (fun (birth, src, dst) ->
-      if birth < !last_birth then invalid_arg "Displaynet.run: trace not sorted";
-      last_birth := birth;
-      if src < 0 || src >= n || dst < 0 || dst >= n then
-        invalid_arg "Displaynet.run: endpoint out of range")
-    trace
+let request ~id ~src ~dst ~birth =
+  {
+    id;
+    src;
+    dst;
+    birth;
+    stage = Waiting;
+    courier = src;
+    src_active = false;
+    dst_active = false;
+    end_time = -1;
+    handshake_hops = 0;
+    delivery_hops = 0;
+    rotations = 0;
+    bypasses = 0;
+    pauses = 0;
+  }
 
 let create config t trace =
-  validate t trace;
+  Bstnet.Check.trace ~who:"Displaynet.run" t trace;
+  let dummy = request ~id:(-1) ~src:0 ~dst:0 ~birth:0 in
   {
     config;
     t;
     trace;
     next_inject = 0;
-    active = [];
+    active = Simkit.Pqueue.create ~dummy (fun a b -> a.id - b.id);
     waiting_front = [];
     waiting_back = [];
     waiting_len = 0;
@@ -99,24 +107,7 @@ let inject st ~round =
     let birth, src, dst = st.trace.(st.next_inject) in
     if birth > round then continue_ := false
     else begin
-      let r =
-        {
-          id = st.next_inject;
-          src;
-          dst;
-          birth;
-          stage = Waiting;
-          courier = src;
-          src_active = false;
-          dst_active = false;
-          end_time = -1;
-          handshake_hops = 0;
-          delivery_hops = 0;
-          rotations = 0;
-          bypasses = 0;
-          pauses = 0;
-        }
-      in
+      let r = request ~id:st.next_inject ~src ~dst ~birth in
       st.next_inject <- st.next_inject + 1;
       st.live <- st.live + 1;
       st.waiting_back <- r :: st.waiting_back;
@@ -290,18 +281,16 @@ let admit st ~round =
 
 let tick st round =
   inject st ~round;
-  let process r =
-    match r.stage with
-    | Delivered | Waiting -> ()
-    | Handshake leg -> handshake_phase st ~round r leg
-    | Splaying -> splay_phase st ~round r
-  in
-  let process_and_protect r =
-    process r;
-    if r.stage <> Delivered then protect_request st ~round r
-  in
-  List.iter process_and_protect st.active;
-  let admitted = admit st ~round in
+  (* Lock holders act in id order and protect their paths; the
+     delivered ones leave the queue. *)
+  Simkit.Pqueue.iter_filter st.active (fun r ->
+      (match r.stage with
+      | Delivered | Waiting -> ()
+      | Handshake leg -> handshake_phase st ~round r leg
+      | Splaying -> splay_phase st ~round r);
+      let holds = r.stage <> Delivered in
+      if holds then protect_request st ~round r;
+      holds);
   (* Admitted requests start their handshake in the same round. *)
   List.iter
     (fun r ->
@@ -312,13 +301,13 @@ let tick st round =
       else begin
         r.stage <- Handshake 1;
         handshake_phase st ~round r 1;
-        if r.stage <> Delivered then protect_request st ~round r
+        if r.stage <> Delivered then begin
+          protect_request st ~round r;
+          Simkit.Pqueue.stage st.active r
+        end
       end)
-    admitted;
-  let still =
-    List.filter (fun r -> r.stage <> Delivered) (st.active @ admitted)
-  in
-  st.active <- List.sort (fun a b -> compare a.id b.id) still
+    (admit st ~round);
+  Simkit.Pqueue.commit st.active
 
 let to_stats st config rounds =
   let m = ref 0 in
@@ -340,7 +329,7 @@ let to_stats st config rounds =
       steps := !steps + r.handshake_hops + r.rotations + r.delivery_hops;
       if r.birth < !first_birth then first_birth := r.birth;
       if r.end_time > !last_end then last_end := r.end_time)
-    (st.finished @ st.active @ waiting);
+    (st.finished @ Simkit.Pqueue.to_list st.active @ waiting);
   let makespan = if !m = 0 then 0 else max 1 (!last_end - !first_birth) in
   Cbnet.Run_stats.of_counts ~config ~messages:!m ~hops:!hops
     ~rotations:!rotations ~steps:!steps ~pauses:!pauses ~bypasses:!bypasses

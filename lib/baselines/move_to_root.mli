@@ -13,4 +13,5 @@ val run :
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Cbnet.Run_stats.t
-(** Sequential execution; same contract as {!Splaynet.run}. *)
+(** Sequential execution through {!Splaynet.serve}; same contract as
+    {!Splaynet.run}. *)

@@ -19,3 +19,16 @@ val run :
   Cbnet.Run_stats.t
 (** [run t trace] serves [(birth, src, dst)] requests in order,
     mutating [t].  Same trace contract as {!Cbnet.Sequential.run}. *)
+
+val serve :
+  who:string ->
+  config:Cbnet.Config.t ->
+  adjust:(Bstnet.Topology.t -> src:int -> dst:int -> int) ->
+  Bstnet.Topology.t ->
+  (int * int * int) array ->
+  Cbnet.Run_stats.t
+(** The sequential serving loop of {!run}, with the per-request
+    adjustment as a parameter: [adjust t ~src ~dst] reshapes [t] until
+    [dst] is a child of [src] and returns the rotations it made
+    ([src <> dst]).  Each rotation takes one slot, the delivery one
+    more.  [who] names the caller in trace-contract errors. *)

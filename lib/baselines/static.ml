@@ -11,6 +11,4 @@ let run t trace =
     ~rotations:0 ~steps:m ~pauses:0 ~bypasses:0 ~updates:0 ~makespan:0
     ~rounds:0 ()
 
-let opt_tree ?knuth ~n trace =
-  let demand = Demand.of_trace ~n trace in
-  Opt_dp.tree (Opt_dp.solve ?knuth demand)
+let opt_tree ~n trace = Opt_dp.tree (Opt_dp.solve (Demand.of_trace ~n trace))

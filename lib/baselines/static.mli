@@ -10,7 +10,8 @@ val run :
 (** Routing each request over its (fixed) tree path; [d + 1] per
     message per Def. 1. *)
 
-val opt_tree : ?knuth:bool -> n:int -> (int * int * int) array -> Bstnet.Topology.t
-(** The OPT baseline topology for a trace (requires knowing the whole
+val opt_tree : n:int -> (int * int * int) array -> Bstnet.Topology.t
+(** The OPT baseline topology for a trace: the exact optimum of
+    {!Opt_dp}, O(n³) (docs/PERFORMANCE.md has its walls).  It requires knowing the whole
     demand in advance — the paper calls this unrealistic but uses it as
-    a reference). *)
+    a reference. *)

@@ -113,4 +113,15 @@ let all ?counters t =
   let* () = structural t in
   weights ?counters t
 
+let trace ~who t trace =
+  let n = Topology.n t in
+  let last_birth = ref min_int in
+  Array.iter
+    (fun (birth, src, dst) ->
+      if birth < !last_birth then invalid_arg (who ^ ": trace not sorted");
+      last_birth := birth;
+      if src < 0 || src >= n || dst < 0 || dst >= n then
+        invalid_arg (who ^ ": endpoint out of range"))
+    trace
+
 let assert_ok = function Ok () -> () | Error msg -> failwith msg

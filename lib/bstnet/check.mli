@@ -33,5 +33,11 @@ val structural : Topology.t -> (unit, string) result
 val all : ?counters:int array -> Topology.t -> (unit, string) result
 (** All of the above in sequence ({!structural} then {!weights}). *)
 
+val trace : who:string -> Topology.t -> (int * int * int) array -> unit
+(** The trace contract of every executor: [(birth, src, dst)] requests
+    in non-decreasing birth order, endpoints in [0, n).
+    @raise Invalid_argument ["<who>: trace not sorted"] or
+    ["<who>: endpoint out of range"] on the first violation. *)
+
 val assert_ok : (unit, string) result -> unit
 (** @raise Failure with the violation description on [Error]. *)

@@ -6,17 +6,6 @@ module M = Message
 let ( = ) : int -> int -> bool = Int.equal
 let ( <> ) a b = not (Int.equal a b)
 
-let validate t trace =
-  let n = T.n t in
-  let last_birth = ref min_int in
-  Array.iter
-    (fun (birth, src, dst) ->
-      if birth < !last_birth then invalid_arg "Concurrent.run: trace not sorted";
-      last_birth := birth;
-      if src < 0 || src >= n || dst < 0 || dst >= n then
-        invalid_arg "Concurrent.run: endpoint out of range")
-    trace
-
 (* Steady-state allocation-free executor: messages live in an arena of
    recycled records (ids minted in the same order the list-based
    executor minted them; a delivered message's record is reused once
@@ -103,7 +92,7 @@ let spawner st ~origin ~first_increment =
 (* lint: hot-end *)
 
 let create config ~window ~sink ~profile ~faults t trace =
-  validate t trace;
+  Bstnet.Check.trace ~who:"Concurrent.run" t trace;
   (* Exactly one update per data message, so the arena's id map never
      grows (fault-injected duplicates take the amortized growth path). *)
   let capacity = max 16 (2 * Array.length trace) in

@@ -1,17 +1,6 @@
 module T = Bstnet.Topology
 module M = Message
 
-let validate t trace =
-  let n = T.n t in
-  let last_birth = ref min_int in
-  Array.iter
-    (fun (birth, src, dst) ->
-      if birth < !last_birth then invalid_arg "Sequential.run: trace not sorted";
-      last_birth := birth;
-      if src < 0 || src >= n || dst < 0 || dst >= n then
-        invalid_arg "Sequential.run: endpoint out of range")
-    trace
-
 (* A message's climb and descent are both bounded by the tree height,
    and sequential execution has no bypass re-climbs; this budget only
    trips on a genuine progress bug. *)
@@ -52,7 +41,7 @@ let drive ~sink ~round config t ~spawn msg =
   done
 
 let run ?(config = Config.default) ?(sink = Obskit.Sink.null) t trace =
-  validate t trace;
+  Bstnet.Check.trace ~who:"Sequential.run" t trace;
   let traced = Obskit.Sink.enabled sink in
   let delivered_event (msg : M.t) =
     if traced then

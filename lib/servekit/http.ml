@@ -28,7 +28,16 @@ let route line ~path ~body =
       response ~status:"400 Bad Request" ~content_type:"text/plain"
         "bad request\n"
 
+(* The serve loop has one thread, so a client that connects and then
+   sends nothing (or never reads its reply) must not hold it: both
+   socket calls give up after this many seconds. *)
+let io_timeout = 1.0
+
 let handle fd ~path ~body =
+  (try
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_timeout;
+     Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout
+   with Unix.Unix_error _ -> ());
   let buf = Bytes.create 1024 in
   let request_line =
     match Unix.read fd buf 0 (Bytes.length buf) with

@@ -12,6 +12,8 @@ val route : string -> path:string -> body:(unit -> string) -> string
 
 val handle : Unix.file_descr -> path:string -> body:(unit -> string) -> unit
 (** Read one request from an accepted connection, write the routed
-    response, close the descriptor.  Read/write errors are swallowed
-    (the descriptor is still closed): a half-open scraper must not
-    take the serve loop down. *)
+    response, close the descriptor.  The read and the write each give
+    up after one second (a client that connects and stays silent is
+    answered 400), and read/write errors are swallowed (the descriptor
+    is still closed): a half-open scraper must not take the serve loop
+    down or hold it. *)

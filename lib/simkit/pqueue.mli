@@ -54,6 +54,5 @@ val iter_filter : 'a t -> ('a -> bool) -> unit
     elements are compacted in place (one pass, no allocation) and
     vacated slots are reset to [dummy]. *)
 
-(* lint: allow unused-export -- test_pqueue's model checks observe it *)
 val to_list : 'a t -> 'a list
-(** Committed elements in priority order — tests and debugging. *)
+(** Committed elements in priority order. *)

@@ -368,6 +368,22 @@ let test_work_counts (n, trace) expected events () =
   counts "empty fault plan" (fun profile ->
       ignore (Conc.run ~config ~profile (Build.balanced n) trace))
 
+(* Allocation gate on the untraced saturated run, counted rather than
+   timed: the run's own state comes to about 51 minor words per
+   request, while an event closure built without a [Sink.enabled]
+   guard allocates on every turn that reaches it and multiplies the
+   count.  `cbnet bench overhead-check` holds the same bound. *)
+let test_minor_words () =
+  let n, trace = trace_of ~workload:saturated ~seed:1 in
+  let t = Build.balanced n in
+  let w0 = Gc.minor_words () in
+  ignore (Conc.run t trace);
+  let words = Gc.minor_words () -. w0 in
+  let bound = 64 * Array.length trace in
+  if words > float_of_int bound then
+    Alcotest.failf "untraced saturated run: %.0f minor words, bound %d" words
+      bound
+
 let work_count_cases =
   let counts h p c r =
     [ ("shape_hits", h); ("parked", p); ("conflicts", c); ("rounds", r) ]
@@ -393,6 +409,7 @@ let work_count_cases =
         counts 8796 45449 56318 374,
         24747 );
     ]
+  @ [ Alcotest.test_case "minor words per request" `Quick test_minor_words ]
 
 (* The scheduler finalizer must account for in-flight messages too:
    truncating both executors mid-run (before quiescence) must still

@@ -521,6 +521,60 @@ let test_http_response_and_route () =
   Alcotest.(check bool) "405" true
     (String.length post >= 12 && String.sub post 0 12 = "HTTP/1.0 405")
 
+(* A client that connects to the metrics port and then says nothing
+   must not hold the one-threaded serve loop: the lines fed through the
+   pipe must all be served, and [serve] must return, long before that
+   client goes away.  The client is closed from another domain after
+   [grace] seconds, or as soon as [serve] has returned. *)
+let test_silent_metrics_client () =
+  (* As in `cbnet serve`: a write to the departed client fails with
+     EPIPE instead of killing the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = Filename.temp_dir "cbnet_metrics" "" in
+  let path = Filename.concat dir "metrics.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 4;
+  let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect client (Unix.ADDR_UNIX path);
+  let rd, wr = Unix.pipe () in
+  let lines =
+    String.concat ""
+      (List.init 200 (fun i ->
+           Printf.sprintf "%d,%d\n" (i mod 16) ((i + 5) mod 16)))
+  in
+  let _ = Unix.write_substring wr lines 0 (String.length lines) in
+  Unix.close wr;
+  let grace = 20.0 in
+  let served = Atomic.make false and closed_early = Atomic.make false in
+  let closer =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. grace in
+        while (not (Atomic.get served)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get served) then Atomic.set closed_early true;
+        Unix.close client)
+  in
+  let cfg = Server.config ~n:16 () in
+  let clock = Servekit.Vclock.virtual_ () in
+  let started = Unix.gettimeofday () in
+  let r =
+    Server.serve ~clock ~metrics:(listener, fun () -> "")
+      cfg (Bstnet.Build.balanced 16) [ rd ]
+  in
+  let wall = Unix.gettimeofday () -. started in
+  Atomic.set served true;
+  Domain.join closer;
+  Unix.close rd;
+  Unix.close listener;
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check int) "delivered" 200 r.Server.stats.Cbnet.Run_stats.messages;
+  Alcotest.(check bool)
+    (Printf.sprintf "served before the client left (%.1f s)" wall)
+    false (Atomic.get closed_early)
+
 let () =
   Alcotest.run "servekit"
     [
@@ -586,5 +640,7 @@ let () =
             test_serve_long_line_one_error;
           Alcotest.test_case "http metrics" `Quick
             test_http_response_and_route;
+          Alcotest.test_case "silent metrics client" `Quick
+            test_silent_metrics_client;
         ] );
     ]
